@@ -13,11 +13,23 @@ The factorization is Frobenius-norm NMF solved by multiplicative updates:
 
 with a small epsilon in the denominators.  Each full sweep is monotone in
 the objective ||X - V D^T||_F^2.  All iteration happens in float64.
+
+Each sweep reads X once.  Given D^T D the V update is independent per row,
+so X is walked in row blocks of about ``_BLOCK_BYTES``: a block's X_b D
+updates V_b in place, and X_b^T V_b is added into X^T V while X_b is still
+in cache.  The objective then needs no second read of X, because
+<X, V D^T> = <X^T V, D>:
+
+    ||X - V D^T||^2 = ||X||^2 - 2 <X^T V, D> + <V^T V, D^T D>
+
+with the D of the update just made.  A sweep that revives a collapsed
+column changes V and D after X^T V was formed, so it takes the objective
+from a fresh pass over X instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,15 +45,14 @@ __all__ = [
     "NmfOptions",
     "FactorizationReport",
     "nmf_factorize",
-    "rank_scan",
     "subspace_residual",
-    "project_onto_basis",
     "expand",
 ]
 
 _EPS = 1e-12
-_INITS = ("seeded-uniform", "nndsvd-style")
-_UPDATE_RULES = ("multiplicative-frobenius",)
+# row-block size of the sweep: small enough that a block of X stays in L2
+# cache between its two products (256 rows at N_k = 256 in float64)
+_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -50,8 +61,6 @@ class NmfOptions:
     seed: int
     max_iters: int = 500
     rel_tol: float = 1e-6
-    init: str = "seeded-uniform"
-    update_rule: str = "multiplicative-frobenius"
 
     def __post_init__(self):
         if self.rank < 1:
@@ -60,10 +69,6 @@ class NmfOptions:
             raise ValidationError("max_iters must be >= 1")
         if not (self.rel_tol > 0):
             raise ValidationError("rel_tol must be > 0")
-        if self.init not in _INITS:
-            raise ValidationError(f"init must be one of {_INITS}, got {self.init!r}")
-        if self.update_rule not in _UPDATE_RULES:
-            raise ValidationError(f"update_rule must be one of {_UPDATE_RULES}")
 
 
 @dataclass(frozen=True)
@@ -97,48 +102,14 @@ class FactorizationReport:
             raise ValidationError("residual_energy must be finite and >= 0")
 
 
-def _init_factors(X, rank, opts):
+def _init_factors(X, rank, seed):
     n_p, n_k = X.shape
-    if opts.init == "nndsvd-style":
-        return _nndsvd_init(X, rank)
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(seed)
     mean = float(X.mean()) if X.size else 0.0
     scale = np.sqrt(mean / rank) if mean > 0 else 0.0
     # 1 - random() lies in (0, 1], keeping every entry strictly positive
     V = (1.0 - rng.random((n_p, rank))) * scale
     D = (1.0 - rng.random((n_k, rank))) * scale
-    return V, D
-
-
-def _nndsvd_init(X, rank):
-    """Deterministic SVD-based non-negative init; zeros backfilled with the
-    matrix mean so multiplicative updates can move them."""
-    n_p, n_k = X.shape
-    U, S, Vt = np.linalg.svd(X, full_matrices=False)
-    V = np.zeros((n_p, rank))
-    D = np.zeros((n_k, rank))
-    if S[0] > 0:
-        V[:, 0] = np.sqrt(S[0]) * np.abs(U[:, 0])
-        D[:, 0] = np.sqrt(S[0]) * np.abs(Vt[0])
-    for j in range(1, min(rank, S.size)):
-        if S[j] <= 0:
-            break
-        u, w = U[:, j], Vt[j]
-        up, un = np.maximum(u, 0), np.maximum(-u, 0)
-        wp, wn = np.maximum(w, 0), np.maximum(-w, 0)
-        n_up, n_un = np.linalg.norm(up), np.linalg.norm(un)
-        n_wp, n_wn = np.linalg.norm(wp), np.linalg.norm(wn)
-        termp, termn = n_up * n_wp, n_un * n_wn
-        if termp >= termn and termp > 0:
-            V[:, j] = np.sqrt(S[j] * termp) / n_up * up
-            D[:, j] = np.sqrt(S[j] * termp) / n_wp * wp
-        elif termn > 0:
-            V[:, j] = np.sqrt(S[j] * termn) / n_un * un
-            D[:, j] = np.sqrt(S[j] * termn) / n_wn * wn
-    mean = float(X.mean()) if X.size else 0.0
-    if mean > 0:
-        V[V <= 0] = mean
-        D[D <= 0] = mean
     return V, D
 
 
@@ -154,14 +125,10 @@ def _revive_dead_columns(X, V, D, reseeded, dead):
     """Re-seed columns of D that collapsed to zero from the largest-residual
     spectrum; a column that collapses twice is retired to ``dead``.  The
     re-seed uses the per-row least-squares optimal coefficient, so the
-    objective cannot increase."""
-    collapsed = np.flatnonzero(D.max(axis=0) <= 0.0)
-    if collapsed.size == 0:
-        return
+    objective cannot increase.  Returns whether any column was changed."""
+    collapsed = [j for j in np.flatnonzero(D.max(axis=0) <= 0.0) if j not in dead]
     R = None
     for j in collapsed:
-        if j in dead:
-            continue
         if j in reseeded:
             dead.add(int(j))
             V[:, j] = 0.0
@@ -178,6 +145,7 @@ def _revive_dead_columns(X, V, D, reseeded, dead):
         D[:, j] = d_new
         V[:, j] = np.maximum(R @ d_new, 0.0)
         reseeded.add(int(j))
+    return bool(collapsed)
 
 
 def _canonical_order(V, D):
@@ -197,6 +165,41 @@ def _canonical_order(V, D):
     return order
 
 
+def _multiplicative_updates(X, X2, V, D, opts):
+    """Run the sweeps on V and D in place, one read of X per sweep; ``X2`` is
+    ||X||_F^2.  Returns (objective trace, converged, reseeded columns, dead
+    columns)."""
+    n_p, n_k = X.shape
+    block = max(1, _BLOCK_BYTES // (X.itemsize * n_k))
+    zero_floor = X2 * 1e-15  # objective below this is numerically an exact fit
+    reseeded: set = set()
+    dead: set = set()
+
+    f_prev = _objective(X2, X, V, D)
+    trace = []
+    converged = False
+    for _ in range(opts.max_iters):
+        DtD = D.T @ D
+        XtV = np.zeros_like(D)
+        for lo in range(0, n_p, block):
+            Xb, Vb = X[lo:lo + block], V[lo:lo + block]
+            Vb *= (Xb @ D) / (Vb @ DtD + _EPS)
+            XtV += Xb.T @ Vb
+        VtV = V.T @ V
+        D *= XtV / (D @ VtV + _EPS)
+        if _revive_dead_columns(X, V, D, reseeded, dead):
+            f = _objective(X2, X, V, D)  # XtV and VtV predate the revival
+        else:
+            f = max(X2 - 2.0 * float(np.einsum("ij,ij->", XtV, D))
+                    + float(np.einsum("ij,ij->", VtV, D.T @ D)), 0.0)
+        trace.append(f)
+        if f <= zero_floor or abs(f_prev - f) <= opts.rel_tol * max(f_prev, 1e-300):
+            converged = True
+            break
+        f_prev = f
+    return trace, converged, reseeded, dead
+
+
 def nmf_factorize(p: HyperspectralSinogram, opts: NmfOptions):
     """Factorize p ~= V D^T; returns (SubspaceSinogram, SpectralBasis,
     FactorizationReport).
@@ -214,27 +217,9 @@ def nmf_factorize(p: HyperspectralSinogram, opts: NmfOptions):
         raise ValidationError(
             f"rank {opts.rank} exceeds min(N_p, N_k) = {min(n_p, n_k)}")
 
-    V, D = _init_factors(X, opts.rank, opts)
+    V, D = _init_factors(X, opts.rank, opts.seed)
     X2 = float(np.einsum("ij,ij->", X, X))
-    zero_floor = X2 * 1e-15  # objective below this is numerically an exact fit
-    reseeded: set = set()
-    dead: set = set()
-
-    f_prev = _objective(X2, X, V, D)
-    trace = []
-    converged = False
-    for _ in range(opts.max_iters):
-        XD = X @ D
-        V *= XD / (V @ (D.T @ D) + _EPS)
-        XtV = X.T @ V
-        D *= XtV / (D @ (V.T @ V) + _EPS)
-        _revive_dead_columns(X, V, D, reseeded, dead)
-        f = _objective(X2, X, V, D)
-        trace.append(f)
-        if f <= zero_floor or abs(f_prev - f) <= opts.rel_tol * max(f_prev, 1e-300):
-            converged = True
-            break
-        f_prev = f
+    trace, converged, reseeded, dead = _multiplicative_updates(X, X2, V, D, opts)
 
     # package: inert unit columns for the dead ones, unit-norm basis columns
     # elsewhere, canonical order everywhere
@@ -262,18 +247,6 @@ def nmf_factorize(p: HyperspectralSinogram, opts: NmfOptions):
     return SubspaceSinogram(V, p.geometry), SpectralBasis(D, p.axis), report
 
 
-def rank_scan(p: HyperspectralSinogram, ranks, opts: NmfOptions):
-    """Residual energy fraction per candidate rank: list of (rank, eps_frac)."""
-    ranks = [int(r) for r in ranks]
-    if not ranks:
-        raise ValidationError("ranks must be non-empty")
-    out = []
-    for r in ranks:
-        _, _, report = nmf_factorize(p, replace(opts, rank=r))
-        out.append((r, report.residual_energy))
-    return out
-
-
 def subspace_residual(p: HyperspectralSinogram, v: SubspaceSinogram, d: SpectralBasis):
     """Residual p - V D^T (float64 array) and its relative Frobenius energy."""
     if v.coeffs.shape[0] != p.values.shape[0]:
@@ -293,46 +266,6 @@ def subspace_residual(p: HyperspectralSinogram, v: SubspaceSinogram, d: Spectral
     else:
         eps_frac = 0.0 if R2 == 0.0 else np.inf
     return R, eps_frac
-
-
-def project_onto_basis(p: HyperspectralSinogram, d: SpectralBasis,
-                       nonneg: bool = False) -> SubspaceSinogram:
-    """Per-row coefficients against a fixed basis.
-
-    Plain least squares by default (negative coefficients clamped to zero at
-    packaging, since the coefficient container is non-negative); with
-    ``nonneg`` the non-negativity constraint is enforced during the solve by
-    multiplicative updates with D held fixed.
-    """
-    if d.basis.shape[0] != p.axis.num_bins:
-        raise ValidationError(
-            f"basis bins {d.basis.shape[0]} != sinogram bins {p.axis.num_bins}")
-    P = p.values.astype(np.float64)
-    D = d.basis.astype(np.float64)
-    s = np.linalg.svd(D, compute_uv=False)
-    if s[0] <= 0 or s[-1] <= s[0] * 1e-10:
-        raise ValidationError("basis columns are linearly dependent")
-    PD = P @ D
-    DtD = D.T @ D
-    C = np.linalg.solve(DtD, PD.T).T
-    if nonneg:
-        if P.size and float(P.min()) < 0:
-            raise ValidationError("non-negative projection requires non-negative input")
-        V = np.maximum(C, 0.0)
-        V += 1e-12 * max(1.0, float(V.max()) if V.size else 0.0)
-        X2 = float(np.einsum("ij,ij->", P, P))
-        f_prev = np.inf
-        for _ in range(500):
-            V *= PD / (V @ DtD + _EPS)
-            f = max(X2 - 2.0 * float(np.einsum("ij,ij->", PD, V))
-                    + float(np.einsum("ij,ij->", V.T @ V, DtD)), 0.0)
-            if abs(f_prev - f) <= 1e-9 * max(f_prev if np.isfinite(f_prev) else f, 1e-300):
-                break
-            f_prev = f
-        C = V
-    else:
-        C = np.maximum(C, 0.0)
-    return SubspaceSinogram(C, p.geometry)
 
 
 def expand(x_s: VolumeStack, d: SpectralBasis) -> VolumeStack:

@@ -469,6 +469,8 @@ def reconstruct_stack(sinos, geom: ScanGeometry, engine: str,
     """
     if engine not in _ENGINES:
         raise ValidationError(f"engine must be one of {_ENGINES}, got {engine!r}")
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
     if isinstance(sinos, SubspaceSinogram):
         values, sgeom = sinos.coeffs, sinos.geometry
     elif isinstance(sinos, HyperspectralSinogram):

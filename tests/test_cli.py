@@ -122,6 +122,14 @@ class TestStageCommands:
         vol, _ = load_volume(d / "xs_mbir.hsnct")
         assert float(vol.voxels.min()) >= 0.0
 
+    def test_reconstruct_rejects_zero_threads(self, workdir, capsys):
+        out = workdir / "zero_threads.hsnct"
+        rc = main(["reconstruct", "--in", str(workdir / "v.hsnct"), "--engine", "fbp",
+                   "--threads", "0", "--out", str(out)])
+        assert rc == 1
+        assert "threads" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reconstruct_fbp_rejects_mbir_flags(self, workdir, capsys):
         rc = main(["reconstruct", "--in", str(workdir / "v.hsnct"),
                    "--engine", "fbp", "--beta", "1.0",

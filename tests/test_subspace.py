@@ -12,11 +12,14 @@ from hsnct.containers import (
     VolumeStack,
 )
 from hsnct.subspace import (
+    _BLOCK_BYTES,
+    _EPS,
     NmfOptions,
+    _init_factors,
+    _multiplicative_updates,
+    _revive_dead_columns,
     expand,
     nmf_factorize,
-    project_onto_basis,
-    rank_scan,
     subspace_residual,
 )
 
@@ -120,16 +123,6 @@ class TestNmfFactorize:
         np.testing.assert_allclose(norms, 1.0, rtol=1e-5)
         assert report.dead_columns == ()
 
-    def test_nndsvd_init_deterministic_and_valid(self):
-        rng = np.random.default_rng(88)
-        p = sino_from(rng.uniform(0, 1, (20, 10)))
-        opts = NmfOptions(rank=3, seed=0, init="nndsvd-style")
-        v1, d1, _ = nmf_factorize(p, opts)
-        v2, d2, _ = nmf_factorize(p, opts)
-        assert v1.coeffs.tobytes() == v2.coeffs.tobytes()
-        assert d1.basis.tobytes() == d2.basis.tobytes()
-        assert float(d1.basis.min()) >= 0.0
-
     def test_noise_rejection(self):
         # rank-3 truth plus bounded zero-mean noise: the factorized
         # approximation should land closer to the truth than the data does
@@ -152,37 +145,34 @@ class TestNmfFactorize:
             NmfOptions(rank=1, seed=0, max_iters=0)
         with pytest.raises(ValidationError):
             NmfOptions(rank=1, seed=0, rel_tol=0.0)
-        with pytest.raises(ValidationError):
-            NmfOptions(rank=1, seed=0, init="random-acol")
 
 
 class TestRankScan:
+    """Residual energy across a scan of ranks, one nmf_factorize call per rank."""
+
     def test_exact_rank_three_curve(self):
         rng = np.random.default_rng(1042)
         V = rng.uniform(0.2, 1.0, (24, 3))
         D = rng.uniform(0.2, 1.0, (12, 3))
         p = sino_from(V @ D.T)
-        out = rank_scan(p, [1, 2, 3], NmfOptions(rank=3, seed=42, max_iters=4000,
-                                                 rel_tol=1e-10))
-        assert [r for r, _ in out] == [1, 2, 3]
-        eps = [e for _, e in out]
+        eps = [nmf_factorize(p, NmfOptions(rank=r, seed=42, max_iters=4000,
+                                           rel_tol=1e-10))[2].residual_energy
+               for r in (1, 2, 3)]
         assert eps[0] > eps[1] > eps[2]
         assert eps[2] <= 1e-6
 
     def test_constant_matrix_is_rank_one(self):
         p = sino_from(np.full((6, 5), 3.0))
-        out = rank_scan(p, [1, 2], NmfOptions(rank=1, seed=7))
-        assert out[0][1] <= 1e-9
+        _, _, report = nmf_factorize(p, NmfOptions(rank=1, seed=7))
+        assert report.residual_energy <= 1e-9
 
     def test_rank_exceeding_bound_rejected(self):
+        # every rank up to min(N_p, N_k) factorizes; the first one past it is refused
         p = sino_from(np.ones((4, 4)))
+        for r in range(1, 5):
+            nmf_factorize(p, NmfOptions(rank=r, seed=0))
         with pytest.raises(ValidationError):
-            rank_scan(p, [5], NmfOptions(rank=1, seed=0))
-
-    def test_empty_ranks_rejected(self):
-        p = sino_from(np.ones((4, 4)))
-        with pytest.raises(ValidationError):
-            rank_scan(p, [], NmfOptions(rank=1, seed=0))
+            nmf_factorize(p, NmfOptions(rank=5, seed=0))
 
 
 class TestSubspaceResidual:
@@ -226,42 +216,75 @@ class TestSubspaceResidual:
             subspace_residual(p, v, d_wrong)
 
 
-class TestProjectOntoBasis:
-    def test_exact_recovery(self):
-        rng = np.random.default_rng(21)
-        V = rng.uniform(0.1, 1.0, (30, 3))
-        D = rng.uniform(0.1, 1.0, (12, 3))
-        p = sino_from(V @ D.T)
-        got = project_onto_basis(p, SpectralBasis(D, p.axis), nonneg=False)
-        err = np.linalg.norm(got.coeffs.astype(np.float64) - V) / np.linalg.norm(V)
-        assert err <= 1e-5  # float32 container storage bounds the recovery
+def three_pass_sweeps(X, V, D, sweeps):
+    """Reference loop: every sweep reads X three times (X D for V, X^T V for
+    D, X D again for the objective)."""
+    X2 = float(np.sum(X * X))
+    reseeded, dead = set(), set()
+    trace = []
+    for _ in range(sweeps):
+        V *= (X @ D) / (V @ (D.T @ D) + _EPS)
+        D *= (X.T @ V) / (D @ (V.T @ V) + _EPS)
+        _revive_dead_columns(X, V, D, reseeded, dead)
+        cross = float(np.sum((X @ D) * V))
+        trace.append(max(X2 - 2.0 * cross + float(np.sum((V.T @ V) * (D.T @ D))), 0.0))
+    return np.array(trace), reseeded
 
-    def test_single_column_identity(self):
-        d_col = np.zeros((6, 2))
-        d_col[0, 0] = 1.0
-        d_col[3, 1] = 1.0
-        p = sino_from(np.tile(d_col[:, 0], (4, 1)))
-        axis = axis_for(6)
-        got = project_onto_basis(p, SpectralBasis(d_col, axis))
-        np.testing.assert_allclose(got.coeffs, np.tile([1.0, 0.0], (4, 1)), atol=1e-6)
 
-    def test_duplicated_column_rejected(self):
-        col = np.linspace(0.1, 1.0, 6)
-        d = SpectralBasis(np.stack([col, col], axis=1), axis_for(6))
-        p = sino_from(np.ones((4, 6)))
-        with pytest.raises(ValidationError):
-            project_onto_basis(p, d)
+def direct_objective(X, V, D):
+    R = X - V @ D.T
+    return float(np.sum(R * R))
 
-    def test_nonneg_solve_stays_nonneg_and_fits(self):
-        rng = np.random.default_rng(33)
-        V = rng.uniform(0.1, 1.0, (25, 3))
-        D = rng.uniform(0.1, 1.0, (10, 3))
-        p = sino_from(V @ D.T)
-        got = project_onto_basis(p, SpectralBasis(D, p.axis), nonneg=True)
-        assert float(got.coeffs.min()) >= 0.0
-        recon = got.coeffs.astype(np.float64) @ D.T
-        err = np.linalg.norm(recon - p.values.astype(np.float64)) / np.linalg.norm(p.values)
-        assert err <= 1e-3
+
+class TestSinglePassSweep:
+    N_K = 16
+    BLOCK = _BLOCK_BYTES // (8 * N_K)
+    SWEEPS = 30
+
+    @pytest.mark.parametrize("n_p", [BLOCK // 3, BLOCK, BLOCK + 1, 3 * BLOCK + 57],
+                             ids=["under-one-block", "one-block", "one-block-plus-1",
+                                  "blocks-plus-remainder"])
+    def test_matches_three_pass_loop(self, n_p):
+        rng = np.random.default_rng(n_p)
+        # float32-exact, so the sinogram container holds the same X
+        X = rng.uniform(0.0, 1.0, (n_p, self.N_K)).astype(np.float32).astype(np.float64)
+        opts = NmfOptions(rank=3, seed=5, max_iters=self.SWEEPS, rel_tol=1e-15)
+        V, D = _init_factors(X, opts.rank, opts.seed)
+        V_ref, D_ref = V.copy(), D.copy()
+        trace, converged, _, _ = _multiplicative_updates(
+            X, float(np.sum(X * X)), V, D, opts)
+        ref_trace, _ = three_pass_sweeps(X, V_ref, D_ref, self.SWEEPS)
+        assert not converged and len(trace) == self.SWEEPS
+        np.testing.assert_allclose(trace, ref_trace, rtol=1e-10, atol=0)
+        assert np.linalg.norm(V - V_ref) <= 1e-10 * np.linalg.norm(V_ref)
+        assert np.linalg.norm(D - D_ref) <= 1e-10 * np.linalg.norm(D_ref)
+        # the public entry point runs the same sweeps from the same init
+        _, _, report = nmf_factorize(sino_from(X), opts)
+        np.testing.assert_allclose(report.objective_trace, ref_trace, rtol=1e-10, atol=0)
+
+    def test_revived_column_takes_direct_objective(self):
+        # a zero basis column collapses in the first sweep and is re-seeded
+        # from the residual, after X^T V was accumulated
+        rng = np.random.default_rng(8)
+        X = rng.uniform(0.0, 1.0, (300, self.N_K))
+        opts = NmfOptions(rank=3, seed=2, max_iters=5, rel_tol=1e-15)
+        V, D = _init_factors(X, opts.rank, opts.seed)
+        D[:, 1] = 0.0
+        V_ref, D_ref = V.copy(), D.copy()
+        trace, _, reseeded, _ = _multiplicative_updates(
+            X, float(np.sum(X * X)), V, D, opts)
+        ref_trace, ref_reseeded = three_pass_sweeps(X, V_ref, D_ref, opts.max_iters)
+        assert reseeded == ref_reseeded == {1}
+        np.testing.assert_allclose(trace, ref_trace, rtol=1e-10, atol=0)
+        assert trace[-1] == pytest.approx(direct_objective(X, V, D), rel=1e-10)
+
+    def test_all_zero_input_trace_is_direct_objective(self):
+        X = np.zeros((6, 5))
+        V, D = _init_factors(X, 2, 0)
+        trace, converged, _, dead = _multiplicative_updates(
+            X, 0.0, V, D, NmfOptions(rank=2, seed=0))
+        assert converged and dead == {0, 1}
+        assert trace == [direct_objective(X, V, D)] == [0.0]
 
 
 class TestExpand:

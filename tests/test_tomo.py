@@ -375,6 +375,14 @@ class TestReconstructStack:
         v2 = reconstruct_stack(sub, geom, "fbp", threads=3)
         np.testing.assert_array_equal(v1.voxels, v2.voxels)
 
+    def test_threads_do_not_change_mbir_result(self):
+        geom, vals = stack_inputs(n_r=3, C=2, seed=4)
+        sub = SubspaceSinogram(vals, geom)
+        opts = MbirOptions(regularization_weight=1.0, max_iters=8)
+        v1 = reconstruct_stack(sub, geom, "mbir", opts, threads=1)
+        v2 = reconstruct_stack(sub, geom, "mbir", opts, threads=2)
+        assert v1.voxels.tobytes() == v2.voxels.tobytes()
+
     def test_geometry_mismatch_rejected(self):
         geom, vals = stack_inputs()
         other = ScanGeometry(geom.num_views, geom.num_rows, geom.num_cols,
