@@ -70,9 +70,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1,
+    common.add_argument("--threads", type=_positive_int, default=1,
                         help="worker budget for slice reconstructions (default 1)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for the seeded stages (default 0)")

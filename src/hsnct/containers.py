@@ -29,8 +29,11 @@ upcast to float64 internally.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -431,7 +434,9 @@ def write_container(path, data, extra_header: dict | None = None) -> None:
     derived from it.  A plain ndarray is accepted for low-level use, in which
     case ``extra_header`` must supply ``axis_order``.  ``extra_header``
     entries are merged into the header; entries that contradict the derived
-    ``dtype``/``shape``/``axis_order`` are rejected.
+    ``dtype``/``shape``/``axis_order`` are rejected.  The file is written to
+    a temporary name in the same directory and then renamed onto ``path``,
+    so an existing target is replaced whole or left as it was.
     """
     if isinstance(data, np.ndarray):
         header, payload = dict(extra_header or {}), np.ascontiguousarray(data, dtype=np.float32)
@@ -460,12 +465,19 @@ def write_container(path, data, extra_header: dict | None = None) -> None:
             f"names {len(axis_order.split(','))}")
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(payload.astype("<f4", copy=False).tobytes(order="C"))
+        try:
+            with open(tmp, "xb") as fh:
+                fh.write(MAGIC)
+                fh.write(struct.pack("<I", len(blob)))
+                fh.write(blob)
+                fh.write(payload.astype("<f4", copy=False).tobytes(order="C"))
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise ContainerError(f"cannot write {path}: {exc}") from exc
 

@@ -26,7 +26,6 @@ from hsnct.containers import (
     SpectralAxis,
     ValidationError,
     VolumeStack,
-    volume_voxel_count,
 )
 from hsnct.phantom import PhantomSpec, build_ground_truth, simulate_scan
 from hsnct.preprocess import normalize
@@ -41,7 +40,6 @@ __all__ = [
     "run_dhr",
     "snr_db",
     "run_benchmark",
-    "expanded_volume_shape",
     "CSV_COLUMNS",
 ]
 
@@ -65,7 +63,6 @@ class PipelineConfig:
     recon_engine: str = "fbp"
     recon: MbirOptions | str | None = None
     threads: int = 1
-    stage_timing: bool = True
 
     def __post_init__(self):
         if self.recon_engine not in _ENGINES:
@@ -139,8 +136,6 @@ def run_fhr(p: HyperspectralSinogram, cfg: PipelineConfig):
     t_expand = clock() - t0
 
     total = clock() - t_run
-    if not cfg.stage_timing:
-        t_extract = t_recon = t_expand = 0.0
     report = RunReport("fhr", cfg.recon_engine, channels=coeffs.rank,
                        extract_s=t_extract, recon_s=t_recon, expand_s=t_expand,
                        total_s=total, epsilon_frac=float(fact.residual_energy))
@@ -159,8 +154,6 @@ def run_dhr(p: HyperspectralSinogram, cfg: PipelineConfig):
     x_h = reconstruct_stack(p, p.geometry, cfg.recon_engine, **_recon_kwargs(cfg))
     t_recon = clock() - t0
     total = clock() - t_run
-    if not cfg.stage_timing:
-        t_recon = 0.0
     return x_h, RunReport("dhr", cfg.recon_engine, channels=p.axis.num_bins,
                           extract_s=0.0, recon_s=t_recon, expand_s=0.0,
                           total_s=total)
@@ -184,14 +177,6 @@ def snr_db(recon: VolumeStack, reference: VolumeStack) -> float:
         raise ValidationError("reconstruction matches the reference exactly "
                               "(perfect, SNR unbounded)")
     return 10.0 * np.log10(sig / noise)
-
-
-def expanded_volume_shape(geom: ScanGeometry, num_bins: int) -> tuple[int, int]:
-    """Declared [N_x, N_k] shape of the expanded volume for a scan layout;
-    pure bookkeeping so full-scale shapes can be checked without running."""
-    if num_bins < 1:
-        raise ValidationError("num_bins must be >= 1")
-    return (volume_voxel_count(geom), num_bins)
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,11 @@ import numpy as np
 from hsnct.containers import (
     HyperspectralSinogram,
     RawScan,
-    SpectralAxis,
     ToFConverter,
     ValidationError,
 )
 
-__all__ = ["NormalizationOptions", "tof_to_wavelength", "normalize", "spectral_rebin"]
+__all__ = ["NormalizationOptions", "tof_to_wavelength", "normalize"]
 
 
 @dataclass(frozen=True)
@@ -66,20 +65,3 @@ def normalize(scan: RawScan, opts: NormalizationOptions | None = None) -> Hypers
     n_p = scan.geometry.num_views * scan.geometry.num_rows * scan.geometry.num_cols
     return HyperspectralSinogram(p.reshape(n_p, scan.axis.num_bins),
                                  scan.geometry, scan.axis)
-
-
-def spectral_rebin(sino: HyperspectralSinogram, factor: int) -> HyperspectralSinogram:
-    """Average ``factor`` adjacent wavelength bins; ToF edges are subsampled
-    to every ``factor``-th edge so bin boundaries stay consistent."""
-    factor = int(factor)
-    if factor < 1:
-        raise ValidationError(f"rebin factor must be >= 1, got {factor}")
-    n_k = sino.axis.num_bins
-    if n_k % factor != 0:
-        raise ValidationError(f"rebin factor {factor} does not divide N_k={n_k}")
-    if factor == 1:
-        return sino
-    vals = sino.values.astype(np.float64).reshape(sino.values.shape[0], n_k // factor, factor)
-    rebinned = vals.mean(axis=2)
-    new_axis = SpectralAxis(sino.axis.tof_edges[::factor], sino.axis.converter)
-    return HyperspectralSinogram(rebinned, sino.geometry, new_axis)

@@ -256,3 +256,19 @@ class TestExitCodes:
         assert main(["extract", "--in", str(workdir / "p.hsnct"), "--rank", "-2",
                      "--out-v", str(workdir / "nv.hsnct"),
                      "--out-d", str(workdir / "nd.hsnct")]) == 1
+
+    @pytest.mark.parametrize("command", ["extract", "phantom"])
+    def test_zero_threads_rejected_where_unused(self, workdir, capsys, command):
+        # --threads is validated for every subcommand, also where no stage
+        # runs in parallel
+        d = workdir
+        outs = {"extract": ["--out-v", str(d / "zt_v.hsnct"),
+                            "--out-d", str(d / "zt_d.hsnct")],
+                "phantom": ["--out-truth", str(d / "zt_t.hsnct")]}[command]
+        inputs = {"extract": ["--in", str(d / "p.hsnct"), "--rank", "2"],
+                  "phantom": ["--spec", str(d / "spec.json")]}[command]
+        assert main([command, "--threads", "0"] + inputs + outs) == 1
+        err = capsys.readouterr().err
+        assert "usage" in err and "--threads" in err
+        assert not any((d / name).exists()
+                       for name in ("zt_v.hsnct", "zt_d.hsnct", "zt_t.hsnct"))

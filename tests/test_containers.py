@@ -1,3 +1,6 @@
+import os
+import struct
+
 import numpy as np
 import pytest
 
@@ -229,6 +232,36 @@ class TestContainerFormat:
         with pytest.raises(ContainerError):
             read_container(tmp_path / "does-not-exist.hsnct")
         assert issubclass(ContainerError, OSError)
+
+    @pytest.mark.parametrize("fail_at", ["payload", "rename", "interrupt"])
+    def test_failed_write_keeps_target_and_leaves_no_temp(self, tmp_path, monkeypatch,
+                                                          fail_at):
+        path = tmp_path / "scan.hsnct"
+        write_container(path, random_raw_scan(np.random.default_rng(5)))
+        before = path.read_bytes()
+
+        def fail(*args, **kwargs):
+            if fail_at == "interrupt":
+                raise KeyboardInterrupt
+            raise OSError(28, "No space left on device")
+
+        # "payload" and "interrupt" fail after the magic is already written
+        target = (os, "replace") if fail_at == "rename" else (struct, "pack")
+        monkeypatch.setattr(*target, fail)
+        expected = KeyboardInterrupt if fail_at == "interrupt" else ContainerError
+        with pytest.raises(expected):
+            write_container(path, random_raw_scan(np.random.default_rng(6)))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.hsnct"]
+
+    def test_write_replaces_existing_target(self, tmp_path):
+        path = tmp_path / "scan.hsnct"
+        write_container(path, random_raw_scan(np.random.default_rng(5)))
+        scan = random_raw_scan(np.random.default_rng(6))
+        write_container(path, scan)
+        assert load_raw_scan(path).counts.tobytes() == scan.counts.tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.hsnct"]
 
     def test_four_voxel_volume_round_trip(self, tmp_path):
         vol = VolumeStack(np.array([[1.0], [2.0], [3.0], [4.0]], dtype=np.float32),

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -23,7 +21,6 @@ from hsnct.pipeline import (
     CSV_COLUMNS,
     PipelineConfig,
     RunReport,
-    expanded_volume_shape,
     run_benchmark,
     run_dhr,
     run_fhr,
@@ -181,13 +178,6 @@ class TestRunFhr:
         assert rep.total_s + 1e-3 >= rep.extract_s + rep.recon_s + rep.expand_s
         assert rep.algorithm == "fhr" and rep.epsilon_frac is not None
 
-    def test_stage_timing_flag(self):
-        _, p = noisy_sinogram()
-        cfg = dataclasses.replace(fbp_cfg(rank=3), stage_timing=False)
-        _, _, rep = run_fhr(p, cfg)
-        assert rep.extract_s == rep.recon_s == rep.expand_s == 0.0
-        assert rep.total_s > 0
-
     def test_deterministic_at_fixed_seed(self):
         _, p = noisy_sinogram()
         v1, b1, r1 = run_fhr(p, fbp_cfg(rank=3))
@@ -237,19 +227,6 @@ class TestFbpCommutation:
 
         denom = max(float(np.abs(rhs).max()), 1e-12)
         assert np.abs(lhs - rhs).max() / denom <= 1e-5
-
-
-class TestExpandedVolumeShape:
-    def test_full_scale_bookkeeping(self):
-        geom = ScanGeometry(53, 512, 512, np.linspace(0, np.pi, 53, endpoint=False),
-                            flight_path=10.0)
-        assert expanded_volume_shape(geom, 1200) == (512 ** 3, 1200)
-
-    def test_bad_bin_count(self):
-        geom = ScanGeometry(4, 1, 8, np.linspace(0, np.pi, 4, endpoint=False),
-                            flight_path=10.0)
-        with pytest.raises(ValidationError):
-            expanded_volume_shape(geom, 0)
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hsnct.containers import (
-    HyperspectralSinogram,
     RawScan,
     ScanGeometry,
     SpectralAxis,
@@ -12,7 +11,6 @@ from hsnct.containers import (
 from hsnct.preprocess import (
     NormalizationOptions,
     normalize,
-    spectral_rebin,
     tof_to_wavelength,
 )
 
@@ -113,39 +111,3 @@ class TestNormalize:
     def test_nonpositive_floor_rejected(self):
         with pytest.raises(ValidationError):
             NormalizationOptions(count_floor=0.0)
-
-
-class TestSpectralRebin:
-    def make_sino(self, spectra):
-        spectra = np.asarray(spectra, dtype=np.float64)
-        n_p, n_k = spectra.shape
-        geom = ScanGeometry(n_p, 1, 1, np.linspace(0, np.pi, n_p, endpoint=False),
-                            flight_path=10.0)
-        axis = SpectralAxis(np.linspace(1e-3, 2e-3, n_k + 1), ToFConverter(flight_path=10.0))
-        return HyperspectralSinogram(spectra, geom, axis)
-
-    def test_factor_one_is_identity(self):
-        sino = self.make_sino(np.arange(8.0).reshape(2, 4))
-        out = spectral_rebin(sino, 1)
-        assert out is sino
-
-    def test_constant_spectrum_unchanged(self):
-        sino = self.make_sino(np.full((3, 8), 2.5))
-        out = spectral_rebin(sino, 4)
-        assert out.axis.num_bins == 2
-        assert np.all(out.values == np.float32(2.5))
-
-    def test_hand_computed_means(self):
-        sino = self.make_sino(np.array([[1.0, 3.0, 5.0, 7.0]]))
-        out = spectral_rebin(sino, 2)
-        np.testing.assert_allclose(out.values, [[2.0, 6.0]], rtol=1e-7)
-
-    def test_edges_subsampled(self):
-        sino = self.make_sino(np.zeros((1, 4)))
-        out = spectral_rebin(sino, 2)
-        np.testing.assert_array_equal(out.axis.tof_edges, sino.axis.tof_edges[::2])
-
-    def test_non_divisible_factor_rejected(self):
-        sino = self.make_sino(np.zeros((1, 4)))
-        with pytest.raises(ValidationError):
-            spectral_rebin(sino, 3)

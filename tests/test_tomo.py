@@ -9,6 +9,7 @@ from hsnct.containers import (
     ToFConverter,
     ValidationError,
 )
+from hsnct import tomo
 from hsnct.tomo import (
     MbirOptions,
     SliceGeometry,
@@ -383,6 +384,26 @@ class TestReconstructStack:
         v2 = reconstruct_stack(sub, geom, "mbir", opts, threads=2)
         assert v1.voxels.tobytes() == v2.voxels.tobytes()
 
+    @pytest.mark.parametrize("per_channel", [False, True])
+    def test_noise_weights_follow_their_slice_and_channel(self, per_channel):
+        # slices are batched as columns; each must keep its own rays' weights
+        geom, vals = stack_inputs(n_r=3, C=2, seed=5)
+        rng = np.random.default_rng(6)
+        shape = vals.shape if per_channel else vals.shape[:1]
+        w = rng.uniform(0.2, 1.0, shape)
+        opts = MbirOptions(regularization_weight=1.0, max_iters=10, noise_weights=w)
+        vol = reconstruct_stack(SubspaceSinogram(vals, geom), geom, "mbir", opts)
+        n_v, n_c, sg = geom.num_views, geom.num_cols, slice_geometry_for(geom)
+        y4 = SubspaceSinogram(vals, geom).coeffs.astype(np.float64).reshape(n_v, 3, n_c, 2)
+        w4 = (w if per_channel else np.repeat(w[:, None], 2, axis=1)).reshape(n_v, 3, n_c, 2)
+        for r in range(3):
+            for c in range(2):
+                img = mbir_reconstruct(y4[:, r, :, c], sg, MbirOptions(
+                    regularization_weight=1.0, max_iters=10,
+                    noise_weights=w4[:, r, :, c].ravel()))
+                got = vol.voxels[r * n_c * n_c:(r + 1) * n_c * n_c, c]
+                assert got.tobytes() == img.ravel().astype(np.float32).tobytes()
+
     def test_geometry_mismatch_rejected(self):
         geom, vals = stack_inputs()
         other = ScanGeometry(geom.num_views, geom.num_rows, geom.num_cols,
@@ -400,3 +421,167 @@ class TestReconstructStack:
         with pytest.raises(ValidationError):
             reconstruct_stack(SubspaceSinogram(vals, geom), geom, "fbp",
                               MbirOptions())
+
+
+# --- equivalence with the directional-difference definitions ----------------
+
+NEIGHBOR_OFFSETS = ((0, 1, 1.0), (1, 0, 1.0),
+                    (1, 1, 1.0 / np.sqrt(2.0)), (1, -1, 1.0 / np.sqrt(2.0)))
+
+
+def pair_ends(n, da, db):
+    """Index expressions of the two endpoints a = b + (da, db) of every
+    neighbor pair at one offset of an n x n grid."""
+    a = (slice(da, n), slice(max(db, 0), n + min(db, 0)))
+    b = (slice(0, n - da), slice(max(-db, 0), n - max(db, 0)))
+    return a, b
+
+
+def reference_prior(X, n, prior, delta):
+    """Value per channel, gradient and surrogate curvature of the pairwise
+    prior, pair offset by pair offset: each pair adds k*rho(diff) to the
+    value, +-k*rho'(diff) to its endpoints' gradients and 2*k*rho'(diff)/diff
+    to both curvatures."""
+    X3 = X.reshape(n, n, -1)
+    value = np.zeros(X3.shape[2])
+    G = np.zeros_like(X3)
+    K = np.zeros_like(X3)
+    for da, db, k in NEIGHBOR_OFFSETS:
+        a, b = pair_ends(n, da, db)
+        D = X3[a] - X3[b]
+        mag = np.abs(D)
+        if prior == "quadratic-difference":
+            rho, slope, c = 0.5 * D * D, D, np.ones_like(D)
+        else:
+            rho = np.where(mag <= delta, 0.5 * D * D, delta * mag - 0.5 * delta * delta)
+            slope = np.clip(D, -delta, delta)
+            c = np.where(mag <= delta, 1.0, delta / np.maximum(mag, delta))
+        value += k * rho.sum(axis=(0, 1))
+        G[a] += k * slope
+        G[b] -= k * slope
+        K[a] += 2.0 * k * c
+        K[b] += 2.0 * k * c
+    return value, G.reshape(n * n, -1), K.reshape(n * n, -1)
+
+
+def reference_sqs(A, Y, W, n, opts, X0):
+    """The SQS iteration written plainly: the prior and the residual are
+    recomputed from scratch wherever they are needed."""
+    beta = opts.regularization_weight
+    C = Y.shape[1]
+
+    def objective(X, Yc, Wc):
+        R = A @ X - Yc
+        obj = 0.5 * np.einsum("ij,ij->j", Wc * R, R)
+        if beta > 0:
+            obj = obj + beta * reference_prior(X, n, opts.prior, opts.huber_delta)[0]
+        return obj
+
+    X = X0.copy()
+    d_data = A.T @ (W * (A @ np.ones(A.shape[1]))[:, None])
+    traces = [[] for _ in range(C)]
+    active = np.arange(C)
+    Xa, Ya, Wa, Da = X.copy(), Y, W, d_data
+    obj_prev = objective(Xa, Ya, Wa)
+    for _ in range(opts.max_iters):
+        if active.size == 0:
+            break
+        G = A.T @ (Wa * (A @ Xa - Ya))
+        D = Da
+        if beta > 0:
+            _, pg, pc = reference_prior(Xa, n, opts.prior, opts.huber_delta)
+            G = G + beta * pg
+            D = Da + beta * pc
+        step = np.divide(G, D, out=np.zeros_like(G), where=D > 0)
+        Xn = Xa - step
+        if opts.nonneg_constraint:
+            Xn = np.maximum(Xn, 0.0)
+        obj = objective(Xn, Ya, Wa)
+        X[:, active] = Xn
+        for local, chan in enumerate(active):
+            traces[chan].append(obj[local])
+        keep = ~((obj <= 0.0) | (np.abs(obj_prev - obj)
+                                 <= opts.rel_tol * np.maximum(obj_prev, 1e-300)))
+        active = active[keep]
+        Xa, Ya, Wa, Da = Xn[:, keep], Ya[:, keep], Wa[:, keep], Da[:, keep]
+        obj_prev = obj[keep]
+    return X, [np.asarray(t) for t in traces]
+
+
+def assert_rel_close(actual, expected, tol):
+    scale = max(float(np.abs(expected).max()), 1e-300)
+    assert float(np.abs(actual - expected).max()) <= tol * scale
+
+
+class TestPriorMatchesDirectionalDifferences:
+    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    @pytest.mark.parametrize("C", [1, 5])
+    def test_quadratic_value_gradient_curvature(self, n, C):
+        X = np.random.default_rng(100 * n + C).uniform(0.0, 1.0, (n * n, C))
+        value, grad, curv = tomo._prior_terms(X, n, "quadratic-difference", 0.1)
+        ref_value, ref_grad, ref_curv = reference_prior(X, n, "quadratic-difference", 0.1)
+        assert curv is None  # constant: the solver takes it from the Laplacian
+        assert_rel_close(value, ref_value, 1e-12)
+        assert_rel_close(grad, ref_grad, 1e-12)
+        const = tomo._laplacian(n)[1]
+        np.testing.assert_array_equal(np.broadcast_to(const[:, None], ref_curv.shape),
+                                      ref_curv)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    @pytest.mark.parametrize("C", [1, 5])
+    def test_huber_value_gradient_curvature(self, n, C):
+        # differences of U(0, 1) values fall on both sides of delta
+        X = np.random.default_rng(100 * n + C + 50).uniform(0.0, 1.0, (n * n, C))
+        value, grad, curv = tomo._prior_terms(X, n, "huber", 0.25)
+        ref_value, ref_grad, ref_curv = reference_prior(X, n, "huber", 0.25)
+        assert_rel_close(value, ref_value, 1e-12)
+        assert_rel_close(grad, ref_grad, 1e-12)
+        assert_rel_close(curv, ref_curv, 1e-12)
+
+
+SOLVER_CASES = {
+    "quadratic": dict(prior="quadratic-difference", regularization_weight=2.0,
+                      rel_tol=1e-12),
+    "huber": dict(prior="huber", regularization_weight=2.0, huber_delta=0.004,
+                  rel_tol=1e-12),
+    "beta-0": dict(regularization_weight=0.0, rel_tol=1e-12),
+    "quadratic-freezing": dict(prior="quadratic-difference", regularization_weight=1.0,
+                               rel_tol=1e-4),
+    "huber-freezing": dict(prior="huber", regularization_weight=1.0, huber_delta=0.004,
+                           rel_tol=1e-3),
+}
+
+
+class TestSolverMatchesReferenceLoop:
+    @pytest.mark.parametrize("case", list(SOLVER_CASES))
+    def test_batch_and_single_channel_runs(self, case):
+        geom, vals = stack_inputs(n_r=1, C=3, seed=3)
+        rng = np.random.default_rng(9)
+        # channels carry different noise, so with a loose tolerance they
+        # stop at different iterations
+        vals = vals + rng.uniform(0, 0.2, vals.shape) * np.array([1.0, 3.0, 0.2])
+        vals = vals.astype(np.float32).astype(np.float64)  # as the container holds it
+        opts = MbirOptions(max_iters=120, **SOLVER_CASES[case])
+        sg = slice_geometry_for(geom)
+        A = (tomo._system_matrix(sg) * sg.pixel_pitch).tocsr()
+        X0 = np.maximum(tomo._fbp_batch(vals, sg, "ramp"), 0.0)
+        ref_X, ref_traces = reference_sqs(A, vals, np.exp(-vals), sg.image_size, opts, X0)
+        lengths = [len(t) for t in ref_traces]
+        if case.endswith("freezing"):
+            assert len(set(lengths)) > 1 and max(lengths) < opts.max_iters
+        else:
+            assert lengths == [opts.max_iters] * 3
+
+        X, info = tomo._mbir_batch(vals, sg, opts)
+        assert_rel_close(X, ref_X, 1e-10)
+        for c in range(3):
+            assert info[c]["iterations"] == lengths[c]
+            assert_rel_close(info[c]["objective_trace"], ref_traces[c], 1e-10)
+            img, solo = mbir_reconstruct(vals[:, c].reshape(geom.num_views, geom.num_cols),
+                                         sg, opts, return_info=True)
+            assert_rel_close(img.ravel(), ref_X[:, c], 1e-10)
+            assert_rel_close(solo["objective_trace"], ref_traces[c], 1e-10)
+
+        vol = reconstruct_stack(SubspaceSinogram(vals, geom), geom, "mbir", opts)
+        assert_rel_close(vol.voxels.astype(np.float64),
+                         ref_X.astype(np.float32).astype(np.float64), 1e-10)
