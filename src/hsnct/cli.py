@@ -23,16 +23,13 @@ import numpy as np
 
 from hsnct.containers import (
     HyperspectralSinogram,
-    SubspaceSinogram,
     ValidationError,
     geometry_from_header,
     load_basis,
+    load_container,
     load_raw_scan,
     load_sinogram,
-    load_subspace_sinogram,
     load_volume,
-    read_container,
-    sinogram_row_count,
     spectral_from_header,
     spectral_header,
     write_container,
@@ -263,20 +260,10 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    header, arr = read_container(args.infile)
-    role = header.get("role")
-    geom = geometry_from_header(header.get("geometry", {}))
+    sinos, _ = load_container(args.infile, "subspace-sinogram", "sinogram")
     extra = None
-    if role == "subspace-sinogram":
-        sinos = SubspaceSinogram(arr.reshape(sinogram_row_count(geom), -1), geom)
-    elif role == "sinogram":
-        axis = spectral_from_header(header.get("spectral", {}))
-        sinos = HyperspectralSinogram(
-            arr.reshape(sinogram_row_count(geom), axis.num_bins), geom, axis)
-        extra = {"spectral": spectral_header(axis)}
-    else:
-        raise ValidationError(
-            f"{args.infile}: expected a sinogram container, found role {role!r}")
+    if isinstance(sinos, HyperspectralSinogram):
+        extra = {"spectral": spectral_header(sinos.axis)}
     if args.engine == "fbp":
         if args.beta is not None or args.prior is not None:
             raise ValidationError("--beta/--prior only apply to the mbir engine")
@@ -285,7 +272,7 @@ def _cmd_reconstruct(args) -> int:
         opts = MbirOptions(
             prior=_PRIOR_NAMES[args.prior or "quadratic"],
             regularization_weight=1.0 if args.beta is None else args.beta)
-    vol = reconstruct_stack(sinos, geom, args.engine, opts, threads=args.threads)
+    vol = reconstruct_stack(sinos, sinos.geometry, args.engine, opts, threads=args.threads)
     write_container(args.out, vol, extra_header=extra)
     log.info("wrote volume %s [%d voxels x %d channels, %s]", args.out,
              vol.voxels.shape[0], vol.num_channels, args.engine)
@@ -303,14 +290,10 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _pipeline_config(args, rank: int) -> PipelineConfig:
-    return PipelineConfig(subspace=NmfOptions(rank=rank, seed=args.seed),
-                          recon_engine=args.engine, threads=args.threads)
-
-
 def _cmd_fhr(args) -> int:
     sino = load_sinogram(args.infile)
-    cfg = _pipeline_config(args, args.rank)
+    cfg = PipelineConfig(subspace=NmfOptions(rank=args.rank, seed=args.seed),
+                         recon_engine=args.engine, threads=args.threads)
     vol, basis, report = run_fhr(sino, cfg)
     write_container(args.out, vol,
                     extra_header={"spectral": spectral_header(basis.axis)})
@@ -322,7 +305,7 @@ def _cmd_fhr(args) -> int:
 
 def _cmd_dhr(args) -> int:
     sino = load_sinogram(args.infile)
-    cfg = _pipeline_config(args, rank=1)
+    cfg = PipelineConfig(recon_engine=args.engine, threads=args.threads)
     vol, report = run_dhr(sino, cfg)
     write_container(args.out, vol,
                     extra_header={"spectral": spectral_header(sino.axis)})
@@ -339,8 +322,7 @@ def _cmd_bench(args) -> int:
     mbir = MbirOptions(regularization_weight=2.0, max_iters=100)
     fhr_cfg = PipelineConfig(subspace=NmfOptions(rank=4, seed=args.seed),
                              recon_engine="mbir", recon=mbir, threads=args.threads)
-    dhr_cfg = PipelineConfig(subspace=NmfOptions(rank=1, seed=args.seed),
-                             recon_engine="mbir", recon=mbir, threads=args.threads)
+    dhr_cfg = PipelineConfig(recon_engine="mbir", recon=mbir, threads=args.threads)
     t0 = time.perf_counter()
     result = run_benchmark(spec, axis, geom, fhr_cfg, dhr_cfg)
     out = Path(args.out)
@@ -356,12 +338,6 @@ def _cmd_bench(args) -> int:
 
 def _cmd_slice(args) -> int:
     vol, _ = load_volume(args.infile)
-    if not (0 <= args.z < vol.num_rows):
-        raise ValidationError(
-            f"slice index {args.z} out of range [0, {vol.num_rows})")
-    if not (0 <= args.bin < vol.num_channels):
-        raise ValidationError(
-            f"bin index {args.bin} out of range [0, {vol.num_channels})")
     _write_pgm(args.out, vol.slice_image(args.z, args.bin))
     log.info("wrote slice z=%d bin=%d -> %s", args.z, args.bin, args.out)
     return 0

@@ -55,9 +55,10 @@ __all__ = [
     "SpectralBasis",
     "VolumeStack",
     "sinogram_row_count",
-    "volume_voxel_count",
+    "tof_to_wavelength",
     "write_container",
     "read_container",
+    "load_container",
     "load_raw_scan",
     "load_sinogram",
     "load_subspace_sinogram",
@@ -71,8 +72,6 @@ NEUTRON_MASS = 1.67492749804e-27  # kg
 
 MAGIC = b"HSNCT1\n\0"
 ALLOWED_AXIS_ORDERS = ("view,row,col,bin", "row,col,slice,channel", "bin,channel")
-
-_ROLES = ("raw-scan", "sinogram", "subspace-sinogram", "basis", "volume")
 
 
 class ValidationError(ValueError):
@@ -99,11 +98,6 @@ def _require(cond: bool, msg: str):
 def sinogram_row_count(geometry: "ScanGeometry") -> int:
     """Number of measurement rows N_p = N_v * N_r * N_c."""
     return geometry.num_views * geometry.num_rows * geometry.num_cols
-
-
-def volume_voxel_count(geometry: "ScanGeometry") -> int:
-    """Number of voxels N_x = N_r * N_c * N_c (one N_c x N_c slice per detector row)."""
-    return geometry.num_rows * geometry.num_cols * geometry.num_cols
 
 
 @dataclass(frozen=True)
@@ -157,9 +151,17 @@ class ToFConverter:
         _require(self.neutron_mass > 0, "neutron_mass must be > 0")
         _require(self.flight_path > 0, "flight_path must be > 0")
 
-    def wavelength(self, dt):
-        """Wavelengths in meters for time-of-flight values ``dt`` in seconds."""
-        return (self.planck_h / self.neutron_mass) * (np.asarray(dt, dtype=np.float64) / self.flight_path)
+
+def tof_to_wavelength(converter: ToFConverter, dt):
+    """Wavelength(s) in meters for time-of-flight ``dt`` in seconds.
+
+    Linear map (h/m_n) * dt / L; rejects negative dt.
+    """
+    dt_arr = np.asarray(dt, dtype=np.float64)
+    _require(bool(np.all(np.isfinite(dt_arr))), "dt must be finite")
+    _require(not np.any(dt_arr < 0), "dt must be >= 0")
+    out = (converter.planck_h / converter.neutron_mass) * (dt_arr / converter.flight_path)
+    return float(out) if np.ndim(dt) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,7 @@ class SpectralAxis:
         _require(np.all(np.isfinite(edges)), "tof_edges must be finite")
         _require(edges[0] >= 0.0, "tof_edges must be >= 0")
         _require(np.all(np.diff(edges) > 0), "tof_edges must be strictly increasing")
-        centers = self.converter.wavelength(0.5 * (edges[:-1] + edges[1:]))
+        centers = tof_to_wavelength(self.converter, 0.5 * (edges[:-1] + edges[1:]))
         centers.flags.writeable = False
         object.__setattr__(self, "wavelength_centers", centers)
 
@@ -323,7 +325,9 @@ class VolumeStack:
 # ---------------------------------------------------------------------------
 # serialization helpers
 
-def _geometry_header(g: ScanGeometry) -> dict:
+def geometry_header(g: ScanGeometry) -> dict:
+    """JSON-compatible description of a ScanGeometry (inverse of
+    geometry_from_header)."""
     return {
         "num_views": g.num_views,
         "num_rows": g.num_rows,
@@ -334,25 +338,15 @@ def _geometry_header(g: ScanGeometry) -> dict:
     }
 
 
-def _spectral_header(ax: SpectralAxis) -> dict:
+def spectral_header(ax: SpectralAxis) -> dict:
+    """JSON-compatible description of a SpectralAxis (inverse of
+    spectral_from_header)."""
     return {
         "tof_edges": [float(t) for t in ax.tof_edges],
         "flight_path": float(ax.converter.flight_path),
         "planck_h": float(ax.converter.planck_h),
         "neutron_mass": float(ax.converter.neutron_mass),
     }
-
-
-def geometry_header(g: ScanGeometry) -> dict:
-    """JSON-compatible description of a ScanGeometry (inverse of
-    geometry_from_header)."""
-    return _geometry_header(g)
-
-
-def spectral_header(ax: SpectralAxis) -> dict:
-    """JSON-compatible description of a SpectralAxis (inverse of
-    spectral_from_header)."""
-    return _spectral_header(ax)
 
 
 def geometry_from_header(h: dict) -> ScanGeometry:
@@ -367,6 +361,8 @@ def geometry_from_header(h: dict) -> ScanGeometry:
         )
     except KeyError as exc:
         raise ContainerError(f"geometry header is missing key {exc}") from None
+    except TypeError as exc:  # a non-object header or a null/list value
+        raise ContainerError(f"malformed geometry header: {exc}") from None
 
 
 def spectral_from_header(h: dict) -> SpectralAxis:
@@ -379,28 +375,28 @@ def spectral_from_header(h: dict) -> SpectralAxis:
         return SpectralAxis(np.asarray(h["tof_edges"], dtype=np.float64), conv)
     except KeyError as exc:
         raise ContainerError(f"spectral header is missing key {exc}") from None
+    except TypeError as exc:  # a non-object header or a null/list value
+        raise ContainerError(f"malformed spectral header: {exc}") from None
 
 
 def _pack(data) -> tuple[dict, np.ndarray]:
-    """Header dict + payload array for a typed container."""
+    """Header dict + payload array for a typed container (inverse of _unpack)."""
     if isinstance(data, RawScan):
-        g = data.geometry
         payload = np.concatenate([data.counts, data.open_beam[None]], axis=0)
-        header = {
+        return {
             "role": "raw-scan",
             "axis_order": "view,row,col,bin",
-            "geometry": _geometry_header(g),
-            "spectral": _spectral_header(data.axis),
-        }
-        return header, payload
+            "geometry": geometry_header(data.geometry),
+            "spectral": spectral_header(data.axis),
+        }, payload
     if isinstance(data, HyperspectralSinogram):
         g = data.geometry
         payload = data.values.reshape(g.num_views, g.num_rows, g.num_cols, data.axis.num_bins)
         return {
             "role": "sinogram",
             "axis_order": "view,row,col,bin",
-            "geometry": _geometry_header(g),
-            "spectral": _spectral_header(data.axis),
+            "geometry": geometry_header(g),
+            "spectral": spectral_header(data.axis),
         }, payload
     if isinstance(data, SubspaceSinogram):
         g = data.geometry
@@ -408,13 +404,13 @@ def _pack(data) -> tuple[dict, np.ndarray]:
         return {
             "role": "subspace-sinogram",
             "axis_order": "view,row,col,bin",
-            "geometry": _geometry_header(g),
+            "geometry": geometry_header(g),
         }, payload
     if isinstance(data, SpectralBasis):
         return {
             "role": "basis",
             "axis_order": "bin,channel",
-            "spectral": _spectral_header(data.axis),
+            "spectral": spectral_header(data.axis),
         }, data.basis
     if isinstance(data, VolumeStack):
         payload = data.voxels.reshape(data.num_rows, data.num_cols, data.num_cols,
@@ -427,42 +423,50 @@ def _pack(data) -> tuple[dict, np.ndarray]:
     raise ValidationError(f"cannot serialize object of type {type(data).__name__}")
 
 
-def write_container(path, data, extra_header: dict | None = None) -> None:
-    """Write a typed container (or a raw float array plus header) to ``path``.
+def _unpack(header: dict, arr: np.ndarray, path):
+    """The typed container a header's role and payload describe (inverse of
+    _pack)."""
+    role = header.get("role")
+    if role == "basis":
+        return SpectralBasis(arr, spectral_from_header(header.get("spectral", {})))
+    if role == "volume":
+        if arr.ndim != 4 or arr.shape[2] != arr.shape[1]:
+            raise ValidationError(f"{path}: volume shape {arr.shape} is not [N_r,N_c,N_c,C]")
+        try:
+            pitch = float(header.get("voxel_pitch", 1.0))
+        except TypeError as exc:  # a null or list value
+            raise ContainerError(f"{path}: malformed voxel_pitch: {exc}") from None
+        n_r, n_c = arr.shape[0], arr.shape[1]
+        return VolumeStack(arr.reshape(n_r * n_c * n_c, arr.shape[3]), n_r, n_c,
+                           voxel_pitch=pitch)
+    geom = geometry_from_header(header.get("geometry", {}))
+    if role == "subspace-sinogram":
+        return SubspaceSinogram(arr.reshape(sinogram_row_count(geom), -1), geom)
+    axis = spectral_from_header(header.get("spectral", {}))
+    if role == "sinogram":
+        return HyperspectralSinogram(arr.reshape(sinogram_row_count(geom), -1), geom, axis)
+    if arr.shape[0] != geom.num_views + 1:
+        raise ValidationError(
+            f"{path}: raw-scan stores {arr.shape[0]} views, geometry says "
+            f"{geom.num_views} plus one open-beam view")
+    return RawScan(arr[: geom.num_views], arr[geom.num_views], geom, axis)
 
-    ``data`` is normally one of the typed containers above; the header is
-    derived from it.  A plain ndarray is accepted for low-level use, in which
-    case ``extra_header`` must supply ``axis_order``.  ``extra_header``
-    entries are merged into the header; entries that contradict the derived
-    ``dtype``/``shape``/``axis_order`` are rejected.  The file is written to
-    a temporary name in the same directory and then renamed onto ``path``,
-    so an existing target is replaced whole or left as it was.
+
+def write_container(path, data, extra_header: dict | None = None) -> None:
+    """Write a typed container to ``path``.
+
+    The header is derived from ``data``; ``extra_header`` entries are merged
+    into it, and entries that contradict a derived value are rejected.  The
+    file is written to a temporary name in the same directory and then
+    renamed onto ``path``, so an existing target is replaced whole or left
+    as it was.
     """
-    if isinstance(data, np.ndarray):
-        header, payload = dict(extra_header or {}), np.ascontiguousarray(data, dtype=np.float32)
-    else:
-        header, payload = _pack(data)
-        for key, value in (extra_header or {}).items():
-            header.setdefault(key, value)
-            if header[key] != value:
-                raise ValidationError(f"extra header key {key!r} conflicts with derived value")
-    shape = list(payload.shape)
-    if len(shape) == 0 or payload.size == 0:
-        raise ValidationError("cannot write an empty or zero-dimensional array")
-    if "shape" in header and list(header["shape"]) != shape:
-        raise ValidationError(f"header shape {header['shape']} does not match data shape {shape}")
-    if "dtype" in header and header["dtype"] != "f32le":
-        raise ValidationError(f"unsupported dtype {header['dtype']!r}, only 'f32le' is written")
+    header, payload = _pack(data)
     header["dtype"] = "f32le"
-    header["shape"] = shape
-    axis_order = header.get("axis_order")
-    if axis_order not in ALLOWED_AXIS_ORDERS:
-        raise ValidationError(
-            f"axis_order {axis_order!r} not in allowed set {ALLOWED_AXIS_ORDERS}")
-    if len(shape) != len(axis_order.split(",")):
-        raise ValidationError(
-            f"shape {shape} has {len(shape)} axes but axis_order {axis_order!r} "
-            f"names {len(axis_order.split(','))}")
+    header["shape"] = list(payload.shape)
+    for key, value in (extra_header or {}).items():
+        if header.setdefault(key, value) != value:
+            raise ValidationError(f"extra header key {key!r} conflicts with derived value")
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
@@ -480,8 +484,6 @@ def write_container(path, data, extra_header: dict | None = None) -> None:
             raise
     except OSError as exc:
         raise ContainerError(f"cannot write {path}: {exc}") from exc
-
-
 def read_container(path) -> tuple[dict, np.ndarray]:
     """Read a ``.hsnct`` file back as (header, float32 array).
 
@@ -533,53 +535,33 @@ def read_container(path) -> tuple[dict, np.ndarray]:
     return header, arr
 
 
-def _expect_role(header: dict, path, role: str):
-    if header.get("role") != role:
+def load_container(path, *roles: str):
+    """Read ``path`` as the typed container of its role, which must be one
+    of ``roles``; returns (container, header)."""
+    header, arr = read_container(path)
+    if header.get("role") not in roles:
         raise ValidationError(
-            f"{path}: expected a {role!r} container, found role {header.get('role')!r}")
+            f"{path}: expected a {' or '.join(map(repr, roles))} container, "
+            f"found role {header.get('role')!r}")
+    return _unpack(header, arr, path), header
 
 
 def load_raw_scan(path) -> RawScan:
-    header, arr = read_container(path)
-    _expect_role(header, path, "raw-scan")
-    geom = geometry_from_header(header.get("geometry", {}))
-    axis = spectral_from_header(header.get("spectral", {}))
-    if arr.shape[0] != geom.num_views + 1:
-        raise ValidationError(
-            f"{path}: raw-scan stores {arr.shape[0]} views, geometry says "
-            f"{geom.num_views} plus one open-beam view")
-    return RawScan(arr[: geom.num_views], arr[geom.num_views], geom, axis)
+    return load_container(path, "raw-scan")[0]
 
 
 def load_sinogram(path) -> HyperspectralSinogram:
-    header, arr = read_container(path)
-    _expect_role(header, path, "sinogram")
-    geom = geometry_from_header(header.get("geometry", {}))
-    axis = spectral_from_header(header.get("spectral", {}))
-    return HyperspectralSinogram(arr.reshape(sinogram_row_count(geom), -1), geom, axis)
+    return load_container(path, "sinogram")[0]
 
 
 def load_subspace_sinogram(path) -> SubspaceSinogram:
-    header, arr = read_container(path)
-    _expect_role(header, path, "subspace-sinogram")
-    geom = geometry_from_header(header.get("geometry", {}))
-    return SubspaceSinogram(arr.reshape(sinogram_row_count(geom), -1), geom)
+    return load_container(path, "subspace-sinogram")[0]
 
 
 def load_basis(path) -> SpectralBasis:
-    header, arr = read_container(path)
-    _expect_role(header, path, "basis")
-    axis = spectral_from_header(header.get("spectral", {}))
-    return SpectralBasis(arr, axis)
+    return load_container(path, "basis")[0]
 
 
 def load_volume(path) -> tuple[VolumeStack, dict]:
     """Volume plus its header (the header may carry a spectral dict)."""
-    header, arr = read_container(path)
-    _expect_role(header, path, "volume")
-    if arr.ndim != 4 or arr.shape[2] != arr.shape[1]:
-        raise ValidationError(f"{path}: volume shape {arr.shape} is not [N_r,N_c,N_c,C]")
-    n_r, n_c = arr.shape[0], arr.shape[1]
-    vol = VolumeStack(arr.reshape(n_r * n_c * n_c, arr.shape[3]), n_r, n_c,
-                      voxel_pitch=float(header.get("voxel_pitch", 1.0)))
-    return vol, header
+    return load_container(path, "volume")

@@ -28,6 +28,8 @@ from hsnct.containers import (
     ToFConverter,
     ValidationError,
     VolumeStack,
+    _require,
+    tof_to_wavelength,
 )
 from hsnct.tomo import project_volume
 
@@ -44,11 +46,6 @@ __all__ = [
 ]
 
 _SHAPE_KINDS = ("ellipse", "rectangle")
-
-
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise ValidationError(msg)
 
 
 @dataclass(frozen=True)
@@ -251,8 +248,8 @@ def build_ground_truth(spec: PhantomSpec, axis: SpectralAxis) -> VolumeStack:
     wavelength centers; overlapping shapes resolve last-wins; uncovered
     voxels stay zero.
     """
-    lam_lo = float(axis.converter.wavelength(axis.tof_edges[0]))
-    lam_hi = float(axis.converter.wavelength(axis.tof_edges[-1]))
+    lam_lo = tof_to_wavelength(axis.converter, axis.tof_edges[0])
+    lam_hi = tof_to_wavelength(axis.converter, axis.tof_edges[-1])
     for m in spec.materials:
         for e in m.edges:
             _require(lam_lo <= e.edge_wavelength <= lam_hi,

@@ -30,7 +30,7 @@ from hsnct.containers import (
 from hsnct.phantom import PhantomSpec, build_ground_truth, simulate_scan
 from hsnct.preprocess import normalize
 from hsnct.subspace import NmfOptions, expand, nmf_factorize
-from hsnct.tomo import MbirOptions, reconstruct_stack
+from hsnct.tomo import _ENGINES, _FILTERS, MbirOptions, reconstruct_stack
 
 __all__ = [
     "PipelineConfig",
@@ -46,20 +46,18 @@ __all__ = [
 CSV_COLUMNS = ("algorithm", "engine", "n_k", "n_s", "snr_db",
                "extract_s", "recon_s", "expand_s", "total_s", "speedup")
 
-_ENGINES = ("fbp", "mbir")
-_FBP_FILTERS = ("ramp", "shepp-logan-window")
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs for one pipeline run.
 
-    ``recon`` is engine-specific: MbirOptions for the mbir engine, a filter
-    name for fbp, or None for the engine default.  ``threads`` is the worker
-    budget handed to the slice reconstructions.
+    ``subspace`` configures fhr's extraction; dhr has none and leaves it
+    None.  ``recon`` is engine-specific: MbirOptions for the mbir engine, a
+    filter name for fbp, or None for the engine default.  ``threads`` is the
+    worker budget handed to the slice reconstructions.
     """
 
-    subspace: NmfOptions
+    subspace: NmfOptions | None = None
     recon_engine: str = "fbp"
     recon: MbirOptions | str | None = None
     threads: int = 1
@@ -70,9 +68,9 @@ class PipelineConfig:
                 f"recon_engine must be one of {_ENGINES}, got {self.recon_engine!r}")
         if self.recon is not None:
             if self.recon_engine == "fbp":
-                if not isinstance(self.recon, str) or self.recon not in _FBP_FILTERS:
+                if not isinstance(self.recon, str) or self.recon not in _FILTERS:
                     raise ValidationError(
-                        f"fbp recon option must be a filter in {_FBP_FILTERS}")
+                        f"fbp recon option must be a filter in {_FILTERS}")
             elif not isinstance(self.recon, MbirOptions):
                 raise ValidationError("mbir recon option must be MbirOptions")
         if self.threads < 1:
@@ -120,6 +118,8 @@ def run_fhr(p: HyperspectralSinogram, cfg: PipelineConfig):
     must be non-negative (normalize with clamping on) since the extraction
     stage factorizes it into non-negative parts.
     """
+    if cfg.subspace is None:
+        raise ValidationError("run_fhr needs NmfOptions in PipelineConfig.subspace")
     clock = time.perf_counter
     t_run = clock()
 

@@ -21,8 +21,8 @@ import numpy as np
 from hsnct.containers import (
     HyperspectralSinogram,
     RawScan,
-    ToFConverter,
     ValidationError,
+    tof_to_wavelength,
 )
 
 __all__ = ["NormalizationOptions", "tof_to_wavelength", "normalize"]
@@ -36,20 +36,6 @@ class NormalizationOptions:
     def __post_init__(self):
         if not (self.count_floor > 0):
             raise ValidationError("count_floor must be > 0")
-
-
-def tof_to_wavelength(converter: ToFConverter, dt):
-    """Wavelength(s) in meters for time-of-flight ``dt`` in seconds.
-
-    Linear map (h/m_n) * dt / L; rejects negative dt.
-    """
-    dt_arr = np.asarray(dt, dtype=np.float64)
-    if not np.all(np.isfinite(dt_arr)):
-        raise ValidationError("dt must be finite")
-    if np.any(dt_arr < 0):
-        raise ValidationError("dt must be >= 0")
-    out = converter.wavelength(dt_arr)
-    return float(out) if np.isscalar(dt) or np.ndim(dt) == 0 else out
 
 
 def normalize(scan: RawScan, opts: NormalizationOptions | None = None) -> HyperspectralSinogram:

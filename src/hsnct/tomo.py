@@ -40,7 +40,6 @@ All solver arithmetic is float64.
 from __future__ import annotations
 
 import functools
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -169,34 +168,30 @@ def project_volume(volume: VolumeStack, geom: ScanGeometry) -> np.ndarray:
     return out.reshape(n_v * n_r * n_c, C)
 
 
-# system-matrix cache: geometries are tiny and few per process
-_MATRIX_CACHE: dict = {}
-_MATRIX_LOCK = threading.Lock()
-_MATRIX_CACHE_MAX = 8
-
-
 def _system_matrix(geom: SliceGeometry) -> sp.csr_matrix:
     """Interpolation-weight matrix A0, (num_angles*num_detector_bins) x n^2.
 
     Pure splat weights; the pixel-pitch length factor is applied by the
-    callers.  Cached per geometry.
+    callers.  Cached per geometry (the angles enter the key as bytes, since
+    an ndarray does not hash).
     """
-    key = (geom.angles.tobytes(), geom.num_detector_bins, geom.image_size,
-           geom.pixel_pitch)
-    with _MATRIX_LOCK:
-        if key in _MATRIX_CACHE:
-            return _MATRIX_CACHE[key]
-    n = geom.image_size
-    nd = geom.num_detector_bins
+    return _splat_matrix(geom.angles.tobytes(), geom.num_detector_bins,
+                         geom.image_size, geom.pixel_pitch)
+
+
+# geometries are tiny and few per process
+@functools.lru_cache(maxsize=8)
+def _splat_matrix(angle_bytes: bytes, nd: int, n: int, pitch: float) -> sp.csr_matrix:
+    angles = np.frombuffer(angle_bytes)
     half = 0.5 * (n - 1)
-    u = (np.arange(n) - half) * geom.pixel_pitch
+    u = (np.arange(n) - half) * pitch
     ua = np.repeat(u, n)      # row coordinate per flattened pixel
     ub = np.tile(u, n)        # col coordinate per flattened pixel
     pix = np.arange(n * n)
     rows, cols, vals = [], [], []
-    for i, theta in enumerate(geom.angles):
+    for i, theta in enumerate(angles):
         t = ua * np.cos(theta) + ub * np.sin(theta)
-        g = t / geom.pixel_pitch + 0.5 * (nd - 1)
+        g = t / pitch + 0.5 * (nd - 1)
         i0 = np.floor(g).astype(np.int64)
         frac = g - i0
         for bins, w in ((i0, 1.0 - frac), (i0 + 1, frac)):
@@ -204,24 +199,28 @@ def _system_matrix(geom: SliceGeometry) -> sp.csr_matrix:
             rows.append(i * nd + bins[ok])
             cols.append(pix[ok])
             vals.append(w[ok])
-    A0 = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(geom.num_angles * nd, n * n), dtype=np.float64).tocsr()
-    with _MATRIX_LOCK:
-        if len(_MATRIX_CACHE) >= _MATRIX_CACHE_MAX:
-            _MATRIX_CACHE.pop(next(iter(_MATRIX_CACHE)))
-        _MATRIX_CACHE[key] = A0
-    return A0
+        shape=(angles.size * nd, n * n), dtype=np.float64).tocsr()
+
+
+def _slice_input(values, geom: SliceGeometry, image: bool = False) -> np.ndarray:
+    """A single-slice image (``image=True``) or sinogram as float64, after
+    checking its shape against ``geom`` and that every entry is finite."""
+    name = "image" if image else "sinogram"
+    shape = ((geom.image_size, geom.image_size) if image
+             else (geom.num_angles, geom.num_detector_bins))
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != shape:
+        raise ValidationError(f"{name} shape {values.shape} != {shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{name} must be finite")
+    return values
 
 
 def forward_project(image: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     """Line integrals of a square slice: (num_angles, num_detector_bins)."""
-    image = np.asarray(image, dtype=np.float64)
-    n = geom.image_size
-    if image.shape != (n, n):
-        raise ValidationError(f"image shape {image.shape} != ({n}, {n})")
-    if not np.all(np.isfinite(image)):
-        raise ValidationError("image must be finite")
+    image = _slice_input(image, geom, image=True)
     A0 = _system_matrix(geom)
     sino = A0 @ image.ravel() * geom.pixel_pitch
     return sino.reshape(geom.num_angles, geom.num_detector_bins)
@@ -229,12 +228,7 @@ def forward_project(image: np.ndarray, geom: SliceGeometry) -> np.ndarray:
 
 def back_project(sino: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     """Exact transpose of forward_project."""
-    sino = np.asarray(sino, dtype=np.float64)
-    shape = (geom.num_angles, geom.num_detector_bins)
-    if sino.shape != shape:
-        raise ValidationError(f"sinogram shape {sino.shape} != {shape}")
-    if not np.all(np.isfinite(sino)):
-        raise ValidationError("sinogram must be finite")
+    sino = _slice_input(sino, geom)
     A0 = _system_matrix(geom)
     img = A0.T @ sino.ravel() * geom.pixel_pitch
     return img.reshape(geom.image_size, geom.image_size)
@@ -265,6 +259,8 @@ def _filter_rays(Y: np.ndarray, geom: SliceGeometry, filter_name: str) -> np.nda
 
 def _fbp_batch(Y: np.ndarray, geom: SliceGeometry, filter_name: str) -> np.ndarray:
     """FBP over ray-major channels: Y (m, C) -> images (n^2, C)."""
+    if geom.num_angles < 2:
+        raise ValidationError("fbp needs at least 2 view angles")
     q = _filter_rays(Y, geom, filter_name)
     A0 = _system_matrix(geom)
     # filtered values are in cycles-per-sample units: the 1/pitch from the
@@ -277,14 +273,7 @@ def _fbp_batch(Y: np.ndarray, geom: SliceGeometry, filter_name: str) -> np.ndarr
 def fbp_reconstruct(sino: np.ndarray, geom: SliceGeometry,
                     filter_name: str = "ramp") -> np.ndarray:
     """Filtered backprojection of one slice sinogram."""
-    if geom.num_angles < 2:
-        raise ValidationError("fbp needs at least 2 view angles")
-    sino = np.asarray(sino, dtype=np.float64)
-    shape = (geom.num_angles, geom.num_detector_bins)
-    if sino.shape != shape:
-        raise ValidationError(f"sinogram shape {sino.shape} != {shape}")
-    if not np.all(np.isfinite(sino)):
-        raise ValidationError("sinogram must be finite")
+    sino = _slice_input(sino, geom)
     img = _fbp_batch(sino.reshape(-1, 1), geom, filter_name)
     return img.reshape(geom.image_size, geom.image_size)
 
@@ -301,7 +290,7 @@ def _pair_slices(da, db):
     return (ra, slice(None)), (rb, slice(None))
 
 
-@functools.lru_cache(maxsize=_MATRIX_CACHE_MAX)
+@functools.lru_cache(maxsize=8)
 def _laplacian(n: int):
     """Weighted graph Laplacian L of the 8-neighbor pairs of an n x n grid.
 
@@ -494,21 +483,13 @@ def mbir_reconstruct(sino: np.ndarray, geom: SliceGeometry,
     """Regularized weighted-least-squares reconstruction of one slice."""
     if opts is None:
         opts = MbirOptions()
-    sino = np.asarray(sino, dtype=np.float64)
-    shape = (geom.num_angles, geom.num_detector_bins)
-    if sino.shape != shape:
-        raise ValidationError(f"sinogram shape {sino.shape} != {shape}")
-    if not np.all(np.isfinite(sino)):
-        raise ValidationError("sinogram must be finite")
+    sino = _slice_input(sino, geom)
+    W = None
     if opts.noise_weights is not None:
         W = opts.noise_weights.reshape(-1, 1)
         if W.shape[0] != sino.size:
             raise ValidationError(
                 f"noise_weights size {W.shape[0]} != measurement count {sino.size}")
-        if float(W.max()) == 0.0:
-            raise ValidationError("noise_weights are all zero")
-    else:
-        W = None
     X, info = _mbir_batch(sino.reshape(-1, 1), geom, opts, W)
     img = X[:, 0].reshape(geom.image_size, geom.image_size)
     return (img, info[0]) if return_info else img

@@ -5,6 +5,7 @@ import pytest
 
 from hsnct.cli import main
 from hsnct.containers import (
+    HyperspectralSinogram,
     ScanGeometry,
     SpectralAxis,
     ToFConverter,
@@ -61,6 +62,17 @@ def workdir(tmp_path_factory):
     assert main(["normalize", "--scan", str(d / "scan.hsnct"),
                  "--out", str(d / "p.hsnct")]) == 0
     return d
+
+
+def patch_header(src, dst, mutate):
+    """Copy container ``src`` to ``dst`` with ``mutate`` applied to its JSON
+    header; the payload is left as it is."""
+    raw = src.read_bytes()
+    hlen = int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12:12 + hlen])
+    mutate(header)
+    blob = json.dumps(header).encode("utf-8")
+    dst.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen:])
 
 
 class TestStageCommands:
@@ -222,6 +234,46 @@ class TestExitCodes:
         bad.write_bytes((workdir / "p.hsnct").read_bytes()[:40])
         assert main(["normalize", "--scan", str(bad),
                      "--out", str(workdir / "o.hsnct")]) == 2
+
+    @pytest.mark.parametrize("command", ["reconstruct", "dhr"])
+    @pytest.mark.parametrize("section,value", [
+        ("geometry", {"num_views": None}),
+        ("geometry", [1, 2]),
+        ("spectral", {"flight_path": None}),
+    ], ids=["null-num-views", "list-geometry", "null-flight-path"])
+    def test_malformed_header_is_container_error(self, workdir, capsys, command,
+                                                 section, value):
+        # a header whose values have the wrong JSON type is a malformed
+        # container (exit 2), as a missing key already is
+        bad = workdir / f"bad_{command}_{section}.hsnct"
+        if isinstance(value, dict):
+            patch_header(workdir / "p.hsnct", bad, lambda h: h[section].update(value))
+        else:
+            patch_header(workdir / "p.hsnct", bad, lambda h: h.update({section: value}))
+        args = [command, "--in", str(bad), "--engine", "fbp",
+                "--out", str(workdir / "bad_out.hsnct")]
+        if command == "dhr":
+            args += ["--report", str(workdir / "bad_out.json")]
+        assert main(args) == 2
+        assert f"{section} header" in capsys.readouterr().err
+        assert not (workdir / "bad_out.hsnct").exists()
+
+    def test_null_voxel_pitch_is_container_error(self, workdir, capsys):
+        bad = workdir / "bad_pitch.hsnct"
+        patch_header(workdir / "t.hsnct", bad, lambda h: h.update({"voxel_pitch": None}))
+        assert main(["slice", "--in", str(bad), "--z", "0", "--bin", "0",
+                     "--out", str(workdir / "bad_pitch.pgm")]) == 2
+        assert "voxel_pitch" in capsys.readouterr().err
+
+    def test_fbp_on_one_view_is_validation_error(self, tmp_path, capsys):
+        geom = ScanGeometry(1, 1, 4, [0.0], flight_path=10.0)
+        axis = SpectralAxis(np.linspace(1e-3, 2e-3, 3), ToFConverter(flight_path=10.0))
+        write_container(tmp_path / "one_view.hsnct",
+                        HyperspectralSinogram(np.ones((4, 2)), geom, axis))
+        assert main(["reconstruct", "--in", str(tmp_path / "one_view.hsnct"),
+                     "--engine", "fbp", "--out", str(tmp_path / "x.hsnct")]) == 1
+        assert "2 view angles" in capsys.readouterr().err
+        assert not (tmp_path / "x.hsnct").exists()
 
     def test_wrong_role_is_validation_error(self, workdir):
         # the file is well formed, it is just not a raw scan

@@ -178,6 +178,12 @@ class TestRunFhr:
         assert rep.total_s + 1e-3 >= rep.extract_s + rep.recon_s + rep.expand_s
         assert rep.algorithm == "fhr" and rep.epsilon_frac is not None
 
+    def test_missing_subspace_rejected(self):
+        # the dhr config carries no NMF options, so fhr cannot run on it
+        _, p = noisy_sinogram(n_k=2)
+        with pytest.raises(ValidationError, match="subspace"):
+            run_fhr(p, PipelineConfig(recon_engine="mbir"))
+
     def test_deterministic_at_fixed_seed(self):
         _, p = noisy_sinogram()
         v1, b1, r1 = run_fhr(p, fbp_cfg(rank=3))
@@ -190,7 +196,7 @@ class TestRunFhr:
 class TestRunDhr:
     def test_single_bin_equals_direct_reconstruction(self):
         _, p = noisy_sinogram(n_k=1)
-        vol, rep = run_dhr(p, fbp_cfg(rank=1))
+        vol, rep = run_dhr(p, PipelineConfig())
         direct = reconstruct_stack(p, p.geometry, "fbp")
         assert vol.voxels.tobytes() == direct.voxels.tobytes()
         assert rep.channels == 1
@@ -200,14 +206,23 @@ class TestRunDhr:
         _, p = noisy_sinogram(n_k=2)
         dup = HyperspectralSinogram(
             np.stack([p.values[:, 0], p.values[:, 0]], axis=1), p.geometry, p.axis)
-        vol, _ = run_dhr(dup, fbp_cfg(rank=1))
+        vol, _ = run_dhr(dup, PipelineConfig())
         assert vol.voxels[:, 0].tobytes() == vol.voxels[:, 1].tobytes()
 
     def test_channel_count_is_bin_count(self):
         _, p = noisy_sinogram(n_k=16)
-        _, rep = run_dhr(p, fbp_cfg(rank=3))
+        _, rep = run_dhr(p, PipelineConfig())
         assert rep.channels == 16
         assert rep.algorithm == "dhr" and rep.epsilon_frac is None
+
+    def test_mbir_without_nmf_options(self):
+        _, p = noisy_sinogram(n_k=2)
+        cfg = PipelineConfig(recon_engine="mbir")
+        assert cfg.subspace is None
+        vol, rep = run_dhr(p, cfg)
+        direct = reconstruct_stack(p, p.geometry, "mbir", MbirOptions())
+        assert vol.voxels.tobytes() == direct.voxels.tobytes()
+        assert rep.engine == "mbir" and rep.channels == 2
 
 
 class TestFbpCommutation:

@@ -208,6 +208,12 @@ class TestFbp:
         with pytest.raises(ValidationError):
             fbp_reconstruct(np.zeros((1, 8)), geom)
 
+    def test_system_matrix_shared_by_equal_geometries(self):
+        assert tomo._system_matrix(uniform_geom(4, 8)) is tomo._system_matrix(
+            uniform_geom(4, 8))
+        assert tomo._system_matrix(uniform_geom(4, 8)) is not tomo._system_matrix(
+            uniform_geom(5, 8))
+
     def test_unknown_filter_rejected(self):
         geom = uniform_geom(4, 8)
         with pytest.raises(ValidationError):
@@ -415,6 +421,17 @@ class TestReconstructStack:
         geom, vals = stack_inputs()
         with pytest.raises(ValidationError):
             reconstruct_stack(SubspaceSinogram(vals, geom), geom, "art")
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_fbp_on_one_view_rejected(self, threads):
+        # the same rule as fbp_reconstruct; mbir still starts from zero
+        geom = ScanGeometry(1, 2, 4, [0.0], flight_path=10.0)
+        sino = SubspaceSinogram(np.ones((8, 2)), geom)
+        with pytest.raises(ValidationError, match="2 view angles"):
+            reconstruct_stack(sino, geom, "fbp", threads=threads)
+        vol = reconstruct_stack(sino, geom, "mbir", MbirOptions(max_iters=3),
+                                threads=threads)
+        assert vol.voxels.shape == (2 * 4 * 4, 2)
 
     def test_fbp_with_mbir_options_rejected(self):
         geom, vals = stack_inputs()
