@@ -350,8 +350,10 @@ def spectral_header(ax: SpectralAxis) -> dict:
 
 
 def geometry_from_header(h: dict) -> ScanGeometry:
+    # a missing key or a value of the wrong JSON type is a malformed
+    # container; ScanGeometry's own checks still raise ValidationError
     try:
-        return ScanGeometry(
+        fields = dict(
             num_views=int(h["num_views"]),
             num_rows=int(h["num_rows"]),
             num_cols=int(h["num_cols"]),
@@ -361,22 +363,23 @@ def geometry_from_header(h: dict) -> ScanGeometry:
         )
     except KeyError as exc:
         raise ContainerError(f"geometry header is missing key {exc}") from None
-    except TypeError as exc:  # a non-object header or a null/list value
+    except (TypeError, ValueError) as exc:  # a non-object header or a bad value
         raise ContainerError(f"malformed geometry header: {exc}") from None
+    return ScanGeometry(**fields)
 
 
 def spectral_from_header(h: dict) -> SpectralAxis:
     try:
-        conv = ToFConverter(
-            flight_path=float(h["flight_path"]),
-            planck_h=float(h.get("planck_h", PLANCK_H)),
-            neutron_mass=float(h.get("neutron_mass", NEUTRON_MASS)),
-        )
-        return SpectralAxis(np.asarray(h["tof_edges"], dtype=np.float64), conv)
+        flight_path = float(h["flight_path"])
+        planck_h = float(h.get("planck_h", PLANCK_H))
+        neutron_mass = float(h.get("neutron_mass", NEUTRON_MASS))
+        tof_edges = np.asarray(h["tof_edges"], dtype=np.float64)
     except KeyError as exc:
         raise ContainerError(f"spectral header is missing key {exc}") from None
-    except TypeError as exc:  # a non-object header or a null/list value
+    except (TypeError, ValueError) as exc:  # a non-object header or a bad value
         raise ContainerError(f"malformed spectral header: {exc}") from None
+    return SpectralAxis(tof_edges, ToFConverter(flight_path=flight_path, planck_h=planck_h,
+                                                neutron_mass=neutron_mass))
 
 
 def _pack(data) -> tuple[dict, np.ndarray]:

@@ -7,22 +7,22 @@ few V channels instead of every wavelength bin, and ``expand`` maps
 reconstructed channel volumes back to the full spectral grid through the
 same basis.
 
-The factorization is Frobenius-norm NMF solved by multiplicative updates:
+The factorization is Frobenius-norm NMF solved by accelerated HALS
+(hierarchical alternating least squares; Cichocki & Phan 2009, Gillis &
+Glineur 2012).  One pass, the "sweep" that ``max_iters``,
+``objective_trace`` and perfbench's ``subspace.nmf.sweeps`` count, forms
+X D and runs several inner HALS sweeps over the columns of V, then forms
+X^T V = (V^T X)^T and does the same for D (``_hals_update`` has the inner
+loop and its stopping rule).  Every column update solves its subproblem
+exactly, so each pass is monotone in the objective ||X - V D^T||_F^2.
+All iteration happens in float64.
 
-    V <- V * (X D) / (V D^T D)        D <- D * (X^T V) / (D V^T V)
-
-with a small epsilon in the denominators.  Each full sweep is monotone in
-the objective ||X - V D^T||_F^2.  All iteration happens in float64.
-
-Each sweep reads X once.  Given D^T D the V update is independent per row,
-so X is walked in row blocks of about ``_BLOCK_BYTES``: a block's X_b D
-updates V_b in place, and X_b^T V_b is added into X^T V while X_b is still
-in cache.  The objective then needs no second read of X, because
+The objective needs no third read of X per pass, because
 <X, V D^T> = <X^T V, D>:
 
     ||X - V D^T||^2 = ||X||^2 - 2 <X^T V, D> + <V^T V, D^T D>
 
-with the D of the update just made.  A sweep that revives a collapsed
+with the D of the update just made.  A pass that revives a collapsed
 column changes V and D after X^T V was formed, so it takes the objective
 from a fresh pass over X instead.
 """
@@ -49,10 +49,8 @@ __all__ = [
     "expand",
 ]
 
-_EPS = 1e-12
-# row-block size of the sweep: small enough that a block of X stays in L2
-# cache between its two products (256 rows at N_k = 256 in float64)
-_BLOCK_BYTES = 1 << 19
+_INNER_ALPHA = 0.5  # inner sweeps per factor and pass <= floor(1 + alpha rho)
+_INNER_SHARE = 0.01  # stop once a sweep moves the factor <= this share of the first
 
 
 @dataclass(frozen=True)
@@ -75,12 +73,13 @@ class NmfOptions:
 class FactorizationReport:
     """Convergence record of one factorization run.
 
-    ``objective_trace[i]`` is ||X - V D^T||_F^2 after sweep i+1.
-    ``residual_energy`` is the final objective over ||X||_F^2 (0 for an
-    all-zero input).  ``reseeded_columns`` lists columns revived once from
-    the residual after collapsing to zero; ``dead_columns`` lists columns
-    that collapsed twice and were packaged as an inert unit vector with
-    zero coefficients.
+    ``iterations_run`` counts passes: one HALS update of V then of D, each
+    with its own inner sweeps.  ``objective_trace[i]`` is ||X - V D^T||_F^2
+    after pass i+1.  ``residual_energy`` is the final objective over
+    ||X||_F^2 (0 for an all-zero input).  ``reseeded_columns`` lists columns
+    revived once from the residual after collapsing to zero;
+    ``dead_columns`` lists columns that collapsed twice and were packaged
+    as an inert unit vector with zero coefficients.
     """
 
     iterations_run: int
@@ -165,12 +164,47 @@ def _canonical_order(V, D):
     return order
 
 
-def _multiplicative_updates(X, X2, V, D, opts):
-    """Run the sweeps on V and D in place, one read of X per sweep; ``X2`` is
+def _hals_update(W, A, G, max_inner):
+    """Inner HALS sweeps on W in place for min ||X - W H^T|| over W >= 0,
+    given A = X H and G = H^T H: column j, in order, takes the step
+    (a_j - W g_j) / G_jj, clamped at -w_j so that w_j stays >= 0.  Stops
+    after ``max_inner`` sweeps, or once a sweep moves W by at most
+    ``_INNER_SHARE`` of the first sweep's move (Frobenius norm).  A column
+    with G_jj = 0 (its partner column is all zero) has nothing to fit and
+    is set to zero."""
+    diag = np.diag(G).copy()
+    live = diag > 0.0
+    diag[~live] = 1.0
+    A, G = A / diag, G / diag  # column j of both scaled by 1 / G_jj
+    step = np.empty(W.shape[0])
+    first = None
+    for _ in range(max_inner):
+        move = 0.0
+        for j in range(W.shape[1]):
+            col = W[:, j]
+            if live[j]:
+                np.dot(W, G[:, j], out=step)
+                np.subtract(A[:, j], step, out=step)
+                np.maximum(step, -col, out=step)
+            else:
+                np.negative(col, out=step)
+            move += float(step @ step)
+            col += step
+        if first is None:
+            first = move
+        if move <= _INNER_SHARE * _INNER_SHARE * first:
+            break
+
+
+def _accelerated_hals(X, X2, V, D, opts):
+    """Run the passes on V and D in place, two reads of X per pass; ``X2`` is
     ||X||_F^2.  Returns (objective trace, converged, reseeded columns, dead
     columns)."""
-    n_p, n_k = X.shape
-    block = max(1, _BLOCK_BYTES // (X.itemsize * n_k))
+    n_p, n_k, r = *X.shape, opts.rank
+    # inner-sweep caps floor(1 + alpha rho), rho being one plus the cost of a
+    # factor's products with X and with itself in inner sweeps (Gillis & Glineur)
+    cap_v = int(1 + _INNER_ALPHA * (1 + n_k * (n_p + r) / (n_p * (r + 1))))
+    cap_d = int(1 + _INNER_ALPHA * (1 + n_p * (n_k + r) / (n_k * (r + 1))))
     zero_floor = X2 * 1e-15  # objective below this is numerically an exact fit
     reseeded: set = set()
     dead: set = set()
@@ -179,14 +213,12 @@ def _multiplicative_updates(X, X2, V, D, opts):
     trace = []
     converged = False
     for _ in range(opts.max_iters):
-        DtD = D.T @ D
-        XtV = np.zeros_like(D)
-        for lo in range(0, n_p, block):
-            Xb, Vb = X[lo:lo + block], V[lo:lo + block]
-            Vb *= (Xb @ D) / (Vb @ DtD + _EPS)
-            XtV += Xb.T @ Vb
+        # both products as r-row products, (D^T X^T)^T and (V^T X)^T, which
+        # run faster than X D and X^T V and come out column-major
+        _hals_update(V, (D.T @ X.T).T, D.T @ D, cap_v)
+        XtV = (V.T @ X).T
         VtV = V.T @ V
-        D *= XtV / (D @ VtV + _EPS)
+        _hals_update(D, XtV, VtV, cap_d)
         if _revive_dead_columns(X, V, D, reseeded, dead):
             f = _objective(X2, X, V, D)  # XtV and VtV predate the revival
         else:
@@ -217,9 +249,10 @@ def nmf_factorize(p: HyperspectralSinogram, opts: NmfOptions):
         raise ValidationError(
             f"rank {opts.rank} exceeds min(N_p, N_k) = {min(n_p, n_k)}")
 
-    V, D = _init_factors(X, opts.rank, opts.seed)
+    # column-major factors: every HALS update reads and writes one column
+    V, D = (np.asfortranarray(f) for f in _init_factors(X, opts.rank, opts.seed))
     X2 = float(np.einsum("ij,ij->", X, X))
-    trace, converged, reseeded, dead = _multiplicative_updates(X, X2, V, D, opts)
+    trace, converged, reseeded, dead = _accelerated_hals(X, X2, V, D, opts)
 
     # package: inert unit columns for the dead ones, unit-norm basis columns
     # elsewhere, canonical order everywhere

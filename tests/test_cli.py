@@ -240,7 +240,10 @@ class TestExitCodes:
         ("geometry", {"num_views": None}),
         ("geometry", [1, 2]),
         ("spectral", {"flight_path": None}),
-    ], ids=["null-num-views", "list-geometry", "null-flight-path"])
+        ("geometry", {"num_views": "four"}),
+        ("spectral", {"flight_path": "far"}),
+    ], ids=["null-num-views", "list-geometry", "null-flight-path", "string-num-views",
+            "string-flight-path"])
     def test_malformed_header_is_container_error(self, workdir, capsys, command,
                                                  section, value):
         # a header whose values have the wrong JSON type is a malformed
@@ -257,6 +260,25 @@ class TestExitCodes:
         assert main(args) == 2
         assert f"{section} header" in capsys.readouterr().err
         assert not (workdir / "bad_out.hsnct").exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "dhr"])
+    @pytest.mark.parametrize("section,value,message", [
+        ("geometry", {"num_views": 0}, "num_views must be >= 1"),
+        ("spectral", {"flight_path": -1.0}, "flight_path must be > 0"),
+    ], ids=["zero-num-views", "negative-flight-path"])
+    def test_invalid_header_value_is_validation_error(self, workdir, capsys, command,
+                                                      section, value, message):
+        # a well-formed header whose values break the geometry's or the
+        # spectral axis's own checks is a validation error (exit 1)
+        bad = workdir / f"invalid_{command}_{section}.hsnct"
+        patch_header(workdir / "p.hsnct", bad, lambda h: h[section].update(value))
+        args = [command, "--in", str(bad), "--engine", "fbp",
+                "--out", str(workdir / "invalid_out.hsnct")]
+        if command == "dhr":
+            args += ["--report", str(workdir / "invalid_out.json")]
+        assert main(args) == 1
+        assert message in capsys.readouterr().err
+        assert not (workdir / "invalid_out.hsnct").exists()
 
     def test_null_voxel_pitch_is_container_error(self, workdir, capsys):
         bad = workdir / "bad_pitch.hsnct"
