@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from hsnct.containers import (
+    ContainerError,
     HyperspectralSinogram,
     ValidationError,
     geometry_from_header,
@@ -42,7 +43,6 @@ from hsnct.phantom import (
 )
 from hsnct.pipeline import (
     PipelineConfig,
-    RunReport,
     run_benchmark,
     run_dhr,
     run_fhr,
@@ -186,21 +186,6 @@ def _write_pgm(path, image: np.ndarray) -> None:
     Path(path).write_bytes(header + payload.tobytes())
 
 
-def _report_payload(report: RunReport, n_k: int) -> dict:
-    return {
-        "algorithm": report.algorithm,
-        "engine": report.engine,
-        "n_k": n_k,
-        "n_s": report.channels,
-        "extract_s": report.extract_s,
-        "recon_s": report.recon_s,
-        "expand_s": report.expand_s,
-        "total_s": report.total_s,
-        "epsilon_frac": report.epsilon_frac,
-        "snr_db": report.snr_db,
-    }
-
-
 def _write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -214,6 +199,8 @@ def _cmd_phantom(args) -> int:
         axis = spectral_from_header(blob["spectral"])
     except KeyError as exc:
         raise ValidationError(f"{args.spec}: missing top-level key {exc}") from None
+    except ContainerError as exc:  # a bad JSON input, not a bad .hsnct file
+        raise ValidationError(f"{args.spec}: {exc}") from None
     truth = build_ground_truth(spec, axis)
     write_container(args.out_truth, truth,
                     extra_header={"spectral": spectral_header(axis)})
@@ -228,7 +215,11 @@ def _cmd_simulate(args) -> int:
         raise ValidationError(
             f"{args.truth}: truth container carries no spectral metadata")
     axis = spectral_from_header(header["spectral"])
-    geom = geometry_from_header(_read_json(args.geom))
+    blob = _read_json(args.geom)
+    try:
+        geom = geometry_from_header(blob)
+    except ContainerError as exc:  # a bad JSON input, not a bad .hsnct file
+        raise ValidationError(f"{args.geom}: {exc}") from None
     scan = simulate_scan(truth, geom, axis, args.flux, args.seed)
     write_container(args.out, scan)
     log.info("wrote scan %s [%d views, flux %g, seed %d]", args.out,
@@ -290,27 +281,21 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _cmd_fhr(args) -> int:
+def _cmd_route(args) -> int:
+    """``fhr`` or ``dhr``: the same input, outputs and report; only the route differs."""
     sino = load_sinogram(args.infile)
-    cfg = PipelineConfig(subspace=NmfOptions(rank=args.rank, seed=args.seed),
-                         recon_engine=args.engine, threads=args.threads)
-    vol, basis, report = run_fhr(sino, cfg)
-    write_container(args.out, vol,
-                    extra_header={"spectral": spectral_header(basis.axis)})
-    _write_json(args.report, _report_payload(report, sino.axis.num_bins))
-    log.info("fhr done: %d channels in %.2fs -> %s", report.channels,
-             report.total_s, args.out)
-    return 0
-
-
-def _cmd_dhr(args) -> int:
-    sino = load_sinogram(args.infile)
-    cfg = PipelineConfig(recon_engine=args.engine, threads=args.threads)
-    vol, report = run_dhr(sino, cfg)
+    subspace = NmfOptions(rank=args.rank, seed=args.seed) if args.command == "fhr" else None
+    cfg = PipelineConfig(subspace=subspace, recon_engine=args.engine, threads=args.threads)
+    if subspace is None:
+        vol, report = run_dhr(sino, cfg)
+    else:
+        vol, _, report = run_fhr(sino, cfg)
+    # the basis that fhr returns carries the input's spectral axis
     write_container(args.out, vol,
                     extra_header={"spectral": spectral_header(sino.axis)})
-    _write_json(args.report, _report_payload(report, sino.axis.num_bins))
-    log.info("dhr done: %d channels in %.2fs -> %s", report.channels,
+    _write_json(args.report, {**report.fields(sino.axis.num_bins),
+                              "epsilon_frac": report.epsilon_frac})
+    log.info("%s done: %d channels in %.2fs -> %s", args.command, report.channels,
              report.total_s, args.out)
     return 0
 
@@ -350,8 +335,8 @@ _COMMANDS = {
     "extract": _cmd_extract,
     "reconstruct": _cmd_reconstruct,
     "expand": _cmd_expand,
-    "fhr": _cmd_fhr,
-    "dhr": _cmd_dhr,
+    "fhr": _cmd_route,
+    "dhr": _cmd_route,
     "bench": _cmd_bench,
     "slice": _cmd_slice,
 }

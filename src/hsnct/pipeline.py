@@ -30,7 +30,7 @@ from hsnct.containers import (
 from hsnct.phantom import PhantomSpec, build_ground_truth, simulate_scan
 from hsnct.preprocess import normalize
 from hsnct.subspace import NmfOptions, expand, nmf_factorize
-from hsnct.tomo import _ENGINES, _FILTERS, MbirOptions, reconstruct_stack
+from hsnct.tomo import _ENGINES, MbirOptions, reconstruct_stack
 
 __all__ = [
     "PipelineConfig",
@@ -52,27 +52,26 @@ class PipelineConfig:
     """Knobs for one pipeline run.
 
     ``subspace`` configures fhr's extraction; dhr has none and leaves it
-    None.  ``recon`` is engine-specific: MbirOptions for the mbir engine, a
-    filter name for fbp, or None for the engine default.  ``threads`` is the
-    worker budget handed to the slice reconstructions.
+    None.  ``recon`` holds the MbirOptions of the mbir engine, or None for
+    its defaults; fbp (the ramp filter) takes no options.  Both routes hand
+    ``recon`` to ``reconstruct_stack`` as it is, so fhr and dhr run the same
+    reconstructor with the same settings.  ``threads`` is the worker budget
+    handed to the slice reconstructions.
     """
 
     subspace: NmfOptions | None = None
     recon_engine: str = "fbp"
-    recon: MbirOptions | str | None = None
+    recon: MbirOptions | None = None
     threads: int = 1
 
     def __post_init__(self):
         if self.recon_engine not in _ENGINES:
             raise ValidationError(
                 f"recon_engine must be one of {_ENGINES}, got {self.recon_engine!r}")
-        if self.recon is not None:
-            if self.recon_engine == "fbp":
-                if not isinstance(self.recon, str) or self.recon not in _FILTERS:
-                    raise ValidationError(
-                        f"fbp recon option must be a filter in {_FILTERS}")
-            elif not isinstance(self.recon, MbirOptions):
-                raise ValidationError("mbir recon option must be MbirOptions")
+        if self.recon is not None and (self.recon_engine != "mbir"
+                                       or not isinstance(self.recon, MbirOptions)):
+            raise ValidationError("recon options only apply to the mbir engine, "
+                                  "as MbirOptions")
         if self.threads < 1:
             raise ValidationError("threads must be >= 1")
 
@@ -101,14 +100,13 @@ class RunReport:
         if self.snr_db is not None and not np.isfinite(self.snr_db):
             raise ValidationError("snr_db must be finite when present")
 
-
-def _recon_kwargs(cfg: PipelineConfig) -> dict:
-    if cfg.recon_engine == "fbp":
-        kw = {"opts": None, "fbp_filter": cfg.recon or "ramp"}
-    else:
-        kw = {"opts": cfg.recon if cfg.recon is not None else MbirOptions()}
-    kw["threads"] = cfg.threads
-    return kw
+    def fields(self, n_k: int) -> dict:
+        """The fields that the CLI's ``--report`` JSON and a bench CSV row
+        share; ``n_k`` is the wavelength-bin count of the input."""
+        return {"algorithm": self.algorithm, "engine": self.engine,
+                "n_k": n_k, "n_s": self.channels, "snr_db": self.snr_db,
+                "extract_s": self.extract_s, "recon_s": self.recon_s,
+                "expand_s": self.expand_s, "total_s": self.total_s}
 
 
 def run_fhr(p: HyperspectralSinogram, cfg: PipelineConfig):
@@ -128,7 +126,8 @@ def run_fhr(p: HyperspectralSinogram, cfg: PipelineConfig):
     t_extract = clock() - t0
 
     t0 = clock()
-    x_s = reconstruct_stack(coeffs, p.geometry, cfg.recon_engine, **_recon_kwargs(cfg))
+    x_s = reconstruct_stack(coeffs, p.geometry, cfg.recon_engine, cfg.recon,
+                            threads=cfg.threads)
     t_recon = clock() - t0
 
     t0 = clock()
@@ -151,7 +150,8 @@ def run_dhr(p: HyperspectralSinogram, cfg: PipelineConfig):
     clock = time.perf_counter
     t_run = clock()
     t0 = clock()
-    x_h = reconstruct_stack(p, p.geometry, cfg.recon_engine, **_recon_kwargs(cfg))
+    x_h = reconstruct_stack(p, p.geometry, cfg.recon_engine, cfg.recon,
+                            threads=cfg.threads)
     t_recon = clock() - t0
     total = clock() - t_run
     return x_h, RunReport("dhr", cfg.recon_engine, channels=p.axis.num_bins,
@@ -232,22 +232,9 @@ def run_benchmark(spec: PhantomSpec, axis: SpectralAxis, geom: ScanGeometry,
     fhr_rep = replace(fhr_rep, snr_db=snr_db(fhr_vol, truth))
     dhr_rep = replace(dhr_rep, snr_db=snr_db(dhr_vol, truth))
 
-    def row(rep: RunReport, speedup: float) -> dict:
-        return {
-            "algorithm": rep.algorithm,
-            "engine": rep.engine,
-            "n_k": axis.num_bins,
-            "n_s": rep.channels,
-            "snr_db": rep.snr_db,
-            "extract_s": rep.extract_s,
-            "recon_s": rep.recon_s,
-            "expand_s": rep.expand_s,
-            "total_s": rep.total_s,
-            "speedup": speedup,
-        }
-
-    rows = (row(fhr_rep, dhr_rep.total_s / fhr_rep.total_s),
-            row(dhr_rep, 1.0))
+    speedup = dhr_rep.total_s / fhr_rep.total_s
+    rows = ({**fhr_rep.fields(axis.num_bins), "speedup": speedup},
+            {**dhr_rep.fields(axis.num_bins), "speedup": 1.0})
     images = _comparison_slices(truth, fhr_vol, dhr_vol, axis)
     return BenchmarkResult(rows=rows, csv_text=_csv_text(rows),
                            fhr_report=fhr_rep, dhr_report=dhr_rep,

@@ -65,8 +65,8 @@ class NmfOptions:
             raise ValidationError("rank must be >= 1")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        if not (self.rel_tol > 0):
-            raise ValidationError("rel_tol must be > 0")
+        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValidationError("rel_tol must be finite and > 0")
 
 
 @dataclass(frozen=True)

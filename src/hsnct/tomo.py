@@ -19,18 +19,19 @@ than a bare pixel count.
 
 Reconstructors:
 
-* ``fbp_reconstruct``: frequency-domain ramp filtering per view (rows
-  zero-padded to the next power of two >= twice the detector width),
-  backprojection, and a pi/num_angles * 1/pitch^2 scale so a density-1
-  disk comes back at value ~1.
+* ``fbp_reconstruct``: frequency-domain ramp filtering per view (the bare
+  ramp, no window; rows zero-padded to the next power of two >= twice the
+  detector width), backprojection, and a pi/num_angles * 1/pitch^2 scale
+  so a density-1 disk comes back at value ~1.
 * ``mbir_reconstruct``: minimizes 0.5*||W^(1/2)(Ax - y)||^2 + beta*R(x)
   over x >= 0, where R sums rho(x_i - x_j) over 8-neighbor pairs (each
   unordered pair once, diagonals weighted 1/sqrt(2)) with rho quadratic or
   Huber.  The quadratic prior is 0.5*x^T L x with L the weighted graph
   Laplacian of the pairs, so its gradient is one sparse product and its
   surrogate curvature the constant 2*diag(L).  The solver is a
-  diagonally-majorized (separable quadratic surrogate) projected update,
-  monotone in the objective by construction; it evaluates the prior once
+  diagonally-majorized (separable quadratic surrogate) update projected
+  onto x >= 0, starting from the FBP image clamped at 0, and monotone in
+  the objective by construction; it evaluates the prior once
   per iterate and carries that gradient and the weighted residual into
   the next step.
 
@@ -66,7 +67,6 @@ __all__ = [
     "slice_geometry_for",
 ]
 
-_FILTERS = ("ramp", "shepp-logan-window")
 _PRIORS = ("quadratic-difference", "huber")
 _ENGINES = ("fbp", "mbir")
 # slices per reconstruction batch target this many (slice, channel) columns:
@@ -116,19 +116,18 @@ class MbirOptions:
     noise_weights: np.ndarray | None = None
     max_iters: int = 100
     rel_tol: float = 1e-5
-    nonneg_constraint: bool = True
 
     def __post_init__(self):
         if self.prior not in _PRIORS:
             raise ValidationError(f"prior must be one of {_PRIORS}, got {self.prior!r}")
-        if not (self.regularization_weight >= 0):
-            raise ValidationError("regularization_weight must be >= 0")
-        if not (self.huber_delta > 0):
-            raise ValidationError("huber_delta must be > 0")
+        if not (np.isfinite(self.regularization_weight) and self.regularization_weight >= 0):
+            raise ValidationError("regularization_weight must be finite and >= 0")
+        if not (np.isfinite(self.huber_delta) and self.huber_delta > 0):
+            raise ValidationError("huber_delta must be finite and > 0")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        if not (self.rel_tol > 0):
-            raise ValidationError("rel_tol must be > 0")
+        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValidationError("rel_tol must be finite and > 0")
         if self.noise_weights is not None:
             w = np.asarray(self.noise_weights, dtype=np.float64)
             if not np.all(np.isfinite(w)) or (w.size and float(w.min()) < 0):
@@ -234,21 +233,11 @@ def back_project(sino: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     return img.reshape(geom.image_size, geom.image_size)
 
 
-def _ramp_multiplier(n_pad: int, filter_name: str) -> np.ndarray:
-    if filter_name not in _FILTERS:
-        raise ValidationError(f"filter must be one of {_FILTERS}, got {filter_name!r}")
-    f = np.fft.rfftfreq(n_pad)  # cycles per sample, 0 .. 0.5
-    mult = f.copy()
-    if filter_name == "shepp-logan-window":
-        mult *= np.sinc(f)  # sin(pi f)/(pi f), unity at DC
-    return mult
-
-
-def _filter_rays(Y: np.ndarray, geom: SliceGeometry, filter_name: str) -> np.ndarray:
+def _filter_rays(Y: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     """Ramp-filter per view; Y and result are (num_angles*nd, C) ray-major."""
     nd = geom.num_detector_bins
     n_pad = 1 << max(int(np.ceil(np.log2(2 * nd))), 1)
-    mult = _ramp_multiplier(n_pad, filter_name)
+    mult = np.fft.rfftfreq(n_pad)  # the ramp |f| in cycles per sample, 0 .. 0.5
     Y3 = Y.reshape(geom.num_angles, nd, -1)
     padded = np.zeros((geom.num_angles, n_pad, Y3.shape[2]))
     padded[:, :nd, :] = Y3
@@ -257,11 +246,11 @@ def _filter_rays(Y: np.ndarray, geom: SliceGeometry, filter_name: str) -> np.nda
     return filt.reshape(Y.shape)
 
 
-def _fbp_batch(Y: np.ndarray, geom: SliceGeometry, filter_name: str) -> np.ndarray:
+def _fbp_batch(Y: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     """FBP over ray-major channels: Y (m, C) -> images (n^2, C)."""
     if geom.num_angles < 2:
         raise ValidationError("fbp needs at least 2 view angles")
-    q = _filter_rays(Y, geom, filter_name)
+    q = _filter_rays(Y, geom)
     A0 = _system_matrix(geom)
     # filtered values are in cycles-per-sample units: the 1/pitch from the
     # physical frequency axis and the 1/pitch^2 from backprojection fold
@@ -270,11 +259,10 @@ def _fbp_batch(Y: np.ndarray, geom: SliceGeometry, filter_name: str) -> np.ndarr
     return (A0.T @ q) * scale
 
 
-def fbp_reconstruct(sino: np.ndarray, geom: SliceGeometry,
-                    filter_name: str = "ramp") -> np.ndarray:
+def fbp_reconstruct(sino: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     """Filtered backprojection of one slice sinogram."""
     sino = _slice_input(sino, geom)
-    img = _fbp_batch(sino.reshape(-1, 1), geom, filter_name)
+    img = _fbp_batch(sino.reshape(-1, 1), geom)
     return img.reshape(geom.image_size, geom.image_size)
 
 
@@ -412,8 +400,7 @@ def _sqs_solve(A: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
                 D = pc
         step = np.divide(G, D, out=G)
         np.subtract(Xa, step, out=Xa)
-        if opts.nonneg_constraint:
-            np.maximum(Xa, 0.0, out=Xa)
+        np.maximum(Xa, 0.0, out=Xa)
         R = A @ Xa
         R -= Ya
         np.multiply(Wa, R, out=WR)
@@ -470,9 +457,7 @@ def _mbir_batch(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions,
     if W is None:
         W = _default_weights(Y)
     if geom.num_angles >= 2:
-        X0 = _fbp_batch(Y, geom, "ramp")
-        if opts.nonneg_constraint:
-            np.maximum(X0, 0.0, out=X0)
+        X0 = np.maximum(_fbp_batch(Y, geom), 0.0)
     else:
         X0 = np.zeros((geom.image_size ** 2, Y.shape[1]))
     return _sqs_solve(A, Y, W, geom.image_size, opts, X0)
@@ -497,7 +482,7 @@ def mbir_reconstruct(sino: np.ndarray, geom: SliceGeometry,
 
 def reconstruct_stack(sinos, geom: ScanGeometry, engine: str,
                       opts: MbirOptions | None = None, *,
-                      fbp_filter: str = "ramp", threads: int = 1) -> VolumeStack:
+                      threads: int = 1) -> VolumeStack:
     """Reconstruct every (slice, channel) pair of a measurement stack.
 
     ``sinos`` is a SubspaceSinogram (C = subspace channels) or a
@@ -559,7 +544,7 @@ def reconstruct_stack(sinos, geom: ScanGeometry, engine: str,
     def run_batch(rows: range):
         Y = columns(Y4, rows)
         if engine == "fbp":
-            X = _fbp_batch(Y, sg, fbp_filter)
+            X = _fbp_batch(Y, sg)
         else:
             W = None if W4 is None else columns(W4, rows)
             X, _ = _mbir_batch(Y, sg, opts, W)

@@ -134,6 +134,14 @@ class TestStageCommands:
         vol, _ = load_volume(d / "xs_mbir.hsnct")
         assert float(vol.voxels.min()) >= 0.0
 
+    def test_reconstruct_rejects_infinite_beta(self, workdir, capsys):
+        out = workdir / "inf_beta.hsnct"
+        rc = main(["reconstruct", "--in", str(workdir / "v.hsnct"), "--engine", "mbir",
+                   "--beta", "inf", "--out", str(out)])
+        assert rc == 1
+        assert "regularization_weight" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reconstruct_rejects_zero_threads(self, workdir, capsys):
         out = workdir / "zero_threads.hsnct"
         rc = main(["reconstruct", "--in", str(workdir / "v.hsnct"), "--engine", "fbp",
@@ -325,6 +333,23 @@ class TestExitCodes:
         bad.write_text("{\"phantom\": {}}")
         assert main(["phantom", "--spec", str(bad),
                      "--out-truth", str(workdir / "t2.hsnct")]) == 1
+
+    @pytest.mark.parametrize("name", ["spec", "geom"])
+    def test_json_input_missing_key_is_validation_error(self, workdir, capsys, name):
+        # a JSON input is not a container: a key missing from it is a
+        # validation error (exit 1) that names the file
+        blob = json.loads((workdir / f"{name}.json").read_text())
+        del (blob["spectral"] if name == "spec" else blob)["flight_path"]
+        bad = workdir / f"missing_key_{name}.json"
+        bad.write_text(json.dumps(blob))
+        out = workdir / "missing_key_out.hsnct"
+        args = (["phantom", "--spec", str(bad), "--out-truth", str(out)] if name == "spec"
+                else ["simulate", "--truth", str(workdir / "t.hsnct"), "--geom", str(bad),
+                      "--flux", "200", "--out", str(out)])
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "flight_path" in err
+        assert not out.exists()
 
     def test_negative_rank_rejected(self, workdir):
         assert main(["extract", "--in", str(workdir / "p.hsnct"), "--rank", "-2",

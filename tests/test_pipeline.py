@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from hsnct.pipeline import (
     snr_db,
 )
 from hsnct.preprocess import normalize
-from hsnct.subspace import NmfOptions
+from hsnct.subspace import NmfOptions, expand, nmf_factorize
 from hsnct.tomo import MbirOptions, reconstruct_stack
 
 ANG = 1e-10
@@ -215,22 +217,31 @@ class TestRunDhr:
         assert rep.channels == 16
         assert rep.algorithm == "dhr" and rep.epsilon_frac is None
 
-    def test_mbir_without_nmf_options(self):
-        _, p = noisy_sinogram(n_k=2)
-        cfg = PipelineConfig(recon_engine="mbir")
-        assert cfg.subspace is None
-        vol, rep = run_dhr(p, cfg)
-        direct = reconstruct_stack(p, p.geometry, "mbir", MbirOptions())
-        assert vol.voxels.tobytes() == direct.voxels.tobytes()
-        assert rep.engine == "mbir" and rep.channels == 2
+    @pytest.mark.parametrize("route,engine", [("dhr", "mbir"), ("dhr", "fbp"),
+                                              ("fhr", "mbir"), ("fhr", "fbp")])
+    def test_mbir_without_nmf_options(self, route, engine):
+        # with recon=None both routes hand the engine's defaults to
+        # reconstruct_stack, so each equals its stages called one by one
+        _, p = noisy_sinogram(n_k=4)
+        cfg = PipelineConfig(recon_engine=engine)
+        assert cfg.subspace is None and cfg.recon is None
+        opts = MbirOptions() if engine == "mbir" else None
+        if route == "dhr":
+            vol, rep = run_dhr(p, cfg)
+            staged = reconstruct_stack(p, p.geometry, engine, opts)
+        else:
+            nmf = NmfOptions(rank=2, seed=0)
+            vol, _, rep = run_fhr(p, replace(cfg, subspace=nmf))
+            coeffs, basis, _ = nmf_factorize(p, nmf)
+            staged = expand(reconstruct_stack(coeffs, p.geometry, engine, opts), basis)
+        assert vol.voxels.tobytes() == staged.voxels.tobytes()
+        assert rep.engine == engine and rep.channels == (4 if route == "dhr" else 2)
 
 
 class TestFbpCommutation:
     def test_expand_commutes_with_linear_reconstruction(self):
         # reconstruct-then-expand vs expand-then-reconstruct; fbp is linear
         # so the two orders agree to float precision
-        from hsnct.subspace import expand, nmf_factorize
-
         _, p = noisy_sinogram(n_v=32)
         coeffs, basis, _ = nmf_factorize(p, NmfOptions(rank=3, seed=0))
         x_s = reconstruct_stack(coeffs, p.geometry, "fbp")

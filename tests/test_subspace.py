@@ -157,6 +157,8 @@ class TestNmfFactorize:
             NmfOptions(rank=1, seed=0, max_iters=0)
         with pytest.raises(ValidationError):
             NmfOptions(rank=1, seed=0, rel_tol=0.0)
+        with pytest.raises(ValidationError, match="rel_tol"):
+            NmfOptions(rank=1, seed=0, rel_tol=np.inf)
 
 
 class TestRankScan:

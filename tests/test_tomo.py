@@ -161,15 +161,6 @@ class TestFbp:
         assert 0.9 <= rec[interior].mean() <= 1.1
         assert np.sqrt(((rec[interior] - 1.0) ** 2).mean()) <= 0.1
 
-    def test_shepp_logan_window_round_trip(self):
-        n, R = 64, 16.0
-        img = disk_image(n, R)
-        geom = uniform_geom(180, n)
-        rec = fbp_reconstruct(forward_project(img, geom), geom, "shepp-logan-window")
-        UA, UB = centered_grid(n)
-        interior = UA**2 + UB**2 <= (R - 2) ** 2
-        assert 0.9 <= rec[interior].mean() <= 1.1
-
     def test_zero_sinogram(self):
         geom = uniform_geom(8, 16)
         assert np.all(fbp_reconstruct(np.zeros((8, 16)), geom) == 0.0)
@@ -213,11 +204,6 @@ class TestFbp:
             uniform_geom(4, 8))
         assert tomo._system_matrix(uniform_geom(4, 8)) is not tomo._system_matrix(
             uniform_geom(5, 8))
-
-    def test_unknown_filter_rejected(self):
-        geom = uniform_geom(4, 8)
-        with pytest.raises(ValidationError):
-            fbp_reconstruct(np.zeros((4, 8)), geom, "hann")
 
 
 def sparse_noisy_projection(n=64, seed=1, flux=200.0):
@@ -300,6 +286,9 @@ class TestMbir:
             MbirOptions(huber_delta=0.0)
         with pytest.raises(ValidationError):
             MbirOptions(max_iters=0)
+        for field in ("regularization_weight", "huber_delta", "rel_tol"):
+            with pytest.raises(ValidationError, match=field):
+                MbirOptions(**{field: np.inf})
 
 
 def stack_inputs(n_r=2, n_c=24, n_v=12, C=3, seed=0):
@@ -510,9 +499,7 @@ def reference_sqs(A, Y, W, n, opts, X0):
             G = G + beta * pg
             D = Da + beta * pc
         step = np.divide(G, D, out=np.zeros_like(G), where=D > 0)
-        Xn = Xa - step
-        if opts.nonneg_constraint:
-            Xn = np.maximum(Xn, 0.0)
+        Xn = np.maximum(Xa - step, 0.0)
         obj = objective(Xn, Ya, Wa)
         X[:, active] = Xn
         for local, chan in enumerate(active):
@@ -581,7 +568,7 @@ class TestSolverMatchesReferenceLoop:
         opts = MbirOptions(max_iters=120, **SOLVER_CASES[case])
         sg = slice_geometry_for(geom)
         A = (tomo._system_matrix(sg) * sg.pixel_pitch).tocsr()
-        X0 = np.maximum(tomo._fbp_batch(vals, sg, "ramp"), 0.0)
+        X0 = np.maximum(tomo._fbp_batch(vals, sg), 0.0)
         ref_X, ref_traces = reference_sqs(A, vals, np.exp(-vals), sg.image_size, opts, X0)
         lengths = [len(t) for t in ref_traces]
         if case.endswith("freezing"):
