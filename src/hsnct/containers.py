@@ -54,6 +54,7 @@ __all__ = [
     "SubspaceSinogram",
     "SpectralBasis",
     "VolumeStack",
+    "require_count",
     "sinogram_row_count",
     "tof_to_wavelength",
     "write_container",
@@ -93,6 +94,13 @@ def _as_f32(values, name: str) -> np.ndarray:
 def _require(cond: bool, msg: str):
     if not cond:
         raise ValidationError(msg)
+
+
+def require_count(value, name: str):
+    """Raise ValidationError unless ``value`` is an integer >= 1 (a bool is
+    not a count)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def sinogram_row_count(geometry: "ScanGeometry") -> int:

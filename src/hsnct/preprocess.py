@@ -34,8 +34,8 @@ class NormalizationOptions:
     clamp_negative: bool = True
 
     def __post_init__(self):
-        if not (self.count_floor > 0):
-            raise ValidationError("count_floor must be > 0")
+        if not (np.isfinite(self.count_floor) and self.count_floor > 0):
+            raise ValidationError("count_floor must be finite and > 0")
 
 
 def normalize(scan: RawScan, opts: NormalizationOptions | None = None) -> HyperspectralSinogram:

@@ -39,6 +39,7 @@ from hsnct.containers import (
     SubspaceSinogram,
     ValidationError,
     VolumeStack,
+    require_count,
 )
 
 __all__ = [
@@ -61,10 +62,8 @@ class NmfOptions:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValidationError("rank must be >= 1")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
+        require_count(self.rank, "rank")
+        require_count(self.max_iters, "max_iters")
         if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValidationError("rel_tol must be finite and > 0")
 

@@ -28,12 +28,15 @@ Reconstructors:
   unordered pair once, diagonals weighted 1/sqrt(2)) with rho quadratic or
   Huber.  The quadratic prior is 0.5*x^T L x with L the weighted graph
   Laplacian of the pairs, so its gradient is one sparse product and its
-  surrogate curvature the constant 2*diag(L).  The solver is a
-  diagonally-majorized (separable quadratic surrogate) update projected
-  onto x >= 0, starting from the FBP image clamped at 0, and monotone in
-  the objective by construction; it evaluates the prior once
-  per iterate and carries that gradient and the weighted residual into
-  the next step.
+  surrogate curvature the constant 2*diag(L).  The solver takes
+  diagonally-majorized (separable quadratic surrogate) steps projected
+  onto x >= 0, starting from the FBP image clamped at 0, and accelerates
+  them with per-channel momentum (Kim, Ramani & Fessler 2015) and two
+  restarts (O'Donoghue & Candes 2015): one when a step turns against the
+  momentum, one that discards a step that raised the objective.  A
+  discarded step counts as an iteration and repeats the objective in the
+  trace, so the trace does not increase.  Each iteration does one A and
+  one A^T product and one prior evaluation.
 
 All solver arithmetic is float64.
 """
@@ -53,6 +56,7 @@ from hsnct.containers import (
     SubspaceSinogram,
     ValidationError,
     VolumeStack,
+    require_count,
 )
 
 __all__ = [
@@ -70,7 +74,8 @@ __all__ = [
 _PRIORS = ("quadratic-difference", "huber")
 _ENGINES = ("fbp", "mbir")
 # slices per reconstruction batch target this many (slice, channel) columns:
-# the sparse products cost ~1.8x more per column at 4 columns than at 16-256
+# the sparse products cost ~1.8x more per column at 4 columns than at 16-256,
+# and the solver runs ~5-10 % slower per column at 256 than at 64
 _BATCH_COLUMNS = 64
 
 _ISQ2 = 1.0 / np.sqrt(2.0)
@@ -124,8 +129,7 @@ class MbirOptions:
             raise ValidationError("regularization_weight must be finite and >= 0")
         if not (np.isfinite(self.huber_delta) and self.huber_delta > 0):
             raise ValidationError("huber_delta must be finite and > 0")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
+        require_count(self.max_iters, "max_iters")
         if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValidationError("rel_tol must be finite and > 0")
         if self.noise_weights is not None:
@@ -350,97 +354,158 @@ def _prior_terms(X: np.ndarray, n: int, prior: str, delta: float):
 
 def _sqs_solve(A: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
                opts: MbirOptions, X0: np.ndarray):
-    """Majorized projected descent on a batch of independent channels.
+    """Majorized projected descent with momentum on a batch of independent
+    channels.
 
     A is the length-scaled system matrix (m x n^2); Y, W, X0 are (m, C) /
-    (n^2, C).  X0 is updated in place.  Each iteration does one A product,
-    one A^T product and one prior evaluation: the weighted residual W*(AX - Y)
-    and the prior gradient at the new iterate are carried into the next
-    step.  Channels that meet the stopping rule are frozen, so each
-    channel's float sequence is identical whether solved alone or batched.
-    Returns (X, info list per channel).
+    (n^2, C); X0's memory is reused.  Each channel keeps its iterate x, an
+    extrapolated point z and a momentum scalar t (z = x0 and t = 1 at the
+    start), and one iteration is
+
+        x+ = max(z - grad f(z) / D(z), 0)
+        t+ = (1 + sqrt(1 + 4 t^2)) / 2
+        z+ = x+ + ((t - 1) / t+) (x+ - x)
+
+    with D(z) the separable majorizer's curvature at z.  Two restarts:
+    (a) when <z - x+, x+ - x> > 0 the step turned against the momentum,
+    and t = 1 before t+ is formed, so z+ = x+; (b) when a step from an
+    extrapolated z (t > 1) raised the objective, x+ is discarded: x stays,
+    the trace repeats f(x), the iteration still counts, and t = 1, z = x.
+    The next step is then a plain majorized one, which cannot raise the
+    objective beyond rounding, so the trace does not increase.  The
+    stopping rule (a zero objective, or a relative change <= rel_tol)
+    reads only kept steps that did not turn: at a turning point of the
+    momentum the objective stalls for a step while still far from its
+    minimum.
+
+    A z - Y and the quadratic prior's gradient L z are carried as the same
+    combination of their values at x+ and x, so an iteration does one A
+    product, one A^T product and one prior evaluation (Huber adds a pass
+    for its gradient and curvature at z).  Columns never mix and t is per
+    channel, so a channel's float sequence is the same alone or batched.
+    A channel that stops is saved and no longer recorded; stopped columns
+    ride along until they make up a quarter of the batch, then are
+    dropped.  Returns (X, info list per channel).
     """
     C = Y.shape[1]
     beta = float(opts.regularization_weight)
     # a 1-pixel image has no neighbor pairs, so its prior is zero
     use_prior = beta > 0 and n > 1
     huber = use_prior and opts.prior == "huber"
-    Da = A.T @ (W * (A @ np.ones(A.shape[1]))[:, None])
+    quadratic = use_prior and not huber
+    Dc = A.T @ (W * (A @ np.ones(A.shape[1]))[:, None])
     if not huber:
         # constant denominator; pixels that no weighted ray and no prior
         # pair touch have a zero gradient and stay put (0/inf = 0)
-        D = Da + beta * _laplacian(n)[1][:, None] if use_prior else Da
-        D[D <= 0] = np.inf
+        if use_prior:
+            Dc += beta * _laplacian(n)[1][:, None]
+        Dc[Dc <= 0] = np.inf
+
+    def evaluate(X, Yb, Wb, WR):
+        """A X - Y, the prior's (value, gradient, curvature) and the
+        objective at X; W*(A X - Y) goes into WR."""
+        R = A @ X
+        R -= Yb
+        np.multiply(Wb, R, out=WR)
+        obj = 0.5 * np.einsum("ij,ij->j", WR, R)
+        terms = (None, None, None)
+        if use_prior:
+            terms = _prior_terms(X, n, opts.prior, opts.huber_delta)
+            obj = obj + beta * terms[0]
+        return R, terms[1], terms[2], obj
+
     traces = [[] for _ in range(C)]
     iters = np.zeros(C, dtype=int)
     conv = np.zeros(C, dtype=bool)
+    out = np.empty_like(X0)
 
-    active = np.arange(C)
-    Xa, Ya, Wa = X0, Y, W
-    R = A @ Xa
-    R -= Ya
-    WR = Wa * R
-    obj_prev = 0.5 * np.einsum("ij,ij->j", WR, R)
-    if use_prior:
-        value, pg, pc = _prior_terms(Xa, n, opts.prior, opts.huber_delta)
-        obj_prev = obj_prev + beta * value
-    final_obj = np.asarray(obj_prev, dtype=np.float64).copy()
-    X = None
+    # per batch column: its channel, whether it still runs, t, and the
+    # momentum weight that formed z (0: z = x, a plain step)
+    idx = np.arange(C)
+    live = np.ones(C, dtype=bool)
+    t = np.ones(C)
+    coef = np.zeros(C)
+    Yb, Wb, WR = Y, W, np.empty_like(Y)
+    X = X0
+    RX, PX, KZ, fX = evaluate(X, Yb, Wb, WR)
+    Z, RZ = X.copy(), RX.copy()
+    PZ = None if PX is None else PX.copy()
+    final_obj = fX.copy()
 
     for _ in range(opts.max_iters):
-        if active.size == 0:
-            break
         G = A.T @ WR
+        D = Dc
         if use_prior:
-            pg *= beta
-            G += pg
-            if huber:
-                pc *= beta
-                pc += Da
-                D = pc
-        step = np.divide(G, D, out=G)
-        np.subtract(Xa, step, out=Xa)
-        np.maximum(Xa, 0.0, out=Xa)
-        R = A @ Xa
-        R -= Ya
-        np.multiply(Wa, R, out=WR)
-        obj = 0.5 * np.einsum("ij,ij->j", WR, R)
-        if use_prior:
-            value, pg, pc = _prior_terms(Xa, n, opts.prior, opts.huber_delta)
-            obj = obj + beta * value
+            PZ *= beta
+            G += PZ
+        if huber:
+            KZ *= beta
+            KZ += Dc
+            D = KZ
+        Xn = np.divide(G, D, out=G)
+        np.subtract(Z, Xn, out=Xn)
+        np.maximum(Xn, 0.0, out=Xn)
+        Rn, Pn, _, fn = evaluate(Xn, Yb, Wb, WR)
 
-        final_obj[active] = obj
-        iters[active] += 1
-        for local, chan in enumerate(active):
-            traces[chan].append(float(obj[local]))
-        done = (obj <= 0.0) | (np.abs(obj_prev - obj)
-                               <= opts.rel_tol * np.maximum(obj_prev, 1e-300))
+        back = (fn > fX) & (coef > 0)  # restart (b)
+        if np.any(back):
+            Xn[:, back] = X[:, back]
+            Rn[:, back] = RX[:, back]
+            if quadratic:
+                Pn[:, back] = PX[:, back]
+            fn[back] = fX[back]
+        dX = np.subtract(Xn, X, out=X)
+        Z -= Xn
+        turned = np.einsum("ij,ij->j", Z, dX) > 0.0  # restart (a)
+        # a discarded step, or one that turned against the momentum, is no
+        # measure of convergence
+        done = live & ~back & ~turned & (
+            (fn <= 0.0) | (np.abs(fX - fn) <= opts.rel_tol * np.maximum(fX, 1e-300)))
+        chans = idx[live]
+        iters[chans] += 1
+        final_obj[chans] = fn[live]
+        for local in np.flatnonzero(live):
+            traces[idx[local]].append(float(fn[local]))
         if np.any(done):
-            if X is None:
-                X = np.empty((Xa.shape[0], C))
-            X[:, active[done]] = Xa[:, done]
-            conv[active[done]] = True
-            keep = ~done
-            active = active[keep]
-            Xa, Ya, Wa, WR = Xa[:, keep], Ya[:, keep], Wa[:, keep], WR[:, keep]
-            if use_prior:
-                pg = pg[:, keep]
-            if huber:
-                pc, Da = pc[:, keep], Da[:, keep]
-            else:
-                D = D[:, keep]
-            obj_prev = obj[keep]
-        else:
-            obj_prev = obj
+            out[:, idx[done]] = Xn[:, done]
+            conv[idx[done]] = True
+            live &= ~done
+            if not np.any(live):
+                break
 
-    if X is None:
-        X = Xa
-    else:
-        X[:, active] = Xa
+        t[turned] = 1.0
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        coef = (t - 1.0) / t_next
+        t = t_next
+        t[back] = 1.0
+        coef[back] = 0.0
+        np.multiply(dX, coef, out=Z)
+        Z += Xn
+        # the same combination for A z - Y and L z, in the buffers of x
+        RZ = np.subtract(Rn, RX, out=RX)
+        RZ *= coef
+        RZ += Rn
+        if quadratic:
+            PZ = np.subtract(Pn, PX, out=PX)
+            PZ *= coef
+            PZ += Pn
+        elif huber:
+            _, PZ, KZ = _huber_terms(Z, n, opts.huber_delta)
+        X, RX, PX, fX = Xn, Rn, Pn, fn
+        np.multiply(Wb, RZ, out=WR)
+
+        if 4 * np.count_nonzero(~live) >= live.size:
+            keep = live
+            Yb, Wb, WR, X, Z, RX, RZ, PX, PZ, KZ, Dc, fX, t, coef, idx, live = (
+                None if a is None else a[..., keep]
+                for a in (Yb, Wb, WR, X, Z, RX, RZ, PX, PZ, KZ, Dc, fX, t, coef,
+                          idx, live))
+
+    out[:, idx[live]] = X[:, live]
     info = [{"iterations": int(iters[c]), "converged": bool(conv[c]),
              "objective": float(final_obj[c]),
              "objective_trace": np.asarray(traces[c])} for c in range(C)]
-    return X, info
+    return out, info
 
 
 def _default_weights(Y: np.ndarray) -> np.ndarray:
@@ -460,7 +525,14 @@ def _mbir_batch(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions,
         X0 = np.maximum(_fbp_batch(Y, geom), 0.0)
     else:
         X0 = np.zeros((geom.image_size ** 2, Y.shape[1]))
-    return _sqs_solve(A, Y, W, geom.image_size, opts, X0)
+    # columns never mix, and past _BATCH_COLUMNS of them the solver's
+    # arrays outgrow the cache, so a wider batch is solved in parts
+    n, step = geom.image_size, _BATCH_COLUMNS
+    parts = [_sqs_solve(A, np.ascontiguousarray(Y[:, c:c + step]),
+                        np.ascontiguousarray(W[:, c:c + step]), n, opts,
+                        np.ascontiguousarray(X0[:, c:c + step]))
+             for c in range(0, Y.shape[1], step)]
+    return np.hstack([X for X, _ in parts]), [i for _, info in parts for i in info]
 
 
 def mbir_reconstruct(sino: np.ndarray, geom: SliceGeometry,

@@ -142,6 +142,14 @@ class TestStageCommands:
         assert "regularization_weight" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_normalize_rejects_infinite_floor(self, workdir, capsys):
+        out = workdir / "inf_floor.hsnct"
+        rc = main(["normalize", "--scan", str(workdir / "scan.hsnct"), "--floor", "inf",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "count_floor" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reconstruct_rejects_zero_threads(self, workdir, capsys):
         out = workdir / "zero_threads.hsnct"
         rc = main(["reconstruct", "--in", str(workdir / "v.hsnct"), "--engine", "fbp",

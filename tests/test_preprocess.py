@@ -111,3 +111,8 @@ class TestNormalize:
     def test_nonpositive_floor_rejected(self):
         with pytest.raises(ValidationError):
             NormalizationOptions(count_floor=0.0)
+
+    def test_infinite_floor_rejected(self):
+        # an infinite floor would turn every count into inf/inf
+        with pytest.raises(ValidationError, match="count_floor"):
+            NormalizationOptions(count_floor=np.inf)

@@ -159,6 +159,12 @@ class TestNmfFactorize:
             NmfOptions(rank=1, seed=0, rel_tol=0.0)
         with pytest.raises(ValidationError, match="rel_tol"):
             NmfOptions(rank=1, seed=0, rel_tol=np.inf)
+        for count in (2.5, True, "500"):
+            with pytest.raises(ValidationError, match="max_iters"):
+                NmfOptions(rank=1, seed=0, max_iters=count)
+            with pytest.raises(ValidationError, match="rank"):
+                NmfOptions(rank=count, seed=0)
+        assert NmfOptions(rank=1, seed=0, max_iters=np.int64(7)).max_iters == 7
 
 
 class TestRankScan:

@@ -289,6 +289,10 @@ class TestMbir:
         for field in ("regularization_weight", "huber_delta", "rel_tol"):
             with pytest.raises(ValidationError, match=field):
                 MbirOptions(**{field: np.inf})
+        for count in (2.5, True, "100"):
+            with pytest.raises(ValidationError, match="max_iters"):
+                MbirOptions(max_iters=count)
+        assert MbirOptions(max_iters=np.int64(7)).max_iters == 7
 
 
 def stack_inputs(n_r=2, n_c=24, n_v=12, C=3, seed=0):
@@ -345,17 +349,39 @@ class TestReconstructStack:
         assert vol.num_rows == 16 and vol.num_cols == 64
 
     def test_mbir_batch_matches_per_channel_runs(self):
-        # channels carry different noise so they converge at different
-        # iterations; frozen channels must still match their solo runs
-        geom, vals = stack_inputs(n_r=1, C=3, seed=3)
+        # channels carry different noise so they stop at different
+        # iterations; a stopped column, whether it is still carried in the
+        # batch or already dropped from it, must match its solo run
+        geom, vals = stack_inputs(n_r=3, C=3, seed=3)
         rng = np.random.default_rng(9)
         vals = vals + rng.uniform(0, 0.2, vals.shape) * np.array([1.0, 3.0, 0.2])
+        sub = SubspaceSinogram(vals, geom)
         opts = MbirOptions(regularization_weight=1.0, max_iters=120, rel_tol=1e-4)
-        batch = reconstruct_stack(SubspaceSinogram(vals, geom), geom, "mbir", opts)
-        for c in range(3):
-            solo = reconstruct_stack(SubspaceSinogram(vals[:, c:c + 1], geom),
-                                     geom, "mbir", opts)
-            assert solo.voxels[:, 0].tobytes() == batch.voxels[:, c].tobytes()
+        batch = reconstruct_stack(sub, geom, "mbir", opts)
+        n_v, n_c, sg = geom.num_views, geom.num_cols, slice_geometry_for(geom)
+        y4 = sub.coeffs.astype(np.float64).reshape(n_v, 3, n_c, 3)
+        iterations = set()
+        for r in range(3):
+            for c in range(3):
+                img, info = mbir_reconstruct(y4[:, r, :, c], sg, opts, return_info=True)
+                iterations.add(info["iterations"])
+                got = batch.voxels[r * n_c * n_c:(r + 1) * n_c * n_c, c]
+                assert got.tobytes() == img.ravel().astype(np.float32).tobytes()
+        assert len(iterations) > 2
+
+    def test_wide_batch_matches_per_channel_runs(self):
+        # more channels than one solver batch takes are solved in parts
+        C = tomo._BATCH_COLUMNS + 3
+        geom, vals = stack_inputs(n_r=1, C=C, seed=6)
+        vals = vals + np.random.default_rng(10).uniform(0, 0.2, vals.shape)
+        sub = SubspaceSinogram(vals, geom)
+        opts = MbirOptions(regularization_weight=1.0, max_iters=30, rel_tol=1e-4)
+        batch = reconstruct_stack(sub, geom, "mbir", opts)
+        y = sub.coeffs.astype(np.float64).reshape(geom.num_views, geom.num_cols, C)
+        sg = slice_geometry_for(geom)
+        for c in range(C):
+            img = mbir_reconstruct(y[:, :, c], sg, opts)
+            assert batch.voxels[:, c].tobytes() == img.ravel().astype(np.float32).tobytes()
 
     def test_hyperspectral_input_accepted(self):
         geom, vals = stack_inputs(C=2)
@@ -470,46 +496,57 @@ def reference_prior(X, n, prior, delta):
     return value, G.reshape(n * n, -1), K.reshape(n * n, -1)
 
 
-def reference_sqs(A, Y, W, n, opts, X0):
-    """The SQS iteration written plainly: the prior and the residual are
-    recomputed from scratch wherever they are needed."""
+def reference_sqs(A, Y, W, n, opts, X0, momentum=True):
+    """The accelerated SQS iteration written plainly, one channel at a time:
+    the residual and the prior at z are recomputed from scratch wherever
+    they are needed, and both restarts are checked per channel.  With
+    ``momentum=False`` every step restarts, which is the plain SQS loop."""
     beta = opts.regularization_weight
-    C = Y.shape[1]
-
-    def objective(X, Yc, Wc):
-        R = A @ X - Yc
-        obj = 0.5 * np.einsum("ij,ij->j", Wc * R, R)
-        if beta > 0:
-            obj = obj + beta * reference_prior(X, n, opts.prior, opts.huber_delta)[0]
-        return obj
-
-    X = X0.copy()
     d_data = A.T @ (W * (A @ np.ones(A.shape[1]))[:, None])
-    traces = [[] for _ in range(C)]
-    active = np.arange(C)
-    Xa, Ya, Wa, Da = X.copy(), Y, W, d_data
-    obj_prev = objective(Xa, Ya, Wa)
-    for _ in range(opts.max_iters):
-        if active.size == 0:
-            break
-        G = A.T @ (Wa * (A @ Xa - Ya))
-        D = Da
-        if beta > 0:
-            _, pg, pc = reference_prior(Xa, n, opts.prior, opts.huber_delta)
-            G = G + beta * pg
-            D = Da + beta * pc
-        step = np.divide(G, D, out=np.zeros_like(G), where=D > 0)
-        Xn = np.maximum(Xa - step, 0.0)
-        obj = objective(Xn, Ya, Wa)
-        X[:, active] = Xn
-        for local, chan in enumerate(active):
-            traces[chan].append(obj[local])
-        keep = ~((obj <= 0.0) | (np.abs(obj_prev - obj)
-                                 <= opts.rel_tol * np.maximum(obj_prev, 1e-300)))
-        active = active[keep]
-        Xa, Ya, Wa, Da = Xn[:, keep], Ya[:, keep], Wa[:, keep], Da[:, keep]
-        obj_prev = obj[keep]
-    return X, [np.asarray(t) for t in traces]
+    X = X0.copy()
+    traces = []
+    for c in range(Y.shape[1]):
+        y, w = Y[:, c:c + 1], W[:, c:c + 1]
+
+        def objective(x):
+            r = A @ x - y
+            obj = 0.5 * np.einsum("ij,ij->j", w * r, r)
+            if beta > 0:
+                obj = obj + beta * reference_prior(x, n, opts.prior, opts.huber_delta)[0]
+            return float(obj[0])
+
+        x = X0[:, c:c + 1].copy()
+        z, t, extrapolated = x.copy(), 1.0, False
+        f = objective(x)
+        trace = []
+        for _ in range(opts.max_iters):
+            g = A.T @ (w * (A @ z - y))
+            d = d_data[:, c:c + 1]
+            if beta > 0:
+                _, pg, pc = reference_prior(z, n, opts.prior, opts.huber_delta)
+                g = g + beta * pg
+                d = d + beta * pc
+            x_new = np.maximum(z - np.divide(g, d, out=np.zeros_like(g), where=d > 0), 0.0)
+            f_new = objective(x_new)
+            if extrapolated and f_new > f:
+                # restart (b): discard the step, take a plain one from x next
+                trace.append(f)
+                z, t, extrapolated = x.copy(), 1.0, False
+                continue
+            trace.append(f_new)
+            turned = float(np.sum((z - x_new) * (x_new - x))) > 0.0
+            if not turned and (f_new <= 0.0
+                               or abs(f - f_new) <= opts.rel_tol * max(f, 1e-300)):
+                x = x_new
+                break
+            if turned or not momentum:
+                t = 1.0  # restart (a)
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            z = x_new + ((t - 1.0) / t_next) * (x_new - x)
+            x, f, t, extrapolated = x_new, f_new, t_next, t > 1.0
+        X[:, c] = x[:, 0]
+        traces.append(np.asarray(trace))
+    return X, traces
 
 
 def assert_rel_close(actual, expected, tol):
@@ -545,30 +582,35 @@ class TestPriorMatchesDirectionalDifferences:
 
 SOLVER_CASES = {
     "quadratic": dict(prior="quadratic-difference", regularization_weight=2.0,
-                      rel_tol=1e-12),
+                      max_iters=50, rel_tol=1e-12),
     "huber": dict(prior="huber", regularization_weight=2.0, huber_delta=0.004,
-                  rel_tol=1e-12),
-    "beta-0": dict(regularization_weight=0.0, rel_tol=1e-12),
+                  max_iters=120, rel_tol=1e-12),
+    "beta-0": dict(regularization_weight=0.0, max_iters=120, rel_tol=1e-12),
     "quadratic-freezing": dict(prior="quadratic-difference", regularization_weight=1.0,
-                               rel_tol=1e-4),
+                               max_iters=120, rel_tol=1e-4),
     "huber-freezing": dict(prior="huber", regularization_weight=1.0, huber_delta=0.004,
-                           rel_tol=1e-3),
+                           max_iters=120, rel_tol=1e-3),
 }
+
+
+def solver_inputs(seed, noise_seed):
+    """One slice of three channels with different noise levels, so with a
+    loose tolerance they stop at different iterations: (geom, sg, values,
+    length-scaled system matrix, the clamped FBP start)."""
+    geom, vals = stack_inputs(n_r=1, C=3, seed=seed)
+    rng = np.random.default_rng(noise_seed)
+    vals = vals + rng.uniform(0, 0.2, vals.shape) * np.array([1.0, 3.0, 0.2])
+    vals = vals.astype(np.float32).astype(np.float64)  # as the container holds it
+    sg = slice_geometry_for(geom)
+    A = (tomo._system_matrix(sg) * sg.pixel_pitch).tocsr()
+    return geom, sg, vals, A, np.maximum(tomo._fbp_batch(vals, sg), 0.0)
 
 
 class TestSolverMatchesReferenceLoop:
     @pytest.mark.parametrize("case", list(SOLVER_CASES))
     def test_batch_and_single_channel_runs(self, case):
-        geom, vals = stack_inputs(n_r=1, C=3, seed=3)
-        rng = np.random.default_rng(9)
-        # channels carry different noise, so with a loose tolerance they
-        # stop at different iterations
-        vals = vals + rng.uniform(0, 0.2, vals.shape) * np.array([1.0, 3.0, 0.2])
-        vals = vals.astype(np.float32).astype(np.float64)  # as the container holds it
-        opts = MbirOptions(max_iters=120, **SOLVER_CASES[case])
-        sg = slice_geometry_for(geom)
-        A = (tomo._system_matrix(sg) * sg.pixel_pitch).tocsr()
-        X0 = np.maximum(tomo._fbp_batch(vals, sg), 0.0)
+        geom, sg, vals, A, X0 = solver_inputs(seed=3, noise_seed=9)
+        opts = MbirOptions(**SOLVER_CASES[case])
         ref_X, ref_traces = reference_sqs(A, vals, np.exp(-vals), sg.image_size, opts, X0)
         lengths = [len(t) for t in ref_traces]
         if case.endswith("freezing"):
@@ -589,3 +631,37 @@ class TestSolverMatchesReferenceLoop:
         vol = reconstruct_stack(SubspaceSinogram(vals, geom), geom, "mbir", opts)
         assert_rel_close(vol.voxels.astype(np.float64),
                          ref_X.astype(np.float32).astype(np.float64), 1e-10)
+
+    def test_discarded_step_repeats_the_objective(self):
+        # channel 0's momentum overshoots once within 40 iterations; the
+        # step is discarded and the trace repeats f(x)
+        _, sg, vals, A, X0 = solver_inputs(seed=2, noise_seed=11)
+        opts = MbirOptions(regularization_weight=2.0, max_iters=40, rel_tol=1e-12)
+        ref_X, ref_traces = reference_sqs(A, vals, np.exp(-vals), sg.image_size, opts, X0)
+        X, info = tomo._mbir_batch(vals, sg, opts)
+        trace = info[0]["objective_trace"]
+        assert np.any(trace[1:] == trace[:-1])
+        assert np.all(trace[1:] <= trace[:-1])
+        assert_rel_close(X, ref_X, 1e-10)
+        for c in range(3):
+            assert_rel_close(info[c]["objective_trace"], ref_traces[c], 1e-10)
+
+    # at seed 9, step 27 turns against the momentum and changes the
+    # objective by less than rel_tol while 3.7e-4 above the optimum
+    @pytest.mark.parametrize("seed", [1, 9])
+    def test_converges_where_the_plain_loop_hits_the_cap(self, seed):
+        _, geom, p = sparse_noisy_projection(seed=seed)
+        opts = MbirOptions(regularization_weight=2.0)
+        assert opts.max_iters == 100
+        y = p.reshape(-1, 1)
+        A = (tomo._system_matrix(geom) * geom.pixel_pitch).tocsr()
+        X0 = np.maximum(tomo._fbp_batch(y, geom), 0.0)
+        _, plain = reference_sqs(A, y, np.exp(-y), geom.image_size,
+                                 MbirOptions(regularization_weight=2.0, max_iters=300),
+                                 X0, momentum=False)
+        assert len(plain[0]) > 100
+        _, info = mbir_reconstruct(p, geom, opts, return_info=True)
+        assert info["converged"] and info["iterations"] <= 100
+        _, long = mbir_reconstruct(p, geom, MbirOptions(
+            regularization_weight=2.0, max_iters=3000, rel_tol=1e-10), return_info=True)
+        assert info["objective"] - long["objective"] <= 1e-4 * long["objective"]
