@@ -55,6 +55,7 @@ __all__ = [
     "SpectralBasis",
     "VolumeStack",
     "require_count",
+    "require_positive",
     "sinogram_row_count",
     "tof_to_wavelength",
     "write_container",
@@ -103,6 +104,12 @@ def require_count(value, name: str):
         raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def require_positive(value, name: str):
+    """Raise ValidationError unless ``value`` is finite and > 0."""
+    _require(bool(np.isfinite(value)) and value > 0,
+             f"{name} must be > 0 and finite, got {value!r}")
+
+
 def sinogram_row_count(geometry: "ScanGeometry") -> int:
     """Number of measurement rows N_p = N_v * N_r * N_c."""
     return geometry.num_views * geometry.num_rows * geometry.num_cols
@@ -139,8 +146,8 @@ class ScanGeometry:
                  "view angles must lie in [0, pi)")
         if self.num_views > 1:
             _require(np.all(np.diff(angles) > 0), "view angles must be strictly increasing")
-        _require(self.flight_path > 0, "flight_path must be > 0")
-        _require(self.pixel_pitch > 0, "pixel_pitch must be > 0")
+        require_positive(self.flight_path, "flight_path")
+        require_positive(self.pixel_pitch, "pixel_pitch")
 
 
 @dataclass(frozen=True)
@@ -155,9 +162,9 @@ class ToFConverter:
     neutron_mass: float = NEUTRON_MASS
 
     def __post_init__(self):
-        _require(self.planck_h > 0, "planck_h must be > 0")
-        _require(self.neutron_mass > 0, "neutron_mass must be > 0")
-        _require(self.flight_path > 0, "flight_path must be > 0")
+        require_positive(self.planck_h, "planck_h")
+        require_positive(self.neutron_mass, "neutron_mass")
+        require_positive(self.flight_path, "flight_path")
 
 
 def tof_to_wavelength(converter: ToFConverter, dt):
@@ -310,7 +317,7 @@ class VolumeStack:
         voxels = _as_f32(self.voxels, "voxels")
         object.__setattr__(self, "voxels", voxels)
         _require(self.num_rows >= 1 and self.num_cols >= 1, "grid dims must be >= 1")
-        _require(self.voxel_pitch > 0, "voxel_pitch must be > 0")
+        require_positive(self.voxel_pitch, "voxel_pitch")
         n_x = self.num_rows * self.num_cols * self.num_cols
         _require(voxels.ndim == 2 and voxels.shape[0] == n_x,
                  f"voxels shape {voxels.shape} does not match N_x="
@@ -451,15 +458,17 @@ def _unpack(header: dict, arr: np.ndarray, path):
         return VolumeStack(arr.reshape(n_r * n_c * n_c, arr.shape[3]), n_r, n_c,
                            voxel_pitch=pitch)
     geom = geometry_from_header(header.get("geometry", {}))
+    # a raw scan stores its open-beam radiograph as one more view
+    views = geom.num_views + (role == "raw-scan")
+    if arr.ndim != 4 or arr.shape[:3] != (views, geom.num_rows, geom.num_cols):
+        raise ValidationError(
+            f"{path}: {role} shape {list(arr.shape)} does not match its geometry's "
+            f"[{views}, {geom.num_rows}, {geom.num_cols}, C]")
     if role == "subspace-sinogram":
-        return SubspaceSinogram(arr.reshape(sinogram_row_count(geom), -1), geom)
+        return SubspaceSinogram(arr.reshape(-1, arr.shape[3]), geom)
     axis = spectral_from_header(header.get("spectral", {}))
     if role == "sinogram":
-        return HyperspectralSinogram(arr.reshape(sinogram_row_count(geom), -1), geom, axis)
-    if arr.shape[0] != geom.num_views + 1:
-        raise ValidationError(
-            f"{path}: raw-scan stores {arr.shape[0]} views, geometry says "
-            f"{geom.num_views} plus one open-beam view")
+        return HyperspectralSinogram(arr.reshape(-1, arr.shape[3]), geom, axis)
     return RawScan(arr[: geom.num_views], arr[geom.num_views], geom, axis)
 
 

@@ -15,7 +15,7 @@ simulation stays reproducible under parallel execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -175,38 +175,7 @@ class PhantomSpec:
 
 def spec_to_dict(spec: PhantomSpec) -> dict:
     """JSON-compatible dict for a PhantomSpec (inverse of spec_from_dict)."""
-    return {
-        "image_size": spec.image_size,
-        "num_slices": spec.num_slices,
-        "flux": float(spec.flux),
-        "seed": int(spec.seed),
-        "materials": [
-            {
-                "name": m.name,
-                "baseline": float(m.baseline),
-                "edges": [
-                    {
-                        "edge_wavelength": float(e.edge_wavelength),
-                        "pre_level": float(e.pre_level),
-                        "post_level": float(e.post_level),
-                        "smoothing_width": float(e.smoothing_width),
-                    }
-                    for e in m.edges
-                ],
-            }
-            for m in spec.materials
-        ],
-        "shapes": [
-            {
-                "kind": s.kind,
-                "center": list(s.center),
-                "half_size": list(s.half_size),
-                "material": s.material,
-                "slices": None if s.slices is None else list(s.slices),
-            }
-            for s in spec.shapes
-        ],
-    }
+    return asdict(spec)
 
 
 def spec_from_dict(d: dict) -> PhantomSpec:

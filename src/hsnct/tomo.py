@@ -9,20 +9,18 @@ pixel at centered coordinates (u_a, u_b) meets the detector at
 and splats its value onto the two nearest detector bins with linear
 interpolation weights.  At angle 0 the rays run along the image column
 axis, so the detector coordinate equals the row coordinate.  The system
-matrix is assembled sparse once per geometry and reused; the backprojector
-is its exact transpose, which makes the adjoint test exact up to float
-rounding.
-
-Forward projection multiplies by the pixel pitch so outputs are line
-integrals (value * length), matching the chord length of a shape rather
-than a bare pixel count.
+matrix A holds these weights times the pixel pitch, so A x is a line
+integral (value * length), matching the chord length of a shape rather
+than a bare pixel count.  It is assembled sparse once per geometry and
+reused; the backprojector is its exact transpose, which makes the adjoint
+test exact up to float rounding.
 
 Reconstructors:
 
 * ``fbp_reconstruct``: frequency-domain ramp filtering per view (the bare
   ramp, no window; rows zero-padded to the next power of two >= twice the
-  detector width), backprojection, and a pi/num_angles * 1/pitch^2 scale
-  so a density-1 disk comes back at value ~1.
+  detector width), backprojection with A^T, and a pi/(num_angles*pitch^2)
+  scale so a density-1 disk comes back at value ~1.
 * ``mbir_reconstruct``: minimizes 0.5*||W^(1/2)(Ax - y)||^2 + beta*R(x)
   over x >= 0, where R sums rho(x_i - x_j) over 8-neighbor pairs (each
   unordered pair once, diagonals weighted 1/sqrt(2)) with rho quadratic or
@@ -37,6 +35,13 @@ Reconstructors:
   discarded step counts as an iteration and repeats the objective in the
   trace, so the trace does not increase.  Each iteration does one A and
   one A^T product and one prior evaluation.
+
+Both run through one driver, ``_reconstruct_columns``, which takes
+independent ray-major columns: one for a single slice, and one per
+(slice, channel) pair for ``reconstruct_stack``.  It alone decides how
+columns are grouped (parts of at most ``_BATCH_COLUMNS``, at least one per
+worker), the MBIR start and default weights, and the threading.  Columns
+never mix.
 
 All solver arithmetic is float64.
 """
@@ -57,6 +62,7 @@ from hsnct.containers import (
     ValidationError,
     VolumeStack,
     require_count,
+    require_positive,
 )
 
 __all__ = [
@@ -73,9 +79,9 @@ __all__ = [
 
 _PRIORS = ("quadratic-difference", "huber")
 _ENGINES = ("fbp", "mbir")
-# slices per reconstruction batch target this many (slice, channel) columns:
-# the sparse products cost ~1.8x more per column at 4 columns than at 16-256,
-# and the solver runs ~5-10 % slower per column at 256 than at 64
+# columns per reconstruction part: the sparse products cost ~1.8x more per
+# column at 4 columns than at 16-256, and the solver runs ~5-10 % slower per
+# column at 256 than at 64
 _BATCH_COLUMNS = 64
 
 _ISQ2 = 1.0 / np.sqrt(2.0)
@@ -99,8 +105,7 @@ class SliceGeometry:
             raise ValidationError("num_angles must be >= 1")
         if self.num_detector_bins < 1 or self.image_size < 1:
             raise ValidationError("detector and image sizes must be >= 1")
-        if not (self.pixel_pitch > 0):
-            raise ValidationError("pixel_pitch must be > 0")
+        require_positive(self.pixel_pitch, "pixel_pitch")
         angles = np.ascontiguousarray(self.angles, dtype=np.float64)
         angles.flags.writeable = False
         object.__setattr__(self, "angles", angles)
@@ -162,21 +167,20 @@ def project_volume(volume: VolumeStack, geom: ScanGeometry) -> np.ndarray:
             f"not match geometry ({geom.num_rows} rows, {geom.num_cols} cols)")
     n_v, n_r, n_c = geom.num_views, geom.num_rows, geom.num_cols
     C = volume.num_channels
-    A0 = _system_matrix(slice_geometry_for(geom))
+    A = _system_matrix(slice_geometry_for(geom))
     vox = volume.voxels.astype(np.float64)
     out = np.empty((n_v, n_r, n_c, C))
     for r in range(n_r):
-        block = A0 @ vox[r * n_c * n_c:(r + 1) * n_c * n_c] * geom.pixel_pitch
-        out[:, r] = block.reshape(n_v, n_c, C)
+        out[:, r] = (A @ vox[r * n_c * n_c:(r + 1) * n_c * n_c]).reshape(n_v, n_c, C)
     return out.reshape(n_v * n_r * n_c, C)
 
 
 def _system_matrix(geom: SliceGeometry) -> sp.csr_matrix:
-    """Interpolation-weight matrix A0, (num_angles*num_detector_bins) x n^2.
+    """The length-scaled system matrix A, (num_angles*num_detector_bins) x
+    n^2: splat weights times the pixel pitch.
 
-    Pure splat weights; the pixel-pitch length factor is applied by the
-    callers.  Cached per geometry (the angles enter the key as bytes, since
-    an ndarray does not hash).
+    Cached per geometry (the angles enter the key as bytes, since an
+    ndarray does not hash).
     """
     return _splat_matrix(geom.angles.tobytes(), geom.num_detector_bins,
                          geom.image_size, geom.pixel_pitch)
@@ -201,7 +205,7 @@ def _splat_matrix(angle_bytes: bytes, nd: int, n: int, pitch: float) -> sp.csr_m
             ok = (bins >= 0) & (bins < nd) & (w > 0)
             rows.append(i * nd + bins[ok])
             cols.append(pix[ok])
-            vals.append(w[ok])
+            vals.append(w[ok] * pitch)
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(angles.size * nd, n * n), dtype=np.float64).tocsr()
@@ -224,49 +228,40 @@ def _slice_input(values, geom: SliceGeometry, image: bool = False) -> np.ndarray
 def forward_project(image: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     """Line integrals of a square slice: (num_angles, num_detector_bins)."""
     image = _slice_input(image, geom, image=True)
-    A0 = _system_matrix(geom)
-    sino = A0 @ image.ravel() * geom.pixel_pitch
+    sino = _system_matrix(geom) @ image.ravel()
     return sino.reshape(geom.num_angles, geom.num_detector_bins)
 
 
 def back_project(sino: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     """Exact transpose of forward_project."""
     sino = _slice_input(sino, geom)
-    A0 = _system_matrix(geom)
-    img = A0.T @ sino.ravel() * geom.pixel_pitch
+    img = _system_matrix(geom).T @ sino.ravel()
     return img.reshape(geom.image_size, geom.image_size)
 
 
-def _filter_rays(Y: np.ndarray, geom: SliceGeometry) -> np.ndarray:
-    """Ramp-filter per view; Y and result are (num_angles*nd, C) ray-major."""
+def _fbp_batch(Y: np.ndarray, geom: SliceGeometry) -> np.ndarray:
+    """FBP over ray-major columns: Y (m, C) -> images (n^2, C); each view
+    is ramp-filtered, then backprojected."""
+    if geom.num_angles < 2:
+        raise ValidationError("fbp needs at least 2 view angles")
     nd = geom.num_detector_bins
     n_pad = 1 << max(int(np.ceil(np.log2(2 * nd))), 1)
     mult = np.fft.rfftfreq(n_pad)  # the ramp |f| in cycles per sample, 0 .. 0.5
-    Y3 = Y.reshape(geom.num_angles, nd, -1)
-    padded = np.zeros((geom.num_angles, n_pad, Y3.shape[2]))
-    padded[:, :nd, :] = Y3
+    padded = np.zeros((geom.num_angles, n_pad, Y.shape[1]))
+    padded[:, :nd, :] = Y.reshape(geom.num_angles, nd, -1)
     spec = np.fft.rfft(padded, axis=1) * mult[None, :, None]
-    filt = np.fft.irfft(spec, n=n_pad, axis=1)[:, :nd, :]
-    return filt.reshape(Y.shape)
-
-
-def _fbp_batch(Y: np.ndarray, geom: SliceGeometry) -> np.ndarray:
-    """FBP over ray-major channels: Y (m, C) -> images (n^2, C)."""
-    if geom.num_angles < 2:
-        raise ValidationError("fbp needs at least 2 view angles")
-    q = _filter_rays(Y, geom)
-    A0 = _system_matrix(geom)
-    # filtered values are in cycles-per-sample units: the 1/pitch from the
-    # physical frequency axis and the 1/pitch^2 from backprojection fold
-    # into one scale together with the angular quadrature weight
-    scale = np.pi / (geom.num_angles * geom.pixel_pitch)
-    return (A0.T @ q) * scale
+    q = np.fft.irfft(spec, n=n_pad, axis=1)[:, :nd, :].reshape(Y.shape)
+    # filtered values are in cycles-per-sample units and A^T carries one
+    # pitch factor, so the physical units fold into one 1/pitch^2 scale
+    # together with the angular quadrature weight
+    scale = np.pi / (geom.num_angles * geom.pixel_pitch ** 2)
+    return (_system_matrix(geom).T @ q) * scale
 
 
 def fbp_reconstruct(sino: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     """Filtered backprojection of one slice sinogram."""
     sino = _slice_input(sino, geom)
-    img = _fbp_batch(sino.reshape(-1, 1), geom)
+    img, _ = _reconstruct_columns(sino.reshape(-1, 1), geom, None)
     return img.reshape(geom.image_size, geom.image_size)
 
 
@@ -430,7 +425,6 @@ def _sqs_solve(A: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
     RX, PX, KZ, fX = evaluate(X, Yb, Wb, WR)
     Z, RZ = X.copy(), RX.copy()
     PZ = None if PX is None else PX.copy()
-    final_obj = fX.copy()
 
     for _ in range(opts.max_iters):
         G = A.T @ WR
@@ -463,7 +457,6 @@ def _sqs_solve(A: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
             (fn <= 0.0) | (np.abs(fX - fn) <= opts.rel_tol * np.maximum(fX, 1e-300)))
         chans = idx[live]
         iters[chans] += 1
-        final_obj[chans] = fn[live]
         for local in np.flatnonzero(live):
             traces[idx[local]].append(float(fn[local]))
         if np.any(done):
@@ -503,36 +496,52 @@ def _sqs_solve(A: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
 
     out[:, idx[live]] = X[:, live]
     info = [{"iterations": int(iters[c]), "converged": bool(conv[c]),
-             "objective": float(final_obj[c]),
+             "objective": traces[c][-1],
              "objective_trace": np.asarray(traces[c])} for c in range(C)]
     return out, info
 
 
-def _default_weights(Y: np.ndarray) -> np.ndarray:
-    # transmission-proportional statistical weights: high attenuation means
-    # few counts and an unreliable ray
-    return np.exp(-Y)
+def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions | None,
+                         W: np.ndarray | None = None, threads: int = 1):
+    """Reconstruct independent ray-major columns: Y (m, C) -> (images
+    (n^2, C), MBIR info per column).
 
+    ``opts`` None runs FBP, and there is no info.  Otherwise MBIR starts
+    from the FBP image clamped at 0 (zeros below 2 views), with weights W
+    (m, C), or exp(-y) where W is None.  Columns never mix, so they are
+    solved in parts of at most _BATCH_COLUMNS, with at least one part per
+    worker, and the parts are spread over ``threads`` workers.
+    """
+    C = Y.shape[1]
+    n = geom.image_size
+    A = _system_matrix(geom)
+    step = max(1, min(_BATCH_COLUMNS, -(-C // threads)))
+    out = np.empty((n * n, C))
 
-def _mbir_batch(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions,
-                W: np.ndarray | None = None):
-    """MBIR over ray-major channels: Y (m, C) -> (images (n^2, C), info)."""
-    A0 = _system_matrix(geom)
-    A = (A0 * geom.pixel_pitch).tocsr()
-    if W is None:
-        W = _default_weights(Y)
-    if geom.num_angles >= 2:
-        X0 = np.maximum(_fbp_batch(Y, geom), 0.0)
+    def solve(start: int):
+        part = slice(start, start + step)
+        y = np.ascontiguousarray(Y[:, part])
+        if opts is None:
+            out[:, part] = _fbp_batch(y, geom)
+            return []
+        if geom.num_angles >= 2:
+            x0 = np.maximum(_fbp_batch(y, geom), 0.0)
+        else:
+            x0 = np.zeros((n * n, y.shape[1]))
+        # transmission-proportional statistical weights: high attenuation
+        # means few counts and an unreliable ray
+        w = np.exp(-y) if W is None else np.ascontiguousarray(W[:, part])
+        X, info = _sqs_solve(A, y, w, n, opts, x0)
+        out[:, part] = X
+        return info
+
+    starts = range(0, C, step)
+    if threads == 1:
+        infos = list(map(solve, starts))
     else:
-        X0 = np.zeros((geom.image_size ** 2, Y.shape[1]))
-    # columns never mix, and past _BATCH_COLUMNS of them the solver's
-    # arrays outgrow the cache, so a wider batch is solved in parts
-    n, step = geom.image_size, _BATCH_COLUMNS
-    parts = [_sqs_solve(A, np.ascontiguousarray(Y[:, c:c + step]),
-                        np.ascontiguousarray(W[:, c:c + step]), n, opts,
-                        np.ascontiguousarray(X0[:, c:c + step]))
-             for c in range(0, Y.shape[1], step)]
-    return np.hstack([X for X, _ in parts]), [i for _, info in parts for i in info]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            infos = list(pool.map(solve, starts))
+    return out, [i for info in infos for i in info]
 
 
 def mbir_reconstruct(sino: np.ndarray, geom: SliceGeometry,
@@ -547,8 +556,8 @@ def mbir_reconstruct(sino: np.ndarray, geom: SliceGeometry,
         if W.shape[0] != sino.size:
             raise ValidationError(
                 f"noise_weights size {W.shape[0]} != measurement count {sino.size}")
-    X, info = _mbir_batch(sino.reshape(-1, 1), geom, opts, W)
-    img = X[:, 0].reshape(geom.image_size, geom.image_size)
+    X, info = _reconstruct_columns(sino.reshape(-1, 1), geom, opts, W)
+    img = X.reshape(geom.image_size, geom.image_size)
     return (img, info[0]) if return_info else img
 
 
@@ -559,10 +568,9 @@ def reconstruct_stack(sinos, geom: ScanGeometry, engine: str,
 
     ``sinos`` is a SubspaceSinogram (C = subspace channels) or a
     HyperspectralSinogram (C = wavelength bins).  Detector row r maps to
-    volume slice r; the channels of consecutive slices are solved together,
-    as independent columns of one batch.
-    ``threads`` parallelizes over batches of slices; single-threaded runs
-    are bit-reproducible.
+    volume slice r.  Every (slice, channel) pair is one column of a single
+    ``_reconstruct_columns`` call, which spreads its parts over ``threads``
+    workers.
     """
     if engine not in _ENGINES:
         raise ValidationError(f"engine must be one of {_ENGINES}, got {engine!r}")
@@ -587,45 +595,23 @@ def reconstruct_stack(sinos, geom: ScanGeometry, engine: str,
 
     n_v, n_r, n_c = geom.num_views, geom.num_rows, geom.num_cols
     C = values.shape[1]
-    sg = slice_geometry_for(geom)
-    Y4 = values.astype(np.float64).reshape(n_v, n_r, n_c, C)
 
-    W4 = None
+    def columns(V):
+        # (view, row, col, channel) -> rays (view, col) x (slice, channel)
+        V4 = V.reshape(n_v, n_r, n_c, -1).transpose(0, 2, 1, 3)
+        return np.ascontiguousarray(V4, dtype=np.float64).reshape(n_v * n_c, -1)
+
+    W = None
     if engine == "mbir" and opts.noise_weights is not None:
         w = opts.noise_weights
-        if w.shape == (n_v * n_r * n_c,):
-            W4 = np.broadcast_to(w.reshape(n_v, n_r, n_c, 1), Y4.shape)
-        elif w.shape == (n_v * n_r * n_c, C):
-            W4 = w.reshape(n_v, n_r, n_c, C)
-        else:
+        if w.shape == values.shape[:1]:
+            w = np.broadcast_to(w[:, None], values.shape)
+        elif w.shape != values.shape:
             raise ValidationError(
                 f"noise_weights shape {w.shape} matches neither (N_p,) nor (N_p, C)")
-
-    # consecutive slices share the system matrix, so they are solved as one
-    # batch of (slice, channel) columns, up to about _BATCH_COLUMNS of them
-    # and at least one batch per worker
-    per = max(1, min(_BATCH_COLUMNS // C, -(-n_r // threads)))
-    batches = [range(r, min(r + per, n_r)) for r in range(0, n_r, per)]
-    out = np.empty((n_r, n_c * n_c, C))
-
-    def columns(V4, rows):
-        # (view, row, col, channel) -> rays x (slice, channel)
-        return V4[:, rows.start:rows.stop].transpose(0, 2, 1, 3).reshape(
-            n_v * n_c, len(rows) * C)
-
-    def run_batch(rows: range):
-        Y = columns(Y4, rows)
-        if engine == "fbp":
-            X = _fbp_batch(Y, sg)
-        else:
-            W = None if W4 is None else columns(W4, rows)
-            X, _ = _mbir_batch(Y, sg, opts, W)
-        out[rows.start:rows.stop] = X.reshape(n_c * n_c, len(rows), C).transpose(1, 0, 2)
-
-    if threads > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(batches))) as pool:
-            list(pool.map(run_batch, batches))
-    else:
-        for rows in batches:
-            run_batch(rows)
-    return VolumeStack(out.reshape(n_r * n_c * n_c, C), n_r, n_c, geom.pixel_pitch)
+        W = columns(w)
+    X, _ = _reconstruct_columns(columns(values), slice_geometry_for(geom), opts, W, threads)
+    # pixels x (slice, channel) -> (slice, pixel, channel), cast once
+    vox = np.ascontiguousarray(X.reshape(n_c * n_c, n_r, C).transpose(1, 0, 2),
+                               dtype=np.float32)
+    return VolumeStack(vox.reshape(-1, C), n_r, n_c, geom.pixel_pitch)

@@ -58,8 +58,10 @@ def _verdict(capfd, num: int, slug: str, ok: bool, detail: str):
 
 
 def _cli(*args) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-m", "hsnct", *map(str, args)],
-                          capture_output=True, text=True)
+    # pytest's filterwarnings does not reach a subprocess, so the flag makes
+    # an overflow or NaN there fail the run as it does in process
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "hsnct",
+                           *map(str, args)], capture_output=True, text=True)
 
 
 def _sino_from(mat: np.ndarray) -> HyperspectralSinogram:

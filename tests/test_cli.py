@@ -281,7 +281,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("section,value,message", [
         ("geometry", {"num_views": 0}, "num_views must be >= 1"),
         ("spectral", {"flight_path": -1.0}, "flight_path must be > 0"),
-    ], ids=["zero-num-views", "negative-flight-path"])
+        ("geometry", {"pixel_pitch": float("inf")}, "pixel_pitch must be > 0 and finite"),
+    ], ids=["zero-num-views", "negative-flight-path", "infinite-pixel-pitch"])
     def test_invalid_header_value_is_validation_error(self, workdir, capsys, command,
                                                       section, value, message):
         # a well-formed header whose values break the geometry's or the
@@ -295,6 +296,20 @@ class TestExitCodes:
         assert main(args) == 1
         assert message in capsys.readouterr().err
         assert not (workdir / "invalid_out.hsnct").exists()
+
+    @pytest.mark.parametrize("shape", [[2, 16, 32, 16], [1024, 16]],
+                             ids=["views-rows-swapped", "flat"])
+    def test_sinogram_shape_mismatch_is_validation_error(self, workdir, capsys, shape):
+        # p.hsnct is 16 views x 2 rows x 32 cols x 16 bins; the patched
+        # shapes hold as many values, so the payload still reads whole
+        bad = workdir / "bad_shape.hsnct"
+        patch_header(workdir / "p.hsnct", bad, lambda h: h.update({"shape": shape}))
+        out = workdir / "bad_shape_out.hsnct"
+        assert main(["dhr", "--in", str(bad), "--engine", "fbp", "--out", str(out),
+                     "--report", str(workdir / "bad_shape_out.json")]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and str(shape) in err and "[16, 2, 32, C]" in err
+        assert not out.exists()
 
     def test_null_voxel_pitch_is_container_error(self, workdir, capsys):
         bad = workdir / "bad_pitch.hsnct"

@@ -1,3 +1,4 @@
+import json
 import os
 import struct
 
@@ -65,6 +66,12 @@ class TestScanGeometry:
         with pytest.raises(ValidationError):
             ScanGeometry(1, 1, 1, np.array([0.0]), flight_path=0.0)
 
+    @pytest.mark.parametrize("field", ["flight_path", "pixel_pitch"])
+    def test_infinite_length_rejected(self, field):
+        lengths = {"flight_path": 10.0, field: np.inf}
+        with pytest.raises(ValidationError, match=f"{field} must be > 0 and finite"):
+            ScanGeometry(1, 1, 1, np.array([0.0]), **lengths)
+
 
 class TestSpectralAxis:
     def test_num_bins(self):
@@ -87,6 +94,12 @@ class TestSpectralAxis:
     def test_negative_edge_rejected(self):
         with pytest.raises(ValidationError):
             SpectralAxis(np.array([-1e-3, 1e-3]), ToFConverter(flight_path=10.0))
+
+    @pytest.mark.parametrize("field", ["flight_path", "planck_h", "neutron_mass"])
+    def test_infinite_converter_constant_rejected(self, field):
+        constants = {"flight_path": 10.0, field: np.inf}
+        with pytest.raises(ValidationError, match=f"{field} must be > 0 and finite"):
+            ToFConverter(**constants)
 
 
 class TestTypeInvariants:
@@ -133,6 +146,10 @@ class TestTypeInvariants:
     def test_volume_voxel_bookkeeping_rejected(self):
         with pytest.raises(ValidationError):
             VolumeStack(np.zeros((9, 1)), num_rows=2, num_cols=2)
+
+    def test_volume_infinite_pitch_rejected(self):
+        with pytest.raises(ValidationError, match="voxel_pitch must be > 0 and finite"):
+            VolumeStack(np.zeros((4, 1)), num_rows=1, num_cols=2, voxel_pitch=np.inf)
 
     def test_slice_image_layout(self):
         # voxel (r, a, b) flattens C-order; slice z=1 channel 0 is rows 8..11
@@ -280,6 +297,28 @@ class TestContainerFormat:
         assert isinstance(back, SubspaceSinogram) and header["role"] == "subspace-sinogram"
         with pytest.raises(ValidationError, match="'sinogram' or 'basis'"):
             load_container(path, "sinogram", "basis")
+
+    @pytest.mark.parametrize("role", ["sinogram", "subspace-sinogram"])
+    @pytest.mark.parametrize("shape", [[8, 2, 4, 16], [64, 16]],
+                             ids=["views-rows-swapped", "flat"])
+    def test_sinogram_shape_must_match_geometry(self, tmp_path, role, shape):
+        # the payload keeps its byte count, so the header's shape is all
+        # that tells the layouts apart
+        geom = small_geometry(n_v=2, n_r=4, n_c=8)
+        values = np.ones((sinogram_row_count(geom), 16))
+        path = tmp_path / "p.hsnct"
+        write_container(path, HyperspectralSinogram(values, geom, small_axis(n_k=16))
+                        if role == "sinogram" else SubspaceSinogram(values, geom))
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12:12 + hlen])
+        header["shape"] = shape
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen:])
+        with pytest.raises(ValidationError) as err:
+            load_container(path, role)
+        assert str(path) in str(err.value)
+        assert str(shape) in str(err.value) and "[2, 4, 8, C]" in str(err.value)
 
     def test_raw_array_not_writable(self, tmp_path):
         with pytest.raises(ValidationError):

@@ -55,6 +55,10 @@ class TestSliceGeometry:
         with pytest.raises(ValidationError):
             SliceGeometry(3, np.array([0.0, 1.0]), 8, 8)
 
+    def test_infinite_pitch_rejected(self):
+        with pytest.raises(ValidationError, match="pixel_pitch must be > 0 and finite"):
+            SliceGeometry(1, np.array([0.0]), 8, 8, pixel_pitch=np.inf)
+
     def test_from_scan_geometry(self):
         geom = ScanGeometry(4, 3, 16, np.linspace(0, np.pi, 4, endpoint=False),
                             flight_path=10.0, pixel_pitch=0.5)
@@ -369,14 +373,16 @@ class TestReconstructStack:
                 assert got.tobytes() == img.ravel().astype(np.float32).tobytes()
         assert len(iterations) > 2
 
-    def test_wide_batch_matches_per_channel_runs(self):
-        # more channels than one solver batch takes are solved in parts
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_wide_batch_matches_per_channel_runs(self, threads):
+        # more channels than one solver part takes are solved in parts,
+        # spread over the workers
         C = tomo._BATCH_COLUMNS + 3
         geom, vals = stack_inputs(n_r=1, C=C, seed=6)
         vals = vals + np.random.default_rng(10).uniform(0, 0.2, vals.shape)
         sub = SubspaceSinogram(vals, geom)
         opts = MbirOptions(regularization_weight=1.0, max_iters=30, rel_tol=1e-4)
-        batch = reconstruct_stack(sub, geom, "mbir", opts)
+        batch = reconstruct_stack(sub, geom, "mbir", opts, threads=threads)
         y = sub.coeffs.astype(np.float64).reshape(geom.num_views, geom.num_cols, C)
         sg = slice_geometry_for(geom)
         for c in range(C):
@@ -602,7 +608,7 @@ def solver_inputs(seed, noise_seed):
     vals = vals + rng.uniform(0, 0.2, vals.shape) * np.array([1.0, 3.0, 0.2])
     vals = vals.astype(np.float32).astype(np.float64)  # as the container holds it
     sg = slice_geometry_for(geom)
-    A = (tomo._system_matrix(sg) * sg.pixel_pitch).tocsr()
+    A = tomo._system_matrix(sg)
     return geom, sg, vals, A, np.maximum(tomo._fbp_batch(vals, sg), 0.0)
 
 
@@ -618,7 +624,7 @@ class TestSolverMatchesReferenceLoop:
         else:
             assert lengths == [opts.max_iters] * 3
 
-        X, info = tomo._mbir_batch(vals, sg, opts)
+        X, info = tomo._reconstruct_columns(vals, sg, opts)
         assert_rel_close(X, ref_X, 1e-10)
         for c in range(3):
             assert info[c]["iterations"] == lengths[c]
@@ -638,7 +644,7 @@ class TestSolverMatchesReferenceLoop:
         _, sg, vals, A, X0 = solver_inputs(seed=2, noise_seed=11)
         opts = MbirOptions(regularization_weight=2.0, max_iters=40, rel_tol=1e-12)
         ref_X, ref_traces = reference_sqs(A, vals, np.exp(-vals), sg.image_size, opts, X0)
-        X, info = tomo._mbir_batch(vals, sg, opts)
+        X, info = tomo._reconstruct_columns(vals, sg, opts)
         trace = info[0]["objective_trace"]
         assert np.any(trace[1:] == trace[:-1])
         assert np.all(trace[1:] <= trace[:-1])
@@ -654,7 +660,7 @@ class TestSolverMatchesReferenceLoop:
         opts = MbirOptions(regularization_weight=2.0)
         assert opts.max_iters == 100
         y = p.reshape(-1, 1)
-        A = (tomo._system_matrix(geom) * geom.pixel_pitch).tocsr()
+        A = tomo._system_matrix(geom)
         X0 = np.maximum(tomo._fbp_batch(y, geom), 0.0)
         _, plain = reference_sqs(A, y, np.exp(-y), geom.image_size,
                                  MbirOptions(regularization_weight=2.0, max_iters=300),
