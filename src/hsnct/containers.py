@@ -13,18 +13,22 @@ and ``role``; ``geometry`` and ``spectral`` sub-dicts are present when the
 container type has them.  Identical logical content produces identical bytes
 on every platform.
 
-Axis orders:
+The role fixes the axis order (``AXIS_ORDERS``); a header whose
+``axis_order`` disagrees with its role, or that holds a value of the wrong
+JSON type (a non-integer count, say), raises ContainerError:
 
-    ``view,row,col,bin``       4-D measurement-domain arrays (raw scans,
-                               sinograms; for subspace sinograms the ``bin``
-                               axis indexes subspace channels)
-    ``row,col,slice,channel``  reconstructed volumes, shape [N_r,N_c,N_c,C]
-    ``bin,channel``            the 2-D spectral basis, shape [N_k,N_s]
+    ``view,row,col,bin``       raw scans, sinograms, subspace sinograms
+                               (channels on ``bin``)
+    ``row,col,slice,channel``  volumes, shape [N_r,N_c,N_c,C]
+    ``bin,channel``            the spectral basis, shape [N_k,N_s]
 
 In-memory layout is row-major with the spectral/channel index
 fastest-varying, so one row of a sinogram is a single pixel's full spectrum.
 Arrays are float32 and marked read-only after construction; heavy numerics
 upcast to float64 internally.
+
+Each scalar input rule is written once here, as a ``require_*`` function
+that the type owning the input calls.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ __all__ = [
     "PLANCK_H",
     "NEUTRON_MASS",
     "MAGIC",
-    "ALLOWED_AXIS_ORDERS",
+    "AXIS_ORDERS",
     "ValidationError",
     "ContainerError",
     "ScanGeometry",
@@ -56,6 +60,8 @@ __all__ = [
     "VolumeStack",
     "require_count",
     "require_positive",
+    "require_nonneg",
+    "require_view_angles",
     "sinogram_row_count",
     "tof_to_wavelength",
     "write_container",
@@ -63,7 +69,6 @@ __all__ = [
     "load_container",
     "load_raw_scan",
     "load_sinogram",
-    "load_subspace_sinogram",
     "load_basis",
     "load_volume",
 ]
@@ -73,7 +78,9 @@ PLANCK_H = 6.62607015e-34  # J*s
 NEUTRON_MASS = 1.67492749804e-27  # kg
 
 MAGIC = b"HSNCT1\n\0"
-ALLOWED_AXIS_ORDERS = ("view,row,col,bin", "row,col,slice,channel", "bin,channel")
+AXIS_ORDERS = {"raw-scan": "view,row,col,bin", "sinogram": "view,row,col,bin",
+               "subspace-sinogram": "view,row,col,bin", "basis": "bin,channel",
+               "volume": "row,col,slice,channel"}
 
 
 class ValidationError(ValueError):
@@ -97,17 +104,38 @@ def _require(cond: bool, msg: str):
         raise ValidationError(msg)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def require_count(value, name: str):
-    """Raise ValidationError unless ``value`` is an integer >= 1 (a bool is
-    not a count)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+    """Raise ValidationError unless ``value`` is an integer >= 1 (a bool is not a count)."""
+    _require(_is_integer(value) and value >= 1,
+             f"{name} must be >= 1 and an integer, got {value!r}")
 
 
 def require_positive(value, name: str):
     """Raise ValidationError unless ``value`` is finite and > 0."""
     _require(bool(np.isfinite(value)) and value > 0,
              f"{name} must be > 0 and finite, got {value!r}")
+
+
+def require_nonneg(value, name: str):
+    """Raise ValidationError unless ``value`` is finite and >= 0."""
+    _require(bool(np.isfinite(value)) and value >= 0,
+             f"{name} must be >= 0 and finite, got {value!r}")
+
+
+def require_view_angles(values, count: int) -> np.ndarray:
+    """``values`` as a read-only float64 (count,) array of angles in [0, pi)."""
+    angles = np.ascontiguousarray(values, dtype=np.float64)
+    angles.flags.writeable = False
+    _require(angles.shape == (count,),
+             f"expected {count} view angles, got shape {angles.shape}")
+    # NaN and +-inf fail the range test too
+    _require(np.all((angles >= 0.0) & (angles < np.pi)),
+             "view angles must be finite and lie in [0, pi)")
+    return angles
 
 
 def sinogram_row_count(geometry: "ScanGeometry") -> int:
@@ -133,19 +161,11 @@ class ScanGeometry:
     pixel_pitch: float = 1.0
 
     def __post_init__(self):
-        _require(self.num_views >= 1, "num_views must be >= 1")
-        _require(self.num_rows >= 1, "num_rows must be >= 1")
-        _require(self.num_cols >= 1, "num_cols must be >= 1")
-        angles = np.ascontiguousarray(self.view_angles, dtype=np.float64)
-        angles.flags.writeable = False
+        for name in ("num_views", "num_rows", "num_cols"):
+            require_count(getattr(self, name), name)
+        angles = require_view_angles(self.view_angles, self.num_views)
         object.__setattr__(self, "view_angles", angles)
-        _require(angles.shape == (self.num_views,),
-                 f"expected {self.num_views} view angles, got shape {angles.shape}")
-        _require(np.all(np.isfinite(angles)), "view angles must be finite")
-        _require(np.all(angles >= 0.0) and np.all(angles < np.pi),
-                 "view angles must lie in [0, pi)")
-        if self.num_views > 1:
-            _require(np.all(np.diff(angles) > 0), "view angles must be strictly increasing")
+        _require(np.all(np.diff(angles) > 0), "view angles must be strictly increasing")
         require_positive(self.flight_path, "flight_path")
         require_positive(self.pixel_pitch, "pixel_pitch")
 
@@ -316,7 +336,8 @@ class VolumeStack:
     def __post_init__(self):
         voxels = _as_f32(self.voxels, "voxels")
         object.__setattr__(self, "voxels", voxels)
-        _require(self.num_rows >= 1 and self.num_cols >= 1, "grid dims must be >= 1")
+        require_count(self.num_rows, "num_rows")
+        require_count(self.num_cols, "num_cols")
         require_positive(self.voxel_pitch, "voxel_pitch")
         n_x = self.num_rows * self.num_cols * self.num_cols
         _require(voxels.ndim == 2 and voxels.shape[0] == n_x,
@@ -365,13 +386,13 @@ def spectral_header(ax: SpectralAxis) -> dict:
 
 
 def geometry_from_header(h: dict) -> ScanGeometry:
-    # a missing key or a value of the wrong JSON type is a malformed
-    # container; ScanGeometry's own checks still raise ValidationError
+    # a missing key or a wrong JSON type (a count must be an integer) is a
+    # malformed container; ScanGeometry's checks still raise ValidationError
     try:
+        counts = {k: h[k] for k in ("num_views", "num_rows", "num_cols")}
+        if not all(map(_is_integer, counts.values())):
+            raise TypeError(f"counts must be JSON integers, got {counts}")
         fields = dict(
-            num_views=int(h["num_views"]),
-            num_rows=int(h["num_rows"]),
-            num_cols=int(h["num_cols"]),
             view_angles=np.asarray(h["view_angles"], dtype=np.float64),
             flight_path=float(h["flight_path"]),
             pixel_pitch=float(h.get("pixel_pitch", 1.0)),
@@ -380,7 +401,7 @@ def geometry_from_header(h: dict) -> ScanGeometry:
         raise ContainerError(f"geometry header is missing key {exc}") from None
     except (TypeError, ValueError) as exc:  # a non-object header or a bad value
         raise ContainerError(f"malformed geometry header: {exc}") from None
-    return ScanGeometry(**fields)
+    return ScanGeometry(**counts, **fields)
 
 
 def spectral_from_header(h: dict) -> SpectralAxis:
@@ -403,7 +424,6 @@ def _pack(data) -> tuple[dict, np.ndarray]:
         payload = np.concatenate([data.counts, data.open_beam[None]], axis=0)
         return {
             "role": "raw-scan",
-            "axis_order": "view,row,col,bin",
             "geometry": geometry_header(data.geometry),
             "spectral": spectral_header(data.axis),
         }, payload
@@ -412,7 +432,6 @@ def _pack(data) -> tuple[dict, np.ndarray]:
         payload = data.values.reshape(g.num_views, g.num_rows, g.num_cols, data.axis.num_bins)
         return {
             "role": "sinogram",
-            "axis_order": "view,row,col,bin",
             "geometry": geometry_header(g),
             "spectral": spectral_header(data.axis),
         }, payload
@@ -421,13 +440,11 @@ def _pack(data) -> tuple[dict, np.ndarray]:
         payload = data.coeffs.reshape(g.num_views, g.num_rows, g.num_cols, data.rank)
         return {
             "role": "subspace-sinogram",
-            "axis_order": "view,row,col,bin",
             "geometry": geometry_header(g),
         }, payload
     if isinstance(data, SpectralBasis):
         return {
             "role": "basis",
-            "axis_order": "bin,channel",
             "spectral": spectral_header(data.axis),
         }, data.basis
     if isinstance(data, VolumeStack):
@@ -435,7 +452,6 @@ def _pack(data) -> tuple[dict, np.ndarray]:
                                       data.num_channels)
         return {
             "role": "volume",
-            "axis_order": "row,col,slice,channel",
             "voxel_pitch": float(data.voxel_pitch),
         }, payload
     raise ValidationError(f"cannot serialize object of type {type(data).__name__}")
@@ -482,6 +498,7 @@ def write_container(path, data, extra_header: dict | None = None) -> None:
     as it was.
     """
     header, payload = _pack(data)
+    header["axis_order"] = AXIS_ORDERS[header["role"]]
     header["dtype"] = "f32le"
     header["shape"] = list(payload.shape)
     for key, value in (extra_header or {}).items():
@@ -531,12 +548,14 @@ def read_container(path) -> tuple[dict, np.ndarray]:
         raise ContainerError(f"{path}: header is not a JSON object")
     if header.get("dtype") != "f32le":
         raise ContainerError(f"{path}: unsupported dtype {header.get('dtype')!r}")
-    axis_order = header.get("axis_order")
-    if axis_order not in ALLOWED_AXIS_ORDERS:
-        raise ContainerError(f"{path}: axis_order {axis_order!r} not in allowed set")
+    role, axis_order = header.get("role"), header.get("axis_order")
+    if not isinstance(role, str) or (role, axis_order) not in AXIS_ORDERS.items():
+        raise ContainerError(
+            f"{path}: role {role!r} with axis_order {axis_order!r} is not a "
+            f"container layout")
     shape = header.get("shape")
     if (not isinstance(shape, list) or not shape
-            or not all(isinstance(s, int) and s >= 1 for s in shape)):
+            or not all(_is_integer(s) and s >= 1 for s in shape)):
         raise ContainerError(f"{path}: bad shape {shape!r}")
     count = int(np.prod(shape))
     expected = count * 4
@@ -572,10 +591,6 @@ def load_raw_scan(path) -> RawScan:
 
 def load_sinogram(path) -> HyperspectralSinogram:
     return load_container(path, "sinogram")[0]
-
-
-def load_subspace_sinogram(path) -> SubspaceSinogram:
-    return load_container(path, "subspace-sinogram")[0]
 
 
 def load_basis(path) -> SpectralBasis:

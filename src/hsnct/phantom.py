@@ -28,7 +28,11 @@ from hsnct.containers import (
     ToFConverter,
     ValidationError,
     VolumeStack,
+    _is_integer,
     _require,
+    require_count,
+    require_nonneg,
+    require_positive,
     tof_to_wavelength,
 )
 from hsnct.tomo import project_volume
@@ -59,14 +63,10 @@ class EdgeFeature:
     smoothing_width: float
 
     def __post_init__(self):
-        _require(np.isfinite(self.edge_wavelength) and self.edge_wavelength > 0,
-                 "edge_wavelength must be finite and > 0")
-        _require(np.isfinite(self.pre_level) and self.pre_level >= 0,
-                 "pre_level must be finite and >= 0")
-        _require(np.isfinite(self.post_level) and self.post_level >= 0,
-                 "post_level must be finite and >= 0")
-        _require(np.isfinite(self.smoothing_width) and self.smoothing_width > 0,
-                 "smoothing_width must be finite and > 0")
+        require_positive(self.edge_wavelength, "edge_wavelength")
+        require_nonneg(self.pre_level, "pre_level")
+        require_nonneg(self.post_level, "post_level")
+        require_positive(self.smoothing_width, "smoothing_width")
 
     def level_at(self, wavelengths: np.ndarray) -> np.ndarray:
         t = (wavelengths - self.edge_wavelength) / self.smoothing_width
@@ -84,8 +84,7 @@ class MaterialSpectrum:
 
     def __post_init__(self):
         _require(bool(self.name), "material name must be non-empty")
-        _require(np.isfinite(self.baseline) and self.baseline >= 0,
-                 "baseline must be finite and >= 0")
+        require_nonneg(self.baseline, "baseline")
         object.__setattr__(self, "edges", tuple(self.edges))
 
     def attenuation(self, wavelengths) -> np.ndarray:
@@ -119,15 +118,16 @@ class ShapeSpec:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "half_size", half)
         for c, h in zip(center, half):
-            _require(np.isfinite(c) and np.isfinite(h) and h > 0,
-                     "shape placement must be finite with half_size > 0")
+            require_positive(h, "half_size")
             _require(c - h >= 0.0 and c + h <= 1.0,
                      f"shape exceeds the image bounds: center {center}, half_size {half}")
-        _require(self.material >= 0, "material index must be >= 0")
+        _require(_is_integer(self.material) and self.material >= 0,
+                 f"material index must be an integer >= 0, got {self.material!r}")
         if self.slices is not None:
-            s = (int(self.slices[0]), int(self.slices[1]))
+            s = tuple(self.slices)
             object.__setattr__(self, "slices", s)
-            _require(0 <= s[0] < s[1], f"bad slice range {s}")
+            _require(len(s) == 2 and all(map(_is_integer, s)) and 0 <= s[0] < s[1],
+                     f"bad slice range {s}")
 
     def mask(self, image_size: int) -> np.ndarray:
         """Boolean raster on the pixel-center grid."""
@@ -157,12 +157,14 @@ class PhantomSpec:
     seed: int
 
     def __post_init__(self):
-        _require(self.image_size >= 1, "image_size must be >= 1")
-        _require(self.num_slices >= 1, "num_slices must be >= 1")
+        require_count(self.image_size, "image_size")
+        require_count(self.num_slices, "num_slices")
+        _require(_is_integer(self.seed) and self.seed >= 0,
+                 f"seed must be an integer >= 0, got {self.seed!r}")
         object.__setattr__(self, "shapes", tuple(self.shapes))
         object.__setattr__(self, "materials", tuple(self.materials))
         _require(len(self.materials) > 0, "materials must be non-empty")
-        _require(np.isfinite(self.flux) and self.flux > 0, "flux must be > 0")
+        require_positive(self.flux, "flux")
         for shape in self.shapes:
             _require(shape.material < len(self.materials),
                      f"shape references material {shape.material} but only "
@@ -193,18 +195,18 @@ def spec_from_dict(d: dict) -> PhantomSpec:
                 kind=s["kind"],
                 center=tuple(s["center"]),
                 half_size=tuple(s["half_size"]),
-                material=int(s["material"]),
-                slices=None if s.get("slices") is None else tuple(s["slices"]),
+                material=s["material"],
+                slices=s.get("slices"),
             )
             for s in d["shapes"]
         )
         return PhantomSpec(
-            image_size=int(d["image_size"]),
-            num_slices=int(d["num_slices"]),
+            image_size=d["image_size"],
+            num_slices=d["num_slices"],
             shapes=shapes,
             materials=materials,
             flux=float(d["flux"]),
-            seed=int(d["seed"]),
+            seed=d["seed"],
         )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed phantom spec: {exc}") from None
@@ -253,7 +255,7 @@ def simulate_scan(truth: VolumeStack, geom: ScanGeometry, axis: SpectralAxis,
     With ``noise=False`` the expected values themselves are returned, which
     is the noiseless limit used by the physics round-trip checks.
     """
-    _require(np.isfinite(flux) and flux > 0, "flux must be > 0")
+    require_positive(flux, "flux")
     _require(truth.num_channels == axis.num_bins,
              f"truth has {truth.num_channels} channels but the axis has "
              f"{axis.num_bins} bins")

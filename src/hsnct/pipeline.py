@@ -26,11 +26,13 @@ from hsnct.containers import (
     SpectralAxis,
     ValidationError,
     VolumeStack,
+    require_count,
+    require_nonneg,
 )
 from hsnct.phantom import PhantomSpec, build_ground_truth, simulate_scan
 from hsnct.preprocess import normalize
 from hsnct.subspace import NmfOptions, expand, nmf_factorize
-from hsnct.tomo import _ENGINES, MbirOptions, reconstruct_stack
+from hsnct.tomo import MbirOptions, reconstruct_stack, require_engine
 
 __all__ = [
     "PipelineConfig",
@@ -65,15 +67,8 @@ class PipelineConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.recon_engine not in _ENGINES:
-            raise ValidationError(
-                f"recon_engine must be one of {_ENGINES}, got {self.recon_engine!r}")
-        if self.recon is not None and (self.recon_engine != "mbir"
-                                       or not isinstance(self.recon, MbirOptions)):
-            raise ValidationError("recon options only apply to the mbir engine, "
-                                  "as MbirOptions")
-        if self.threads < 1:
-            raise ValidationError("threads must be >= 1")
+        require_engine(self.recon_engine, self.recon)
+        require_count(self.threads, "threads")
 
 
 @dataclass(frozen=True)
@@ -92,11 +87,8 @@ class RunReport:
 
     def __post_init__(self):
         for name in ("extract_s", "recon_s", "expand_s", "total_s"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0):
-                raise ValidationError(f"{name} must be finite and >= 0")
-        if self.channels < 1:
-            raise ValidationError("channels must be >= 1")
+            require_nonneg(getattr(self, name), name)
+        require_count(self.channels, "channels")
         if self.snr_db is not None and not np.isfinite(self.snr_db):
             raise ValidationError("snr_db must be finite when present")
 

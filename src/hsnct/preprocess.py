@@ -21,7 +21,7 @@ import numpy as np
 from hsnct.containers import (
     HyperspectralSinogram,
     RawScan,
-    ValidationError,
+    require_positive,
     tof_to_wavelength,
 )
 
@@ -34,8 +34,7 @@ class NormalizationOptions:
     clamp_negative: bool = True
 
     def __post_init__(self):
-        if not (np.isfinite(self.count_floor) and self.count_floor > 0):
-            raise ValidationError("count_floor must be finite and > 0")
+        require_positive(self.count_floor, "count_floor")
 
 
 def normalize(scan: RawScan, opts: NormalizationOptions | None = None) -> HyperspectralSinogram:

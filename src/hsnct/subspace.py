@@ -40,6 +40,8 @@ from hsnct.containers import (
     ValidationError,
     VolumeStack,
     require_count,
+    require_nonneg,
+    require_positive,
 )
 
 __all__ = [
@@ -64,8 +66,7 @@ class NmfOptions:
     def __post_init__(self):
         require_count(self.rank, "rank")
         require_count(self.max_iters, "max_iters")
-        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise ValidationError("rel_tol must be finite and > 0")
+        require_positive(self.rel_tol, "rel_tol")
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,7 @@ class FactorizationReport:
             raise ValidationError("objective_trace length must equal iterations_run")
         if trace.size and (not np.all(np.isfinite(trace)) or float(trace.min()) < 0):
             raise ValidationError("objective_trace must be finite and >= 0")
-        if not (0.0 <= self.residual_energy < np.inf):
-            raise ValidationError("residual_energy must be finite and >= 0")
+        require_nonneg(self.residual_energy, "residual_energy")
 
 
 def _init_factors(X, rank, seed):

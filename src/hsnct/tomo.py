@@ -62,7 +62,9 @@ from hsnct.containers import (
     ValidationError,
     VolumeStack,
     require_count,
+    require_nonneg,
     require_positive,
+    require_view_angles,
 )
 
 __all__ = [
@@ -74,6 +76,7 @@ __all__ = [
     "mbir_reconstruct",
     "project_volume",
     "reconstruct_stack",
+    "require_engine",
     "slice_geometry_for",
 ]
 
@@ -101,21 +104,10 @@ class SliceGeometry:
     pixel_pitch: float = 1.0
 
     def __post_init__(self):
-        if self.num_angles < 1:
-            raise ValidationError("num_angles must be >= 1")
-        if self.num_detector_bins < 1 or self.image_size < 1:
-            raise ValidationError("detector and image sizes must be >= 1")
+        for name in ("num_angles", "num_detector_bins", "image_size"):
+            require_count(getattr(self, name), name)
         require_positive(self.pixel_pitch, "pixel_pitch")
-        angles = np.ascontiguousarray(self.angles, dtype=np.float64)
-        angles.flags.writeable = False
-        object.__setattr__(self, "angles", angles)
-        if angles.shape != (self.num_angles,):
-            raise ValidationError(
-                f"expected {self.num_angles} angles, got shape {angles.shape}")
-        if not np.all(np.isfinite(angles)):
-            raise ValidationError("angles must be finite")
-        if np.any(angles < 0.0) or np.any(angles >= np.pi):
-            raise ValidationError("angles must lie in [0, pi)")
+        object.__setattr__(self, "angles", require_view_angles(self.angles, self.num_angles))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,13 +122,10 @@ class MbirOptions:
     def __post_init__(self):
         if self.prior not in _PRIORS:
             raise ValidationError(f"prior must be one of {_PRIORS}, got {self.prior!r}")
-        if not (np.isfinite(self.regularization_weight) and self.regularization_weight >= 0):
-            raise ValidationError("regularization_weight must be finite and >= 0")
-        if not (np.isfinite(self.huber_delta) and self.huber_delta > 0):
-            raise ValidationError("huber_delta must be finite and > 0")
+        require_nonneg(self.regularization_weight, "regularization_weight")
+        require_positive(self.huber_delta, "huber_delta")
         require_count(self.max_iters, "max_iters")
-        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise ValidationError("rel_tol must be finite and > 0")
+        require_positive(self.rel_tol, "rel_tol")
         if self.noise_weights is not None:
             w = np.asarray(self.noise_weights, dtype=np.float64)
             if not np.all(np.isfinite(w)) or (w.size and float(w.min()) < 0):
@@ -144,6 +133,14 @@ class MbirOptions:
             if w.size and float(w.max()) == 0.0:
                 raise ValidationError("noise_weights are all zero")
             object.__setattr__(self, "noise_weights", w)
+
+
+def require_engine(engine: str, opts) -> None:
+    """Raise ValidationError unless ``engine`` is known and ``opts`` suits it."""
+    if engine not in _ENGINES:
+        raise ValidationError(f"engine must be one of {_ENGINES}, got {engine!r}")
+    if opts is not None and (engine != "mbir" or not isinstance(opts, MbirOptions)):
+        raise ValidationError("options only apply to the mbir engine, as MbirOptions")
 
 
 def slice_geometry_for(geom: ScanGeometry) -> SliceGeometry:
@@ -570,12 +567,11 @@ def reconstruct_stack(sinos, geom: ScanGeometry, engine: str,
     HyperspectralSinogram (C = wavelength bins).  Detector row r maps to
     volume slice r.  Every (slice, channel) pair is one column of a single
     ``_reconstruct_columns`` call, which spreads its parts over ``threads``
-    workers.
+    workers.  MBIR ``noise_weights`` must be shaped (N_p, C), like the
+    sinogram values.
     """
-    if engine not in _ENGINES:
-        raise ValidationError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
+    require_engine(engine, opts)
+    require_count(threads, "threads")
     if isinstance(sinos, SubspaceSinogram):
         values, sgeom = sinos.coeffs, sinos.geometry
     elif isinstance(sinos, HyperspectralSinogram):
@@ -588,8 +584,6 @@ def reconstruct_stack(sinos, geom: ScanGeometry, engine: str,
             or sgeom.pixel_pitch != geom.pixel_pitch
             or not np.array_equal(sgeom.view_angles, geom.view_angles)):
         raise ValidationError("sinogram geometry does not match the scan geometry")
-    if engine == "fbp" and opts is not None:
-        raise ValidationError("options only apply to the mbir engine")
     if engine == "mbir" and opts is None:
         opts = MbirOptions()
 
@@ -603,13 +597,10 @@ def reconstruct_stack(sinos, geom: ScanGeometry, engine: str,
 
     W = None
     if engine == "mbir" and opts.noise_weights is not None:
-        w = opts.noise_weights
-        if w.shape == values.shape[:1]:
-            w = np.broadcast_to(w[:, None], values.shape)
-        elif w.shape != values.shape:
-            raise ValidationError(
-                f"noise_weights shape {w.shape} matches neither (N_p,) nor (N_p, C)")
-        W = columns(w)
+        if opts.noise_weights.shape != values.shape:
+            raise ValidationError(f"noise_weights shape {opts.noise_weights.shape} "
+                                  f"!= sinogram shape (N_p, C) = {values.shape}")
+        W = columns(opts.noise_weights)
     X, _ = _reconstruct_columns(columns(values), slice_geometry_for(geom), opts, W, threads)
     # pixels x (slice, channel) -> (slice, pixel, channel), cast once
     vox = np.ascontiguousarray(X.reshape(n_c * n_c, n_r, C).transpose(1, 0, 2),

@@ -12,8 +12,8 @@ from hsnct.containers import (
     VolumeStack,
     geometry_header,
     load_basis,
+    load_container,
     load_sinogram,
-    load_subspace_sinogram,
     load_volume,
     spectral_header,
     write_container,
@@ -35,7 +35,8 @@ TIMING_KEYS = {"extract_s", "recon_s", "expand_s", "total_s"}
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """Small end-to-end workspace: spec/geom JSON plus the stage outputs up
-    to normalized projections."""
+    to normalized projections, their rank-3 extraction (v, d) and its fbp
+    volume (xs), so that each test reads only what this fixture wrote."""
     d = tmp_path_factory.mktemp("cli")
     mats = (
         MaterialSpectrum("m0", 0.01, (EdgeFeature(2.0 * ANG, 0.002, 0.01, 0.08 * ANG),)),
@@ -61,6 +62,11 @@ def workdir(tmp_path_factory):
                  "--out", str(d / "scan.hsnct"), "--seed", "7"]) == 0
     assert main(["normalize", "--scan", str(d / "scan.hsnct"),
                  "--out", str(d / "p.hsnct")]) == 0
+    assert main(["extract", "--in", str(d / "p.hsnct"), "--rank", "3",
+                 "--out-v", str(d / "v.hsnct"), "--out-d", str(d / "d.hsnct"),
+                 "--max-iters", "300", "--tol", "1e-6"]) == 0
+    assert main(["reconstruct", "--in", str(d / "v.hsnct"), "--engine", "fbp",
+                 "--out", str(d / "xs.hsnct")]) == 0
     return d
 
 
@@ -104,17 +110,13 @@ class TestStageCommands:
         assert float(raw.values.min()) < 0.0
 
     def test_extract_reconstruct_expand(self, workdir):
+        # the fixture ran extract and reconstruct
         d = workdir
-        assert main(["extract", "--in", str(d / "p.hsnct"), "--rank", "3",
-                     "--out-v", str(d / "v.hsnct"), "--out-d", str(d / "d.hsnct"),
-                     "--max-iters", "300", "--tol", "1e-6"]) == 0
-        coeffs = load_subspace_sinogram(d / "v.hsnct")
+        coeffs = load_container(d / "v.hsnct", "subspace-sinogram")[0]
         basis = load_basis(d / "d.hsnct")
         assert coeffs.rank == 3 and basis.rank == 3
         assert basis.basis.shape == (16, 3)
 
-        assert main(["reconstruct", "--in", str(d / "v.hsnct"), "--engine", "fbp",
-                     "--out", str(d / "xs.hsnct")]) == 0
         xs, _ = load_volume(d / "xs.hsnct")
         assert xs.num_channels == 3
         assert xs.voxels.shape == (2 * 32 * 32, 3)
@@ -218,7 +220,7 @@ class TestPipelineCommands:
 class TestSliceCommand:
     def test_pgm_output(self, workdir):
         out = workdir / "img.pgm"
-        assert main(["slice", "--in", str(workdir / "f1.hsnct"), "--z", "1",
+        assert main(["slice", "--in", str(workdir / "t.hsnct"), "--z", "1",
                      "--bin", "8", "--out", str(out)]) == 0
         blob = out.read_bytes()
         assert blob.startswith(b"P5\n32 32\n255\n")
@@ -234,7 +236,7 @@ class TestSliceCommand:
         assert blob == b"P5\n4 4\n255\n" + bytes(16)
 
     def test_out_of_range_indices(self, workdir):
-        args = ["slice", "--in", str(workdir / "f1.hsnct"),
+        args = ["slice", "--in", str(workdir / "t.hsnct"),
                 "--out", str(workdir / "x.pgm")]
         assert main(args + ["--z", "5", "--bin", "0"]) == 1
         assert main(args + ["--z", "0", "--bin", "99"]) == 1
@@ -258,8 +260,12 @@ class TestExitCodes:
         ("spectral", {"flight_path": None}),
         ("geometry", {"num_views": "four"}),
         ("spectral", {"flight_path": "far"}),
+        ("geometry", {"num_views": 2.9}),
+        ("geometry", {"num_views": True}),
+        ("geometry", {"num_views": "4"}),
     ], ids=["null-num-views", "list-geometry", "null-flight-path", "string-num-views",
-            "string-flight-path"])
+            "string-flight-path", "float-num-views", "bool-num-views",
+            "numeric-string-num-views"])
     def test_malformed_header_is_container_error(self, workdir, capsys, command,
                                                  section, value):
         # a header whose values have the wrong JSON type is a malformed
@@ -309,6 +315,17 @@ class TestExitCodes:
                      "--report", str(workdir / "bad_shape_out.json")]) == 1
         err = capsys.readouterr().err
         assert str(bad) in err and str(shape) in err and "[16, 2, 32, C]" in err
+        assert not out.exists()
+
+    def test_axis_order_must_match_role(self, workdir, capsys):
+        # the axis order is a known one, but not the one of a basis
+        bad = workdir / "bad_axis_order.hsnct"
+        patch_header(workdir / "d.hsnct", bad,
+                     lambda h: h.update({"axis_order": "row,col,slice,channel"}))
+        out = workdir / "bad_axis_order_out.hsnct"
+        assert main(["expand", "--in", str(workdir / "xs.hsnct"), "--basis", str(bad),
+                     "--out", str(out)]) == 2
+        assert "axis_order 'row,col,slice,channel'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_null_voxel_pitch_is_container_error(self, workdir, capsys):
@@ -372,6 +389,24 @@ class TestExitCodes:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert str(bad) in err and "flight_path" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["spec", "geom"])
+    @pytest.mark.parametrize("value", [2.9, True, "4"])
+    def test_json_input_non_integer_count_is_validation_error(self, workdir, capsys,
+                                                              name, value):
+        # in a JSON input, as in a container header, a count is not rounded
+        blob = json.loads((workdir / f"{name}.json").read_text())
+        key = "num_slices" if name == "spec" else "num_rows"
+        (blob["phantom"] if name == "spec" else blob)[key] = value
+        bad = workdir / f"non_integer_{name}.json"
+        bad.write_text(json.dumps(blob))
+        out = workdir / "non_integer_out.hsnct"
+        args = (["phantom", "--spec", str(bad), "--out-truth", str(out)] if name == "spec"
+                else ["simulate", "--truth", str(workdir / "t.hsnct"), "--geom", str(bad),
+                      "--flux", "200", "--out", str(out)])
+        assert main(args) == 1
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_rank_rejected(self, workdir):

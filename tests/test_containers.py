@@ -21,7 +21,6 @@ from hsnct.containers import (
     load_container,
     load_raw_scan,
     load_sinogram,
-    load_subspace_sinogram,
     load_volume,
     read_container,
     sinogram_row_count,
@@ -57,6 +56,14 @@ class TestScanGeometry:
             ScanGeometry(2, 2, 2, np.array([0.0, np.pi]), flight_path=10.0)
         with pytest.raises(ValidationError):
             ScanGeometry(2, 2, 2, np.array([-0.1, 1.0]), flight_path=10.0)
+
+    @pytest.mark.parametrize("count", [2.0, True, "2"])
+    def test_non_integer_count_rejected(self, count):
+        angles = np.array([0.0, 1.0])
+        with pytest.raises(ValidationError, match="num_views must be >= 1 and an integer"):
+            ScanGeometry(count, 1, 2, angles, flight_path=10.0)
+        with pytest.raises(ValidationError, match="num_cols must be >= 1 and an integer"):
+            ScanGeometry(2, 1, count, angles, flight_path=10.0)
 
     def test_non_increasing_angles_rejected(self):
         with pytest.raises(ValidationError):
@@ -344,7 +351,8 @@ class TestContainerFormat:
             basis = SpectralBasis(rng.uniform(0.1, 1, size=(n_k, n_s)), axis)
             vol = VolumeStack(rng.normal(size=(n_r * n_c * n_c, n_s)), n_r, n_c)
 
-            for obj, loader in ((sino, load_sinogram), (sub, load_subspace_sinogram),
+            for obj, loader in ((sino, load_sinogram),
+                                (sub, lambda p: load_container(p, "subspace-sinogram")[0]),
                                 (basis, load_basis), (vol, load_volume)):
                 path = tmp_path / f"t{trial}_{type(obj).__name__}.hsnct"
                 write_container(path, obj)

@@ -150,6 +150,20 @@ class TestPhantomSpec:
     def test_malformed_dict_rejected(self):
         with pytest.raises(ValidationError):
             spec_from_dict({"image_size": 16})
+        # integer fields are parsed as they are, not rounded
+        spec, _, _ = default_benchmark_phantom()
+        for key in ("image_size", "num_slices", "seed"):
+            for value in (2.9, True, "4"):
+                blob = json.loads(json.dumps(spec_to_dict(spec)))
+                blob[key] = value
+                with pytest.raises(ValidationError, match=key):
+                    spec_from_dict(blob)
+        for key in ("material", "slices"):
+            for value in (0.5, True, "0", [0.5, 2]):
+                blob = json.loads(json.dumps(spec_to_dict(spec)))
+                blob["shapes"][1][key] = value
+                with pytest.raises(ValidationError):
+                    spec_from_dict(blob)
 
 
 class TestBuildGroundTruth:

@@ -55,6 +55,14 @@ class TestSliceGeometry:
         with pytest.raises(ValidationError):
             SliceGeometry(3, np.array([0.0, 1.0]), 8, 8)
 
+    @pytest.mark.parametrize("count", [4.5, True, "4"])
+    def test_non_integer_count_rejected(self, count):
+        angles = np.array([0.0, 1.0])
+        with pytest.raises(ValidationError, match="num_detector_bins"):
+            SliceGeometry(2, angles, count, 4)
+        with pytest.raises(ValidationError, match="image_size"):
+            SliceGeometry(2, angles, 4, count)
+
     def test_infinite_pitch_rejected(self):
         with pytest.raises(ValidationError, match="pixel_pitch must be > 0 and finite"):
             SliceGeometry(1, np.array([0.0]), 8, 8, pixel_pitch=np.inf)
@@ -411,18 +419,16 @@ class TestReconstructStack:
         v2 = reconstruct_stack(sub, geom, "mbir", opts, threads=2)
         assert v1.voxels.tobytes() == v2.voxels.tobytes()
 
-    @pytest.mark.parametrize("per_channel", [False, True])
-    def test_noise_weights_follow_their_slice_and_channel(self, per_channel):
+    def test_noise_weights_follow_their_slice_and_channel(self):
         # slices are batched as columns; each must keep its own rays' weights
         geom, vals = stack_inputs(n_r=3, C=2, seed=5)
         rng = np.random.default_rng(6)
-        shape = vals.shape if per_channel else vals.shape[:1]
-        w = rng.uniform(0.2, 1.0, shape)
+        w = rng.uniform(0.2, 1.0, vals.shape)
         opts = MbirOptions(regularization_weight=1.0, max_iters=10, noise_weights=w)
         vol = reconstruct_stack(SubspaceSinogram(vals, geom), geom, "mbir", opts)
         n_v, n_c, sg = geom.num_views, geom.num_cols, slice_geometry_for(geom)
         y4 = SubspaceSinogram(vals, geom).coeffs.astype(np.float64).reshape(n_v, 3, n_c, 2)
-        w4 = (w if per_channel else np.repeat(w[:, None], 2, axis=1)).reshape(n_v, 3, n_c, 2)
+        w4 = w.reshape(n_v, 3, n_c, 2)
         for r in range(3):
             for c in range(2):
                 img = mbir_reconstruct(y4[:, r, :, c], sg, MbirOptions(
@@ -459,6 +465,26 @@ class TestReconstructStack:
         with pytest.raises(ValidationError):
             reconstruct_stack(SubspaceSinogram(vals, geom), geom, "fbp",
                               MbirOptions())
+
+    def test_options_must_be_mbir_options(self):
+        # the rule PipelineConfig applies to its engine and options
+        geom, vals = stack_inputs()
+        with pytest.raises(ValidationError, match="as MbirOptions"):
+            reconstruct_stack(SubspaceSinogram(vals, geom), geom, "mbir",
+                              {"regularization_weight": 2.0})
+
+    @pytest.mark.parametrize("threads", [0, 1.5, True])
+    def test_threads_must_be_a_count(self, threads):
+        geom, vals = stack_inputs()
+        with pytest.raises(ValidationError, match="threads"):
+            reconstruct_stack(SubspaceSinogram(vals, geom), geom, "fbp", threads=threads)
+
+    def test_flat_noise_weights_rejected(self):
+        # one weight per ray and channel; a (N_p,) vector is not broadcast
+        geom, vals = stack_inputs(C=2)
+        opts = MbirOptions(max_iters=2, noise_weights=np.ones(vals.shape[0]))
+        with pytest.raises(ValidationError, match="noise_weights shape"):
+            reconstruct_stack(SubspaceSinogram(vals, geom), geom, "mbir", opts)
 
 
 # --- equivalence with the directional-difference definitions ----------------
