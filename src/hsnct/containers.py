@@ -15,7 +15,7 @@ on every platform.
 
 The role fixes the axis order (``AXIS_ORDERS``); a header whose
 ``axis_order`` disagrees with its role, or that holds a value of the wrong
-JSON type (a non-integer count, say), raises ContainerError:
+JSON type (``2.9`` as a count, ``"10"`` as a length), raises ContainerError:
 
     ``view,row,col,bin``       raw scans, sinograms, subspace sinograms
                                (channels on ``bin``)
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import numbers
 import os
 import struct
 import uuid
@@ -59,6 +60,7 @@ __all__ = [
     "SpectralBasis",
     "VolumeStack",
     "require_count",
+    "require_nonneg_int",
     "require_positive",
     "require_nonneg",
     "require_view_angles",
@@ -108,30 +110,41 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    # numpy's float and integer scalars are numbers.Real; bool is not a number here
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def require_count(value, name: str):
     """Raise ValidationError unless ``value`` is an integer >= 1 (a bool is not a count)."""
     _require(_is_integer(value) and value >= 1,
              f"{name} must be >= 1 and an integer, got {value!r}")
 
 
+def require_nonneg_int(value, name: str):
+    """Raise ValidationError unless ``value`` is an integer >= 0 (not a bool)."""
+    _require(_is_integer(value) and value >= 0,
+             f"{name} must be an integer >= 0, got {value!r}")
+
+
 def require_positive(value, name: str):
-    """Raise ValidationError unless ``value`` is finite and > 0."""
-    _require(bool(np.isfinite(value)) and value > 0,
+    """Raise ValidationError unless ``value`` is a real number, finite and > 0."""
+    _require(_is_real(value) and bool(np.isfinite(value)) and value > 0,
              f"{name} must be > 0 and finite, got {value!r}")
 
 
 def require_nonneg(value, name: str):
-    """Raise ValidationError unless ``value`` is finite and >= 0."""
-    _require(bool(np.isfinite(value)) and value >= 0,
+    """Raise ValidationError unless ``value`` is a real number, finite and >= 0."""
+    _require(_is_real(value) and bool(np.isfinite(value)) and value >= 0,
              f"{name} must be >= 0 and finite, got {value!r}")
 
 
-def require_view_angles(values, count: int) -> np.ndarray:
-    """``values`` as a read-only float64 (count,) array of angles in [0, pi)."""
+def require_view_angles(values) -> np.ndarray:
+    """``values`` as a read-only, non-empty 1-D float64 array of angles in [0, pi)."""
     angles = np.ascontiguousarray(values, dtype=np.float64)
     angles.flags.writeable = False
-    _require(angles.shape == (count,),
-             f"expected {count} view angles, got shape {angles.shape}")
+    _require(angles.ndim == 1 and angles.size >= 1,
+             f"view angles must be a non-empty 1-D array, got shape {angles.shape}")
     # NaN and +-inf fail the range test too
     _require(np.all((angles >= 0.0) & (angles < np.pi)),
              "view angles must be finite and lie in [0, pi)")
@@ -163,8 +176,10 @@ class ScanGeometry:
     def __post_init__(self):
         for name in ("num_views", "num_rows", "num_cols"):
             require_count(getattr(self, name), name)
-        angles = require_view_angles(self.view_angles, self.num_views)
+        angles = require_view_angles(self.view_angles)
         object.__setattr__(self, "view_angles", angles)
+        _require(angles.size == self.num_views,
+                 f"expected {self.num_views} view angles, got shape {angles.shape}")
         _require(np.all(np.diff(angles) > 0), "view angles must be strictly increasing")
         require_positive(self.flight_path, "flight_path")
         require_positive(self.pixel_pitch, "pixel_pitch")
@@ -386,36 +401,37 @@ def spectral_header(ax: SpectralAxis) -> dict:
 
 
 def geometry_from_header(h: dict) -> ScanGeometry:
-    # a missing key or a wrong JSON type (a count must be an integer) is a
-    # malformed container; ScanGeometry's checks still raise ValidationError
+    # a missing key or a wrong JSON type (a count must be an integer, a
+    # length a number) is a malformed container; ScanGeometry's checks
+    # still raise ValidationError
     try:
         counts = {k: h[k] for k in ("num_views", "num_rows", "num_cols")}
+        lengths = {"flight_path": h["flight_path"], "pixel_pitch": h.get("pixel_pitch", 1.0)}
         if not all(map(_is_integer, counts.values())):
             raise TypeError(f"counts must be JSON integers, got {counts}")
-        fields = dict(
-            view_angles=np.asarray(h["view_angles"], dtype=np.float64),
-            flight_path=float(h["flight_path"]),
-            pixel_pitch=float(h.get("pixel_pitch", 1.0)),
-        )
+        if not all(map(_is_real, lengths.values())):
+            raise TypeError(f"lengths must be JSON numbers, got {lengths}")
+        angles = np.asarray(h["view_angles"], dtype=np.float64)
     except KeyError as exc:
         raise ContainerError(f"geometry header is missing key {exc}") from None
     except (TypeError, ValueError) as exc:  # a non-object header or a bad value
         raise ContainerError(f"malformed geometry header: {exc}") from None
-    return ScanGeometry(**counts, **fields)
+    return ScanGeometry(**counts, view_angles=angles, **lengths)
 
 
 def spectral_from_header(h: dict) -> SpectralAxis:
     try:
-        flight_path = float(h["flight_path"])
-        planck_h = float(h.get("planck_h", PLANCK_H))
-        neutron_mass = float(h.get("neutron_mass", NEUTRON_MASS))
+        constants = {"flight_path": h["flight_path"],
+                     "planck_h": h.get("planck_h", PLANCK_H),
+                     "neutron_mass": h.get("neutron_mass", NEUTRON_MASS)}
+        if not all(map(_is_real, constants.values())):
+            raise TypeError(f"constants must be JSON numbers, got {constants}")
         tof_edges = np.asarray(h["tof_edges"], dtype=np.float64)
     except KeyError as exc:
         raise ContainerError(f"spectral header is missing key {exc}") from None
     except (TypeError, ValueError) as exc:  # a non-object header or a bad value
         raise ContainerError(f"malformed spectral header: {exc}") from None
-    return SpectralAxis(tof_edges, ToFConverter(flight_path=flight_path, planck_h=planck_h,
-                                                neutron_mass=neutron_mass))
+    return SpectralAxis(tof_edges, ToFConverter(**constants))
 
 
 def _pack(data) -> tuple[dict, np.ndarray]:
@@ -466,10 +482,9 @@ def _unpack(header: dict, arr: np.ndarray, path):
     if role == "volume":
         if arr.ndim != 4 or arr.shape[2] != arr.shape[1]:
             raise ValidationError(f"{path}: volume shape {arr.shape} is not [N_r,N_c,N_c,C]")
-        try:
-            pitch = float(header.get("voxel_pitch", 1.0))
-        except TypeError as exc:  # a null or list value
-            raise ContainerError(f"{path}: malformed voxel_pitch: {exc}") from None
+        pitch = header.get("voxel_pitch", 1.0)
+        if not _is_real(pitch):
+            raise ContainerError(f"{path}: voxel_pitch must be a JSON number, got {pitch!r}")
         n_r, n_c = arr.shape[0], arr.shape[1]
         return VolumeStack(arr.reshape(n_r * n_c * n_c, arr.shape[3]), n_r, n_c,
                            voxel_pitch=pitch)

@@ -32,6 +32,7 @@ from hsnct.containers import (
     _require,
     require_count,
     require_nonneg,
+    require_nonneg_int,
     require_positive,
     tof_to_wavelength,
 )
@@ -121,8 +122,7 @@ class ShapeSpec:
             require_positive(h, "half_size")
             _require(c - h >= 0.0 and c + h <= 1.0,
                      f"shape exceeds the image bounds: center {center}, half_size {half}")
-        _require(_is_integer(self.material) and self.material >= 0,
-                 f"material index must be an integer >= 0, got {self.material!r}")
+        require_nonneg_int(self.material, "material")
         if self.slices is not None:
             s = tuple(self.slices)
             object.__setattr__(self, "slices", s)
@@ -159,8 +159,7 @@ class PhantomSpec:
     def __post_init__(self):
         require_count(self.image_size, "image_size")
         require_count(self.num_slices, "num_slices")
-        _require(_is_integer(self.seed) and self.seed >= 0,
-                 f"seed must be an integer >= 0, got {self.seed!r}")
+        require_nonneg_int(self.seed, "seed")
         object.__setattr__(self, "shapes", tuple(self.shapes))
         object.__setattr__(self, "materials", tuple(self.materials))
         _require(len(self.materials) > 0, "materials must be non-empty")
@@ -205,7 +204,7 @@ def spec_from_dict(d: dict) -> PhantomSpec:
             num_slices=d["num_slices"],
             shapes=shapes,
             materials=materials,
-            flux=float(d["flux"]),
+            flux=d["flux"],
             seed=d["seed"],
         )
     except (KeyError, TypeError) as exc:
@@ -256,6 +255,7 @@ def simulate_scan(truth: VolumeStack, geom: ScanGeometry, axis: SpectralAxis,
     is the noiseless limit used by the physics round-trip checks.
     """
     require_positive(flux, "flux")
+    require_nonneg_int(seed, "seed")
     _require(truth.num_channels == axis.num_bins,
              f"truth has {truth.num_channels} channels but the axis has "
              f"{axis.num_bins} bins")

@@ -41,6 +41,7 @@ from hsnct.containers import (
     VolumeStack,
     require_count,
     require_nonneg,
+    require_nonneg_int,
     require_positive,
 )
 
@@ -65,6 +66,7 @@ class NmfOptions:
 
     def __post_init__(self):
         require_count(self.rank, "rank")
+        require_nonneg_int(self.seed, "seed")
         require_count(self.max_iters, "max_iters")
         require_positive(self.rel_tol, "rel_tol")
 

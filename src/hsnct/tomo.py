@@ -22,26 +22,26 @@ Reconstructors:
   detector width), backprojection with A^T, and a pi/(num_angles*pitch^2)
   scale so a density-1 disk comes back at value ~1.
 * ``mbir_reconstruct``: minimizes 0.5*||W^(1/2)(Ax - y)||^2 + beta*R(x)
-  over x >= 0, where R sums rho(x_i - x_j) over 8-neighbor pairs (each
-  unordered pair once, diagonals weighted 1/sqrt(2)) with rho quadratic or
-  Huber.  The quadratic prior is 0.5*x^T L x with L the weighted graph
-  Laplacian of the pairs, so its gradient is one sparse product and its
-  surrogate curvature the constant 2*diag(L).  The solver takes
-  diagonally-majorized (separable quadratic surrogate) steps projected
-  onto x >= 0, starting from the FBP image clamped at 0, and accelerates
-  them with per-channel momentum (Kim, Ramani & Fessler 2015) and two
-  restarts (O'Donoghue & Candes 2015): one when a step turns against the
-  momentum, one that discards a step that raised the objective.  A
-  discarded step counts as an iteration and repeats the objective in the
-  trace, so the trace does not increase.  Each iteration does one A and
-  one A^T product and one prior evaluation.
+  over x >= 0 with W = diag(exp(-y)), where R sums rho(x_i - x_j) over
+  8-neighbor pairs (each unordered pair once, diagonals weighted
+  1/sqrt(2)) with rho quadratic or Huber.  The quadratic prior is
+  0.5*x^T L x with L the weighted graph Laplacian of the pairs, so its
+  gradient is one sparse product and its surrogate curvature the constant
+  2*diag(L).  The solver takes diagonally-majorized (separable quadratic
+  surrogate) steps projected onto x >= 0, starting from the FBP image
+  clamped at 0, and accelerates them with per-channel momentum (Kim,
+  Ramani & Fessler 2015) and two restarts (O'Donoghue & Candes 2015): one
+  when a step turns against the momentum, one that discards a step that
+  raised the objective.  A discarded step counts as an iteration and
+  repeats the objective in the trace, so the trace does not increase.
+  Each iteration does one A and one A^T product and one prior evaluation.
 
 Both run through one driver, ``_reconstruct_columns``, which takes
 independent ray-major columns: one for a single slice, and one per
 (slice, channel) pair for ``reconstruct_stack``.  It alone decides how
 columns are grouped (parts of at most ``_BATCH_COLUMNS``, at least one per
-worker), the MBIR start and default weights, and the threading.  Columns
-never mix.
+worker), the MBIR start, the one weight rule W = exp(-y), and the
+threading.  Columns never mix.
 
 All solver arithmetic is float64.
 """
@@ -94,28 +94,34 @@ _DIRS = ((0, 1, 1.0), (1, 0, 1.0), (1, 1, _ISQ2), (1, -1, _ISQ2))
 
 @dataclass(frozen=True)
 class SliceGeometry:
-    """2D acquisition for one slice: view angles, detector width, and the
-    square image grid sharing the detector's pixel pitch."""
+    """2D acquisition for one slice: view angles in [0, pi) and the detector
+    width.  The image is the square grid as wide as the detector, sharing
+    its pixel pitch, as every slice of a VolumeStack is N_c x N_c; the
+    angle count and the image size are derived from the fields."""
 
-    num_angles: int
     angles: np.ndarray
     num_detector_bins: int
-    image_size: int
     pixel_pitch: float = 1.0
 
     def __post_init__(self):
-        for name in ("num_angles", "num_detector_bins", "image_size"):
-            require_count(getattr(self, name), name)
+        object.__setattr__(self, "angles", require_view_angles(self.angles))
+        require_count(self.num_detector_bins, "num_detector_bins")
         require_positive(self.pixel_pitch, "pixel_pitch")
-        object.__setattr__(self, "angles", require_view_angles(self.angles, self.num_angles))
+
+    @property
+    def num_angles(self) -> int:
+        return self.angles.size
+
+    @property
+    def image_size(self) -> int:
+        return self.num_detector_bins
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MbirOptions:
     prior: str = "quadratic-difference"
     regularization_weight: float = 1.0
     huber_delta: float = 0.1
-    noise_weights: np.ndarray | None = None
     max_iters: int = 100
     rel_tol: float = 1e-5
 
@@ -126,13 +132,6 @@ class MbirOptions:
         require_positive(self.huber_delta, "huber_delta")
         require_count(self.max_iters, "max_iters")
         require_positive(self.rel_tol, "rel_tol")
-        if self.noise_weights is not None:
-            w = np.asarray(self.noise_weights, dtype=np.float64)
-            if not np.all(np.isfinite(w)) or (w.size and float(w.min()) < 0):
-                raise ValidationError("noise_weights must be finite and >= 0")
-            if w.size and float(w.max()) == 0.0:
-                raise ValidationError("noise_weights are all zero")
-            object.__setattr__(self, "noise_weights", w)
 
 
 def require_engine(engine: str, opts) -> None:
@@ -145,8 +144,7 @@ def require_engine(engine: str, opts) -> None:
 
 def slice_geometry_for(geom: ScanGeometry) -> SliceGeometry:
     """The 2D geometry shared by every detector row of a parallel-beam scan."""
-    return SliceGeometry(geom.num_views, geom.view_angles, geom.num_cols,
-                         geom.num_cols, geom.pixel_pitch)
+    return SliceGeometry(geom.view_angles, geom.num_cols, geom.pixel_pitch)
 
 
 def project_volume(volume: VolumeStack, geom: ScanGeometry) -> np.ndarray:
@@ -174,19 +172,19 @@ def project_volume(volume: VolumeStack, geom: ScanGeometry) -> np.ndarray:
 
 def _system_matrix(geom: SliceGeometry) -> sp.csr_matrix:
     """The length-scaled system matrix A, (num_angles*num_detector_bins) x
-    n^2: splat weights times the pixel pitch.
+    num_detector_bins^2: splat weights times the pixel pitch.
 
     Cached per geometry (the angles enter the key as bytes, since an
     ndarray does not hash).
     """
-    return _splat_matrix(geom.angles.tobytes(), geom.num_detector_bins,
-                         geom.image_size, geom.pixel_pitch)
+    return _splat_matrix(geom.angles.tobytes(), geom.num_detector_bins, geom.pixel_pitch)
 
 
 # geometries are tiny and few per process
 @functools.lru_cache(maxsize=8)
-def _splat_matrix(angle_bytes: bytes, nd: int, n: int, pitch: float) -> sp.csr_matrix:
+def _splat_matrix(angle_bytes: bytes, nd: int, pitch: float) -> sp.csr_matrix:
     angles = np.frombuffer(angle_bytes)
+    n = nd  # the image is as wide as the detector
     half = 0.5 * (n - 1)
     u = (np.arange(n) - half) * pitch
     ua = np.repeat(u, n)      # row coordinate per flattened pixel
@@ -499,13 +497,13 @@ def _sqs_solve(A: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
 
 
 def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions | None,
-                         W: np.ndarray | None = None, threads: int = 1):
+                         threads: int = 1):
     """Reconstruct independent ray-major columns: Y (m, C) -> (images
     (n^2, C), MBIR info per column).
 
     ``opts`` None runs FBP, and there is no info.  Otherwise MBIR starts
-    from the FBP image clamped at 0 (zeros below 2 views), with weights W
-    (m, C), or exp(-y) where W is None.  Columns never mix, so they are
+    from the FBP image clamped at 0 (zeros below 2 views) and weights each
+    ray by exp(-y), the one weight rule.  Columns never mix, so they are
     solved in parts of at most _BATCH_COLUMNS, with at least one part per
     worker, and the parts are spread over ``threads`` workers.
     """
@@ -527,8 +525,7 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
             x0 = np.zeros((n * n, y.shape[1]))
         # transmission-proportional statistical weights: high attenuation
         # means few counts and an unreliable ray
-        w = np.exp(-y) if W is None else np.ascontiguousarray(W[:, part])
-        X, info = _sqs_solve(A, y, w, n, opts, x0)
+        X, info = _sqs_solve(A, y, np.exp(-y), n, opts, x0)
         out[:, part] = X
         return info
 
@@ -547,13 +544,7 @@ def mbir_reconstruct(sino: np.ndarray, geom: SliceGeometry,
     if opts is None:
         opts = MbirOptions()
     sino = _slice_input(sino, geom)
-    W = None
-    if opts.noise_weights is not None:
-        W = opts.noise_weights.reshape(-1, 1)
-        if W.shape[0] != sino.size:
-            raise ValidationError(
-                f"noise_weights size {W.shape[0]} != measurement count {sino.size}")
-    X, info = _reconstruct_columns(sino.reshape(-1, 1), geom, opts, W)
+    X, info = _reconstruct_columns(sino.reshape(-1, 1), geom, opts)
     img = X.reshape(geom.image_size, geom.image_size)
     return (img, info[0]) if return_info else img
 
@@ -567,8 +558,7 @@ def reconstruct_stack(sinos, geom: ScanGeometry, engine: str,
     HyperspectralSinogram (C = wavelength bins).  Detector row r maps to
     volume slice r.  Every (slice, channel) pair is one column of a single
     ``_reconstruct_columns`` call, which spreads its parts over ``threads``
-    workers.  MBIR ``noise_weights`` must be shaped (N_p, C), like the
-    sinogram values.
+    workers and weights MBIR's rays by exp(-y).
     """
     require_engine(engine, opts)
     require_count(threads, "threads")
@@ -590,18 +580,10 @@ def reconstruct_stack(sinos, geom: ScanGeometry, engine: str,
     n_v, n_r, n_c = geom.num_views, geom.num_rows, geom.num_cols
     C = values.shape[1]
 
-    def columns(V):
-        # (view, row, col, channel) -> rays (view, col) x (slice, channel)
-        V4 = V.reshape(n_v, n_r, n_c, -1).transpose(0, 2, 1, 3)
-        return np.ascontiguousarray(V4, dtype=np.float64).reshape(n_v * n_c, -1)
-
-    W = None
-    if engine == "mbir" and opts.noise_weights is not None:
-        if opts.noise_weights.shape != values.shape:
-            raise ValidationError(f"noise_weights shape {opts.noise_weights.shape} "
-                                  f"!= sinogram shape (N_p, C) = {values.shape}")
-        W = columns(opts.noise_weights)
-    X, _ = _reconstruct_columns(columns(values), slice_geometry_for(geom), opts, W, threads)
+    # (view, row, col, channel) -> rays (view, col) x (slice, channel)
+    V4 = values.reshape(n_v, n_r, n_c, C).transpose(0, 2, 1, 3)
+    Y = np.ascontiguousarray(V4, dtype=np.float64).reshape(n_v * n_c, -1)
+    X, _ = _reconstruct_columns(Y, slice_geometry_for(geom), opts, threads)
     # pixels x (slice, channel) -> (slice, pixel, channel), cast once
     vox = np.ascontiguousarray(X.reshape(n_c * n_c, n_r, C).transpose(1, 0, 2),
                                dtype=np.float32)

@@ -184,7 +184,7 @@ class TestCriterion3NmfSuite:
 class TestCriterion4ProjectorSuite:
     def test_criterion_4_projector_and_fbp(self, capfd):
         # inner-product adjoint identity on 20 random pairs
-        geom = SliceGeometry(32, np.linspace(0, np.pi, 32, endpoint=False), 64, 64)
+        geom = SliceGeometry(np.linspace(0, np.pi, 32, endpoint=False), 64)
         rng = np.random.default_rng(0)
         worst_adj = 0.0
         for _ in range(20):
@@ -206,13 +206,13 @@ class TestCriterion4ProjectorSuite:
         chord = 2 * np.sqrt(np.maximum(radius**2 - u**2, 0.0))
         worst_chord = 0.0
         for ang in (0.0, np.pi / 7, np.pi / 4, 1.2, 3 * np.pi / 4, 2.9):
-            sino = forward_project(disk, SliceGeometry(1, np.array([ang]), n, n))
+            sino = forward_project(disk, SliceGeometry(np.array([ang]), n))
             worst_chord = max(worst_chord, float(np.abs(sino[0] - chord).max()))
         chord_ok = worst_chord <= 2.0
 
         # FBP disk round trip at 180 views
         big = ((UA**2 + UB**2) <= 16.0**2).astype(np.float64)
-        g180 = SliceGeometry(180, np.linspace(0, np.pi, 180, endpoint=False), n, n)
+        g180 = SliceGeometry(np.linspace(0, np.pi, 180, endpoint=False), n)
         rec = fbp_reconstruct(forward_project(big, g180), g180)
         interior = UA**2 + UB**2 <= 14.0**2
         fbp_rmse = float(np.sqrt(((rec[interior] - 1.0) ** 2).mean()))

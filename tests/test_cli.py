@@ -263,9 +263,11 @@ class TestExitCodes:
         ("geometry", {"num_views": 2.9}),
         ("geometry", {"num_views": True}),
         ("geometry", {"num_views": "4"}),
+        ("spectral", {"flight_path": "10"}),
+        ("geometry", {"pixel_pitch": True}),
     ], ids=["null-num-views", "list-geometry", "null-flight-path", "string-num-views",
             "string-flight-path", "float-num-views", "bool-num-views",
-            "numeric-string-num-views"])
+            "numeric-string-num-views", "numeric-string-flight-path", "bool-pixel-pitch"])
     def test_malformed_header_is_container_error(self, workdir, capsys, command,
                                                  section, value):
         # a header whose values have the wrong JSON type is a malformed
@@ -407,6 +409,26 @@ class TestExitCodes:
                       "--flux", "200", "--out", str(out)])
         assert main(args) == 1
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_json_input_non_number_length_is_validation_error(self, workdir, capsys):
+        # a real value must be a JSON number, as a count must be an integer
+        blob = json.loads((workdir / "geom.json").read_text())
+        blob["flight_path"] = "10"
+        bad = workdir / "non_number_geom.json"
+        bad.write_text(json.dumps(blob))
+        out = workdir / "non_number_out.hsnct"
+        assert main(["simulate", "--truth", str(workdir / "t.hsnct"), "--geom", str(bad),
+                     "--flux", "200", "--out", str(out)]) == 1
+        assert "flight_path" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_rejected(self, workdir, capsys):
+        out = workdir / "negative_seed.hsnct"
+        assert main(["simulate", "--truth", str(workdir / "t.hsnct"),
+                     "--geom", str(workdir / "geom.json"), "--flux", "200",
+                     "--out", str(out), "--seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_rank_rejected(self, workdir):

@@ -259,6 +259,12 @@ class TestSimulateScan:
         c = simulate_scan(truth, geom, axis, 200.0, 6)
         assert a.counts.tobytes() != c.counts.tobytes()
 
+    def test_negative_seed_rejected(self):
+        spec, axis, geom = small_setup()
+        truth = build_ground_truth(spec, axis)
+        with pytest.raises(ValidationError, match="seed"):
+            simulate_scan(truth, geom, axis, 200.0, -1)
+
     def test_noiseless_matches_forward_projection(self):
         spec, axis, geom = small_setup()
         truth = build_ground_truth(spec, axis)

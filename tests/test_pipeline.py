@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -28,11 +28,20 @@ from hsnct.pipeline import (
     run_fhr,
     snr_db,
 )
-from hsnct.preprocess import normalize
+from hsnct.preprocess import NormalizationOptions, normalize
 from hsnct.subspace import NmfOptions, expand, nmf_factorize
-from hsnct.tomo import MbirOptions, reconstruct_stack
+from hsnct.tomo import MbirOptions, SliceGeometry, reconstruct_stack
 
 ANG = 1e-10
+
+# every value a caller can set, by type: a new knob is a deliberate edit here
+OPTION_FIELDS = {
+    MbirOptions: ("prior", "regularization_weight", "huber_delta", "max_iters", "rel_tol"),
+    NmfOptions: ("rank", "seed", "max_iters", "rel_tol"),
+    NormalizationOptions: ("count_floor", "clamp_negative"),
+    PipelineConfig: ("subspace", "recon_engine", "recon", "threads"),
+    SliceGeometry: ("angles", "num_detector_bins", "pixel_pitch"),
+}
 
 
 def small_phantom(n=32, n_r=2, n_v=24, n_k=16):
@@ -86,6 +95,10 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             PipelineConfig(subspace=NmfOptions(rank=2, seed=0),
                            recon_engine="fbp", recon="hann")
+
+    @pytest.mark.parametrize("cls", list(OPTION_FIELDS), ids=lambda cls: cls.__name__)
+    def test_option_fields_are_pinned(self, cls):
+        assert tuple(f.name for f in fields(cls)) == OPTION_FIELDS[cls]
 
     def test_bad_threads(self):
         with pytest.raises(ValidationError):

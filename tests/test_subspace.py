@@ -165,6 +165,10 @@ class TestNmfFactorize:
             with pytest.raises(ValidationError, match="rank"):
                 NmfOptions(rank=count, seed=0)
         assert NmfOptions(rank=1, seed=0, max_iters=np.int64(7)).max_iters == 7
+        # a seed is an integer >= 0: None would draw a fresh basis on every run
+        for seed in (None, -1, 1.5, True):
+            with pytest.raises(ValidationError, match="seed"):
+                NmfOptions(rank=1, seed=seed)
 
 
 class TestRankScan:
