@@ -162,12 +162,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
-    return data
+def _read_json(path: str, parse):
+    """``parse(**blob)`` of the JSON object in ``path``.  A JSON input is no container:
+    any fault in it, a header fault included, is a validation error naming the file."""
+    try:  # a missing or unknown top-level key, or no object, fails the call
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(**json.load(fh))
+    except (TypeError, ValueError, ContainerError) as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _spec_file(phantom, spectral):
+    return spec_from_dict(phantom), spectral_from_header(spectral)
 
 
 def _write_pgm(path, image: np.ndarray) -> None:
@@ -193,14 +199,7 @@ def _write_json(path, payload: dict) -> None:
 
 
 def _cmd_phantom(args) -> int:
-    blob = _read_json(args.spec)
-    try:
-        spec = spec_from_dict(blob["phantom"])
-        axis = spectral_from_header(blob["spectral"])
-    except KeyError as exc:
-        raise ValidationError(f"{args.spec}: missing top-level key {exc}") from None
-    except ContainerError as exc:  # a bad JSON input, not a bad .hsnct file
-        raise ValidationError(f"{args.spec}: {exc}") from None
+    spec, axis = _read_json(args.spec, _spec_file)
     truth = build_ground_truth(spec, axis)
     write_container(args.out_truth, truth,
                     extra_header={"spectral": spectral_header(axis)})
@@ -215,11 +214,7 @@ def _cmd_simulate(args) -> int:
         raise ValidationError(
             f"{args.truth}: truth container carries no spectral metadata")
     axis = spectral_from_header(header["spectral"])
-    blob = _read_json(args.geom)
-    try:
-        geom = geometry_from_header(blob)
-    except ContainerError as exc:  # a bad JSON input, not a bad .hsnct file
-        raise ValidationError(f"{args.geom}: {exc}") from None
+    geom = _read_json(args.geom, lambda **h: geometry_from_header(h))
     scan = simulate_scan(truth, geom, axis, args.flux, args.seed)
     write_container(args.out, scan)
     log.info("wrote scan %s [%d views, flux %g, seed %d]", args.out,

@@ -14,8 +14,9 @@ container type has them.  Identical logical content produces identical bytes
 on every platform.
 
 The role fixes the axis order (``AXIS_ORDERS``); a header whose
-``axis_order`` disagrees with its role, or that holds a value of the wrong
-JSON type (``2.9`` as a count, ``"10"`` as a length), raises ContainerError:
+``axis_order`` disagrees with its role, that holds a value of the wrong JSON
+type (``2.9`` as a count, ``"10"`` as a length) or whose geometry/spectral
+dict misses a key or has one its dataclass lacks, raises ContainerError:
 
     ``view,row,col,bin``       raw scans, sinograms, subspace sinograms
                                (channels on ``bin``)
@@ -35,8 +36,10 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import numbers
 import os
+import reprlib
 import struct
 import uuid
 from dataclasses import dataclass, field
@@ -115,6 +118,22 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    # a real number that float64 holds: not NaN, +-inf or an integer beyond its range
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+# the JSON type of each geometry and spectral header value; the dataclasses check the values
+_HEADER_TYPES = {**dict.fromkeys(("num_views", "num_rows", "num_cols"), _is_integer),
+                 **dict.fromkeys(("flight_path", "pixel_pitch", "planck_h", "neutron_mass"),
+                                 _is_real),
+                 **dict.fromkeys(("view_angles", "tof_edges"),
+                                 lambda v: isinstance(v, list) and all(map(_is_real, v)))}
+
+
 def require_count(value, name: str):
     """Raise ValidationError unless ``value`` is an integer >= 1 (a bool is not a count)."""
     _require(_is_integer(value) and value >= 1,
@@ -129,13 +148,13 @@ def require_nonneg_int(value, name: str):
 
 def require_positive(value, name: str):
     """Raise ValidationError unless ``value`` is a real number, finite and > 0."""
-    _require(_is_real(value) and bool(np.isfinite(value)) and value > 0,
+    _require(_is_finite(value) and value > 0,
              f"{name} must be > 0 and finite, got {value!r}")
 
 
 def require_nonneg(value, name: str):
     """Raise ValidationError unless ``value`` is a real number, finite and >= 0."""
-    _require(_is_real(value) and bool(np.isfinite(value)) and value >= 0,
+    _require(_is_finite(value) and value >= 0,
              f"{name} must be >= 0 and finite, got {value!r}")
 
 
@@ -313,9 +332,9 @@ class SubspaceSinogram:
 class SpectralBasis:
     """Non-negative spectral basis, [N_k, N_s]; every column carries energy.
 
-    Columns are kept in the canonical order produced by the factorization
-    (descending L2 norm of the paired coefficient columns, ties broken by
-    element-wise comparison)."""
+    Columns are kept in the order the factorization gives them: descending
+    L2 norm of the paired coefficient columns, equal norms in their factor
+    order."""
 
     basis: np.ndarray
     axis: SpectralAxis
@@ -400,38 +419,25 @@ def spectral_header(ax: SpectralAxis) -> dict:
     }
 
 
+def _from_header(h, section: str, build):
+    """``build(**h)``.  A non-object, a value of the wrong JSON type and a missing
+    or unknown key are a ContainerError; ``build``'s checks raise ValidationError."""
+    try:  # a non-object header fails at its first use as one
+        for key in h:
+            if key in _HEADER_TYPES and not _HEADER_TYPES[key](h[key]):
+                raise TypeError(f"{key} has the wrong JSON type: {reprlib.repr(h[key])}")
+        return build(**h)
+    except TypeError as exc:
+        raise ContainerError(f"malformed {section} header: {exc}") from None
+
+
 def geometry_from_header(h: dict) -> ScanGeometry:
-    # a missing key or a wrong JSON type (a count must be an integer, a
-    # length a number) is a malformed container; ScanGeometry's checks
-    # still raise ValidationError
-    try:
-        counts = {k: h[k] for k in ("num_views", "num_rows", "num_cols")}
-        lengths = {"flight_path": h["flight_path"], "pixel_pitch": h.get("pixel_pitch", 1.0)}
-        if not all(map(_is_integer, counts.values())):
-            raise TypeError(f"counts must be JSON integers, got {counts}")
-        if not all(map(_is_real, lengths.values())):
-            raise TypeError(f"lengths must be JSON numbers, got {lengths}")
-        angles = np.asarray(h["view_angles"], dtype=np.float64)
-    except KeyError as exc:
-        raise ContainerError(f"geometry header is missing key {exc}") from None
-    except (TypeError, ValueError) as exc:  # a non-object header or a bad value
-        raise ContainerError(f"malformed geometry header: {exc}") from None
-    return ScanGeometry(**counts, view_angles=angles, **lengths)
+    return _from_header(h, "geometry", ScanGeometry)
 
 
 def spectral_from_header(h: dict) -> SpectralAxis:
-    try:
-        constants = {"flight_path": h["flight_path"],
-                     "planck_h": h.get("planck_h", PLANCK_H),
-                     "neutron_mass": h.get("neutron_mass", NEUTRON_MASS)}
-        if not all(map(_is_real, constants.values())):
-            raise TypeError(f"constants must be JSON numbers, got {constants}")
-        tof_edges = np.asarray(h["tof_edges"], dtype=np.float64)
-    except KeyError as exc:
-        raise ContainerError(f"spectral header is missing key {exc}") from None
-    except (TypeError, ValueError) as exc:  # a non-object header or a bad value
-        raise ContainerError(f"malformed spectral header: {exc}") from None
-    return SpectralAxis(tof_edges, ToFConverter(**constants))
+    return _from_header(h, "spectral", lambda tof_edges, **rest:
+                        SpectralAxis(tof_edges, ToFConverter(**rest)))
 
 
 def _pack(data) -> tuple[dict, np.ndarray]:

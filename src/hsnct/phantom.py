@@ -28,6 +28,7 @@ from hsnct.containers import (
     ToFConverter,
     ValidationError,
     VolumeStack,
+    _is_finite,
     _is_integer,
     _require,
     require_count,
@@ -98,12 +99,18 @@ class MaterialSpectrum:
         return out
 
 
+def _pair(value, name: str) -> tuple[float, float]:
+    _require(isinstance(value, (tuple, list)) and len(value) == 2 and all(map(_is_finite, value)),
+             f"{name} must be a pair of finite numbers, got {value!r}")
+    return float(value[0]), float(value[1])
+
+
 @dataclass(frozen=True)
 class ShapeSpec:
-    """One filled shape.  ``center`` and ``half_size`` are fractions of the
-    slice extent as (row, col) pairs, so a spec is resolution independent;
-    ``slices`` limits the shape to the half-open slice range [start, stop)
-    (None = all slices)."""
+    """One filled shape.  ``center`` and ``half_size`` are (row, col) pairs
+    of numbers, fractions of the slice extent, so a spec is resolution
+    independent; ``slices`` limits the shape to the half-open slice range
+    [start, stop) (None = all slices)."""
 
     kind: str
     center: tuple[float, float]
@@ -114,8 +121,7 @@ class ShapeSpec:
     def __post_init__(self):
         _require(self.kind in _SHAPE_KINDS,
                  f"shape kind must be one of {_SHAPE_KINDS}, got {self.kind!r}")
-        center = (float(self.center[0]), float(self.center[1]))
-        half = (float(self.half_size[0]), float(self.half_size[1]))
+        center, half = _pair(self.center, "center"), _pair(self.half_size, "half_size")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "half_size", half)
         for c, h in zip(center, half):
@@ -179,35 +185,18 @@ def spec_to_dict(spec: PhantomSpec) -> dict:
     return asdict(spec)
 
 
+def _built(d, key: str, build) -> dict:
+    # d with each item of its list under key, if it has one, made build(**item)
+    return {**d, key: tuple(build(**item) for item in d[key])} if key in d else d
+
+
 def spec_from_dict(d: dict) -> PhantomSpec:
+    """Inverse of spec_to_dict: keys are the dataclass fields, no others, and a
+    missing or unknown key raises ValidationError, as a bad value does."""
     try:
-        materials = tuple(
-            MaterialSpectrum(
-                name=m["name"],
-                baseline=m["baseline"],
-                edges=tuple(EdgeFeature(**e) for e in m.get("edges", [])),
-            )
-            for m in d["materials"]
-        )
-        shapes = tuple(
-            ShapeSpec(
-                kind=s["kind"],
-                center=tuple(s["center"]),
-                half_size=tuple(s["half_size"]),
-                material=s["material"],
-                slices=s.get("slices"),
-            )
-            for s in d["shapes"]
-        )
-        return PhantomSpec(
-            image_size=d["image_size"],
-            num_slices=d["num_slices"],
-            shapes=shapes,
-            materials=materials,
-            flux=d["flux"],
-            seed=d["seed"],
-        )
-    except (KeyError, TypeError) as exc:
+        d = _built(d, "materials", lambda **m: MaterialSpectrum(**_built(m, "edges", EdgeFeature)))
+        return PhantomSpec(**_built(d, "shapes", ShapeSpec))
+    except TypeError as exc:
         raise ValidationError(f"malformed phantom spec: {exc}") from None
 
 

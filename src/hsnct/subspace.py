@@ -148,23 +148,6 @@ def _revive_dead_columns(X, V, D, reseeded, dead):
     return bool(collapsed)
 
 
-def _canonical_order(V, D):
-    """Column order: descending L2 norm of the V column, exact ties broken
-    by element-wise comparison of the V column then the D column."""
-    norms = np.linalg.norm(V, axis=0)
-    order = list(np.argsort(-norms, kind="stable"))
-    i = 0
-    while i < len(order) - 1:
-        j = i + 1
-        while j < len(order) and norms[order[j]] == norms[order[i]]:
-            j += 1
-        if j - i > 1:
-            order[i:j] = sorted(order[i:j],
-                                key=lambda c: (tuple(V[:, c]), tuple(D[:, c])))
-        i = j
-    return order
-
-
 def _hals_update(W, A, G, max_inner):
     """Inner HALS sweeps on W in place for min ||X - W H^T|| over W >= 0,
     given A = X H and G = H^T H: column j, in order, takes the step
@@ -238,8 +221,9 @@ def nmf_factorize(p: HyperspectralSinogram, opts: NmfOptions):
     FactorizationReport).
 
     Basis columns are normalized to unit L2 norm (coefficients absorb the
-    scale) and put in canonical order; the result is bit-reproducible for a
-    fixed seed.
+    scale) and put in descending order of their coefficient column's L2
+    norm, equal norms keeping their factor order; the result is
+    bit-reproducible for a fixed seed.
     """
     X = p.values.astype(np.float64)
     if X.size and float(X.min()) < 0:
@@ -256,7 +240,7 @@ def nmf_factorize(p: HyperspectralSinogram, opts: NmfOptions):
     trace, converged, reseeded, dead = _accelerated_hals(X, X2, V, D, opts)
 
     # package: inert unit columns for the dead ones, unit-norm basis columns
-    # elsewhere, canonical order everywhere
+    # elsewhere, descending coefficient norm everywhere
     norms = np.linalg.norm(D, axis=0)
     for j in range(opts.rank):
         if j in dead or norms[j] <= 0:
@@ -266,7 +250,7 @@ def nmf_factorize(p: HyperspectralSinogram, opts: NmfOptions):
         else:
             V[:, j] *= norms[j]
             D[:, j] /= norms[j]
-    order = _canonical_order(V, D)
+    order = np.argsort(-np.linalg.norm(V, axis=0), kind="stable")
     V, D = V[:, order], D[:, order]
     remap = {int(old): new for new, old in enumerate(order)}
 

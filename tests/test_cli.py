@@ -265,9 +265,13 @@ class TestExitCodes:
         ("geometry", {"num_views": "4"}),
         ("spectral", {"flight_path": "10"}),
         ("geometry", {"pixel_pitch": True}),
+        ("geometry", {"view_angles": [str(a) for a in np.linspace(0, np.pi, 16,
+                                                                  endpoint=False)]}),
+        ("spectral", {"tof_edges": [False] + list(np.linspace(2.5e-3, 1.31e-2, 17)[1:])}),
     ], ids=["null-num-views", "list-geometry", "null-flight-path", "string-num-views",
             "string-flight-path", "float-num-views", "bool-num-views",
-            "numeric-string-num-views", "numeric-string-flight-path", "bool-pixel-pitch"])
+            "numeric-string-num-views", "numeric-string-flight-path", "bool-pixel-pitch",
+            "string-view-angles", "bool-tof-edge"])
     def test_malformed_header_is_container_error(self, workdir, capsys, command,
                                                  section, value):
         # a header whose values have the wrong JSON type is a malformed
@@ -421,6 +425,67 @@ class TestExitCodes:
         assert main(["simulate", "--truth", str(workdir / "t.hsnct"), "--geom", str(bad),
                      "--flux", "200", "--out", str(out)]) == 1
         assert "flight_path" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source,where,key,typo", [
+        ("spec", [], "spectral", "spectrum"),
+        ("spec", ["phantom"], "seed", "sead"),
+        ("spec", ["phantom", "shapes", 1], "slices", "slice"),
+        ("spec", ["phantom", "materials", 0], "edges", "edge"),
+        ("spec", ["phantom", "materials", 0, "edges", 0], "pre_level", "pre_lvl"),
+        ("spec", ["spectral"], "planck_h", "planck"),
+        ("geom", [], "pixel_pitch", "pixel_pich"),
+        ("header", ["geometry"], "pixel_pitch", "pixel_pich"),
+        ("header", ["spectral"], "neutron_mass", "neutron_mas"),
+    ], ids=["spec-file", "phantom", "shape", "material", "edge", "spec-spectral", "geom",
+            "header-geometry", "header-spectral"])
+    def test_misspelled_key_fails_loudly(self, workdir, capsys, source, where, key, typo):
+        # every key must be a field of its dataclass: a misspelled one is
+        # neither dropped nor replaced by the field's default, but exits 1
+        # naming the file in a JSON input and 2 in a container header
+        def rename(blob):
+            for step in where:
+                blob = blob[step]
+            blob[typo] = blob.pop(key)
+
+        out = workdir / f"typo_{source}_out.hsnct"
+        bad = workdir / f"typo_{source}.{'hsnct' if source == 'header' else 'json'}"
+        if source == "header":
+            patch_header(workdir / "p.hsnct", bad, rename)
+            args = ["reconstruct", "--in", str(bad), "--engine", "fbp", "--out", str(out)]
+        else:
+            blob = json.loads((workdir / f"{source}.json").read_text())
+            rename(blob)
+            bad.write_text(json.dumps(blob))
+            args = (["phantom", "--spec", str(bad), "--out-truth", str(out)] if source == "spec"
+                    else ["simulate", "--truth", str(workdir / "t.hsnct"), "--geom", str(bad),
+                          "--flux", "200", "--out", str(out)])
+        assert main(args) == (2 if source == "header" else 1)
+        err = capsys.readouterr().err
+        assert typo in err and (source == "header" or str(bad) in err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pair", [[0.5], ["0.5", "0.5"], [0.5, 0.5, 0.5]],
+                             ids=["one", "strings", "three"])
+    def test_spec_center_must_be_two_numbers(self, workdir, capsys, pair):
+        blob = json.loads((workdir / "spec.json").read_text())
+        blob["phantom"]["shapes"][0]["center"] = pair
+        bad = workdir / "bad_center_spec.json"
+        bad.write_text(json.dumps(blob))
+        out = workdir / "bad_center_out.hsnct"
+        assert main(["phantom", "--spec", str(bad), "--out-truth", str(out)]) == 1
+        assert "center must be a pair" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_geom_integer_beyond_float64_range_is_validation_error(self, workdir, capsys):
+        blob = json.loads((workdir / "geom.json").read_text())
+        blob["flight_path"] = 10**400
+        bad = workdir / "huge_geom.json"
+        bad.write_text(json.dumps(blob))
+        out = workdir / "huge_out.hsnct"
+        assert main(["simulate", "--truth", str(workdir / "t.hsnct"), "--geom", str(bad),
+                     "--flux", "200", "--out", str(out)]) == 1
+        assert "flight_path must be > 0 and finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_rejected(self, workdir, capsys):

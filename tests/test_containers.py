@@ -23,6 +23,8 @@ from hsnct.containers import (
     load_sinogram,
     load_volume,
     read_container,
+    require_nonneg,
+    require_positive,
     sinogram_row_count,
     write_container,
 )
@@ -78,6 +80,12 @@ class TestScanGeometry:
         lengths = {"flight_path": 10.0, field: np.inf}
         with pytest.raises(ValidationError, match=f"{field} must be > 0 and finite"):
             ScanGeometry(1, 1, 1, np.array([0.0]), **lengths)
+
+    @pytest.mark.parametrize("rule", [require_positive, require_nonneg])
+    def test_integer_beyond_float64_range_rejected(self, rule):
+        # float64 cannot hold 10**400, so it is not a finite real number here
+        with pytest.raises(ValidationError, match="flight_path must be .* finite"):
+            rule(10**400, "flight_path")
 
 
 class TestSpectralAxis:

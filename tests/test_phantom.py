@@ -107,6 +107,16 @@ class TestShapeSpec:
         with pytest.raises(ValidationError):
             ShapeSpec("ellipse", (0.5, 0.5), (0.1, 0.1), 0, slices=(-1, 2))
 
+    @pytest.mark.parametrize("field", ["center", "half_size"])
+    @pytest.mark.parametrize("value", [["0.2", "0.2"], [0.2, 0.2, 0.2], [0.2], [True, 0.2],
+                                       0.2, [10**400, 0.2]],
+                             ids=["strings", "three", "one", "bool", "scalar", "huge-int"])
+    def test_pair_is_two_numbers(self, field, value):
+        # nothing is parsed, cut to two or indexed past its end
+        pairs = {"center": (0.5, 0.5), "half_size": (0.2, 0.2), field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be a pair"):
+            ShapeSpec("ellipse", material=0, **pairs)
+
     def test_rectangle_mask_pixel_exact(self):
         # pixel centers at (i + 0.5)/8; the box [0.25, 0.75] catches i = 2..5
         s = ShapeSpec("rectangle", (0.5, 0.5), (0.25, 0.25), 0)

@@ -41,6 +41,15 @@ OPTION_FIELDS = {
     NormalizationOptions: ("count_floor", "clamp_negative"),
     PipelineConfig: ("subspace", "recon_engine", "recon", "threads"),
     SliceGeometry: ("angles", "num_detector_bins", "pixel_pitch"),
+    # the JSON inputs' schemas: their fields are the keys of --spec, --geom
+    # and the container headers
+    ScanGeometry: ("num_views", "num_rows", "num_cols", "view_angles", "flight_path",
+                   "pixel_pitch"),
+    ToFConverter: ("flight_path", "planck_h", "neutron_mass"),
+    PhantomSpec: ("image_size", "num_slices", "shapes", "materials", "flux", "seed"),
+    ShapeSpec: ("kind", "center", "half_size", "material", "slices"),
+    MaterialSpectrum: ("name", "baseline", "edges"),
+    EdgeFeature: ("edge_wavelength", "pre_level", "post_level", "smoothing_width"),
 }
 
 
