@@ -23,7 +23,6 @@ import numpy as np
 
 from hsnct.containers import (
     ContainerError,
-    HyperspectralSinogram,
     ValidationError,
     geometry_from_header,
     load_basis,
@@ -209,11 +208,10 @@ def _cmd_phantom(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    truth, header = load_volume(args.truth)
-    if "spectral" not in header:
+    truth, axis = load_volume(args.truth)
+    if axis is None:
         raise ValidationError(
             f"{args.truth}: truth container carries no spectral metadata")
-    axis = spectral_from_header(header["spectral"])
     geom = _read_json(args.geom, lambda **h: geometry_from_header(h))
     scan = simulate_scan(truth, geom, axis, args.flux, args.seed)
     write_container(args.out, scan)
@@ -246,10 +244,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    sinos, _ = load_container(args.infile, "subspace-sinogram", "sinogram")
-    extra = None
-    if isinstance(sinos, HyperspectralSinogram):
-        extra = {"spectral": spectral_header(sinos.axis)}
+    sinos, axis = load_container(args.infile, "subspace-sinogram", "sinogram")
+    extra = None if axis is None else {"spectral": spectral_header(axis)}
     if args.engine == "fbp":
         if args.beta is not None or args.prior is not None:
             raise ValidationError("--beta/--prior only apply to the mbir engine")

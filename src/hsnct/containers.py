@@ -10,7 +10,8 @@ containers below, and every file on disk is the same single format:
 
 The header always carries ``dtype`` (``"f32le"``), ``shape``, ``axis_order``
 and ``role``; ``geometry`` and ``spectral`` sub-dicts are present when the
-container type has them.  Identical logical content produces identical bytes
+container type has them (a volume may carry the spectral axis of its
+channels).  Identical logical content produces identical bytes
 on every platform.
 
 The role fixes the axis order (``AXIS_ORDERS``); a header whose
@@ -126,10 +127,21 @@ def _is_finite(value) -> bool:
         return False
 
 
-# the JSON type of each geometry and spectral header value; the dataclasses check the values
+def _float64_array(values, name: str) -> np.ndarray:
+    """``values`` as a read-only contiguous float64 array; an entry beyond the
+    float64 range is a ValidationError."""
+    try:
+        arr = np.ascontiguousarray(values, dtype=np.float64)
+    except OverflowError:
+        raise ValidationError(f"{name} holds a value beyond the float64 range") from None
+    arr.flags.writeable = False
+    return arr
+
+
+# the JSON type of each geometry, spectral and volume value; the dataclasses check the values
 _HEADER_TYPES = {**dict.fromkeys(("num_views", "num_rows", "num_cols"), _is_integer),
-                 **dict.fromkeys(("flight_path", "pixel_pitch", "planck_h", "neutron_mass"),
-                                 _is_real),
+                 **dict.fromkeys(("flight_path", "pixel_pitch", "planck_h", "neutron_mass",
+                                  "voxel_pitch"), _is_real),
                  **dict.fromkeys(("view_angles", "tof_edges"),
                                  lambda v: isinstance(v, list) and all(map(_is_real, v)))}
 
@@ -160,8 +172,7 @@ def require_nonneg(value, name: str):
 
 def require_view_angles(values) -> np.ndarray:
     """``values`` as a read-only, non-empty 1-D float64 array of angles in [0, pi)."""
-    angles = np.ascontiguousarray(values, dtype=np.float64)
-    angles.flags.writeable = False
+    angles = _float64_array(values, "view angles")
     _require(angles.ndim == 1 and angles.size >= 1,
              f"view angles must be a non-empty 1-D array, got shape {angles.shape}")
     # NaN and +-inf fail the range test too
@@ -244,8 +255,7 @@ class SpectralAxis:
     wavelength_centers: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        edges = np.ascontiguousarray(self.tof_edges, dtype=np.float64)
-        edges.flags.writeable = False
+        edges = _float64_array(self.tof_edges, "tof_edges")
         object.__setattr__(self, "tof_edges", edges)
         _require(edges.ndim == 1 and edges.size >= 2, "tof_edges must hold at least 2 values")
         _require(np.all(np.isfinite(edges)), "tof_edges must be finite")
@@ -479,34 +489,37 @@ def _pack(data) -> tuple[dict, np.ndarray]:
     raise ValidationError(f"cannot serialize object of type {type(data).__name__}")
 
 
-def _unpack(header: dict, arr: np.ndarray, path):
+def _unpack(header: dict, arr: np.ndarray):
     """The typed container a header's role and payload describe (inverse of
-    _pack)."""
+    _pack), and the SpectralAxis of its spectral section (None without one)."""
     role = header.get("role")
+    axis = None
+    # a volume may carry the spectral axis of its channels; the roles that own one need it
+    if "spectral" in header or role in ("raw-scan", "sinogram", "basis"):
+        axis = spectral_from_header(header.get("spectral", {}))
     if role == "basis":
-        return SpectralBasis(arr, spectral_from_header(header.get("spectral", {})))
+        return SpectralBasis(arr, axis), axis
     if role == "volume":
         if arr.ndim != 4 or arr.shape[2] != arr.shape[1]:
-            raise ValidationError(f"{path}: volume shape {arr.shape} is not [N_r,N_c,N_c,C]")
-        pitch = header.get("voxel_pitch", 1.0)
-        if not _is_real(pitch):
-            raise ContainerError(f"{path}: voxel_pitch must be a JSON number, got {pitch!r}")
+            raise ValidationError(f"volume shape {arr.shape} is not [N_r,N_c,N_c,C]")
         n_r, n_c = arr.shape[0], arr.shape[1]
-        return VolumeStack(arr.reshape(n_r * n_c * n_c, arr.shape[3]), n_r, n_c,
-                           voxel_pitch=pitch)
+        voxels = arr.reshape(n_r * n_c * n_c, arr.shape[3])
+        # without a voxel_pitch, VolumeStack's default applies
+        pitch = {key: header[key] for key in ("voxel_pitch",) if key in header}
+        return _from_header(pitch, "volume",
+                            lambda **h: VolumeStack(voxels, n_r, n_c, **h)), axis
     geom = geometry_from_header(header.get("geometry", {}))
     # a raw scan stores its open-beam radiograph as one more view
     views = geom.num_views + (role == "raw-scan")
     if arr.ndim != 4 or arr.shape[:3] != (views, geom.num_rows, geom.num_cols):
         raise ValidationError(
-            f"{path}: {role} shape {list(arr.shape)} does not match its geometry's "
+            f"{role} shape {list(arr.shape)} does not match its geometry's "
             f"[{views}, {geom.num_rows}, {geom.num_cols}, C]")
     if role == "subspace-sinogram":
-        return SubspaceSinogram(arr.reshape(-1, arr.shape[3]), geom)
-    axis = spectral_from_header(header.get("spectral", {}))
+        return SubspaceSinogram(arr.reshape(-1, arr.shape[3]), geom), axis
     if role == "sinogram":
-        return HyperspectralSinogram(arr.reshape(-1, arr.shape[3]), geom, axis)
-    return RawScan(arr[: geom.num_views], arr[geom.num_views], geom, axis)
+        return HyperspectralSinogram(arr.reshape(-1, arr.shape[3]), geom, axis), axis
+    return RawScan(arr[: geom.num_views], arr[geom.num_views], geom, axis), axis
 
 
 def write_container(path, data, extra_header: dict | None = None) -> None:
@@ -597,13 +610,17 @@ def read_container(path) -> tuple[dict, np.ndarray]:
 
 def load_container(path, *roles: str):
     """Read ``path`` as the typed container of its role, which must be one
-    of ``roles``; returns (container, header)."""
+    of ``roles``; returns (container, SpectralAxis of its header or None).
+    Every fault in the header or payload names the file."""
     header, arr = read_container(path)
     if header.get("role") not in roles:
         raise ValidationError(
             f"{path}: expected a {' or '.join(map(repr, roles))} container, "
             f"found role {header.get('role')!r}")
-    return _unpack(header, arr, path), header
+    try:
+        return _unpack(header, arr)
+    except (ContainerError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def load_raw_scan(path) -> RawScan:
@@ -618,6 +635,6 @@ def load_basis(path) -> SpectralBasis:
     return load_container(path, "basis")[0]
 
 
-def load_volume(path) -> tuple[VolumeStack, dict]:
-    """Volume plus its header (the header may carry a spectral dict)."""
+def load_volume(path) -> tuple[VolumeStack, SpectralAxis | None]:
+    """Volume plus the spectral axis of its channels, if its header has one."""
     return load_container(path, "volume")

@@ -22,19 +22,23 @@ Reconstructors:
   detector width), backprojection with A^T, and a pi/(num_angles*pitch^2)
   scale so a density-1 disk comes back at value ~1.
 * ``mbir_reconstruct``: minimizes 0.5*||W^(1/2)(Ax - y)||^2 + beta*R(x)
-  over x >= 0 with W = diag(exp(-y)), where R sums rho(x_i - x_j) over
-  8-neighbor pairs (each unordered pair once, diagonals weighted
-  1/sqrt(2)) with rho quadratic or Huber.  The quadratic prior is
-  0.5*x^T L x with L the weighted graph Laplacian of the pairs, so its
-  gradient is one sparse product and its surrogate curvature the constant
-  2*diag(L).  The solver takes diagonally-majorized (separable quadratic
-  surrogate) steps projected onto x >= 0, starting from the FBP image
-  clamped at 0, and accelerates them with per-channel momentum (Kim,
-  Ramani & Fessler 2015) and two restarts (O'Donoghue & Candes 2015): one
-  when a step turns against the momentum, one that discards a step that
-  raised the objective.  A discarded step counts as an iteration and
-  repeats the objective in the trace, so the trace does not increase.
-  Each iteration does one A and one A^T product and one prior evaluation.
+  over x >= 0 with W = diag(exp(-y)), where R sums kappa*rho(x_a - x_b)
+  over 8-neighbor pairs (each unordered pair once, kappa 1, or 1/sqrt(2)
+  on diagonals) with rho quadratic or Huber.  Both priors are products
+  with one sparse pair-difference operator P (row p of P x is x_a - x_b).
+  The quadratic prior is 0.5*x^T L x with L = P^T diag(kappa) P, so its
+  gradient is one product L x and its surrogate curvature the constant
+  2*diag(L).  Huber's value is kappa . rho(P x), its gradient
+  P^T (kappa clip(P x, +-delta)) and its surrogate curvature
+  |P|^T (2 delta kappa / max(|P x|, delta)).  The solver takes
+  diagonally-majorized (separable quadratic surrogate) steps projected
+  onto x >= 0, starting from the FBP image clamped at 0, and accelerates
+  them with per-channel momentum (Kim, Ramani & Fessler 2015) and two
+  restarts (O'Donoghue & Candes 2015): one when a step turns against the
+  momentum, one that discards a step that raised the objective.  A
+  discarded step counts as an iteration and repeats the objective in the
+  trace, so the trace does not increase.  Each iteration does one A and
+  one A^T product, and one L product or Huber's P products at x+ and z.
 
 Both run through one driver, ``_reconstruct_columns``, which takes
 independent ray-major columns: one for a single slice, and one per
@@ -262,84 +266,62 @@ def fbp_reconstruct(sino: np.ndarray, geom: SliceGeometry) -> np.ndarray:
 
 # --- edge-preserving / quadratic pairwise prior -----------------------------
 
-def _pair_slices(da, db):
-    ra = slice(da, None) if da else slice(None)
-    rb = slice(None, -da) if da else slice(None)
-    if db > 0:
-        return (ra, slice(db, None)), (rb, slice(None, -db))
-    if db < 0:
-        return (ra, slice(None, db)), (rb, slice(-db, None))
-    return (ra, slice(None)), (rb, slice(None))
-
-
 @functools.lru_cache(maxsize=8)
-def _laplacian(n: int):
-    """Weighted graph Laplacian L of the 8-neighbor pairs of an n x n grid.
+def _pairs(n: int):
+    """The 8-neighbor pair structure of an n x n grid: (P, kappa, L, curv).
 
-    The quadratic prior is 0.5*x^T L x, with gradient L x and the constant
-    surrogate curvature 2*diag(L), returned alongside as a flat array.
-    Cached per image size; about 9 nonzeros per row.
+    Row p of the sparse P x is x_a - x_b for the p-th pair, a = b + (drow,
+    dcol), each unordered pair once in ``_DIRS`` order; kappa holds the pair
+    weights, L = P^T diag(kappa) P is the weighted graph Laplacian and
+    curv = 2*diag(L) the quadratic prior's constant surrogate curvature.
+    Cached per image size; L has about 9 nonzeros per row.
     """
     idx = np.arange(n * n).reshape(n, n)
-    curv = np.zeros((n, n))
-    rows, cols, vals = [], [], []
+    a, b, kappa = [], [], []
     for da, db, k in _DIRS:
-        sa, sb = _pair_slices(da, db)
-        ia, ib = idx[sa].ravel(), idx[sb].ravel()
-        rows += [ia, ib]
-        cols += [ib, ia]
-        vals += [np.full(2 * ia.size, -k)]
-        curv[sa] += 2.0 * k
-        curv[sb] += 2.0 * k
-    curv = curv.ravel()
-    rows.append(idx.ravel())
-    cols.append(idx.ravel())
-    vals.append(0.5 * curv)
-    L = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * n, n * n)).tocsr()
-    curv.flags.writeable = False
-    return L, curv
+        a.append(idx[da:, max(db, 0):n + min(db, 0)].ravel())
+        b.append(idx[:n - da, max(-db, 0):n - max(db, 0)].ravel())
+        kappa.append(np.full(a[-1].size, k))
+    a, b, kappa = map(np.concatenate, (a, b, kappa))
+    P = sp.coo_matrix((np.repeat([1.0, -1.0], a.size),
+                       (np.tile(np.arange(a.size), 2), np.concatenate([a, b]))),
+                      shape=(a.size, n * n)).tocsr()
+    L = (P.T @ (sp.diags(kappa) @ P)).tocsr()
+    curv = 2.0 * L.diagonal()
+    kappa.flags.writeable = curv.flags.writeable = False
+    return P, kappa, L, curv
 
 
-def _huber_terms(X: np.ndarray, n: int, delta: float):
-    """Value per channel, gradient and majorizing curvature of the Huber
-    prior in one pass over the 4 pair directions; X is (n^2, C).
-
-    Each pair contributes rho'(diff) with opposite signs to its endpoints
-    and surrogate curvature 2*kappa*rho'(diff)/diff to both.
-    """
-    X3 = X.reshape(n, n, -1)
-    value = np.zeros(X3.shape[2])
-    G = np.zeros_like(X3)
-    K = np.zeros_like(X3)
-    for da, db, k in _DIRS:
-        sa, sb = _pair_slices(da, db)
-        D = X3[sa] - X3[sb]
-        a = np.abs(D)
-        m = np.minimum(a, delta)
-        value += k * (m * (a - 0.5 * m)).sum(axis=(0, 1))
-        g = np.clip(D, -delta, delta, out=D)
-        G[sa] += k * g
-        G[sb] -= k * g
-        c = np.divide(delta, np.maximum(a, delta, out=a), out=a)
-        c *= 2.0 * k
-        K[sa] += c
-        K[sb] += c
-    flat = X.shape[0]
-    return value, G.reshape(flat, -1), K.reshape(flat, -1)
+def _column_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Per-column sums of U * V, in the order numpy sums each column of a
+    batch of two or more: a lone column goes in as a duplicated pair, so a
+    column's sums do not depend on the batch width."""
+    if U.shape[1] == 1:
+        return np.einsum("ij,ij->j", np.repeat(U, 2, axis=1), np.repeat(V, 2, axis=1))[:1]
+    return np.einsum("ij,ij->j", U, V)
 
 
-def _prior_terms(X: np.ndarray, n: int, prior: str, delta: float):
-    """(value per channel, gradient, curvature) of the pairwise prior at X.
+def _huber_value(X: np.ndarray, n: int, delta: float) -> np.ndarray:
+    """The Huber prior kappa . rho(P x) per column of X (n^2, C)."""
+    P, kappa = _pairs(n)[:2]
+    a = np.abs(P @ X)
+    m = np.minimum(a, delta)
+    a -= 0.5 * m
+    a *= m
+    return _column_dots(a, kappa[:, None])
 
-    The quadratic prior's curvature is constant, so it comes back as None;
-    the solver takes it from ``_laplacian`` once per solve.
-    """
-    if prior == "quadratic-difference":
-        LX = _laplacian(n)[0] @ X
-        return 0.5 * np.einsum("ij,ij->j", X, LX), LX, None
-    return _huber_terms(X, n, delta)
+
+def _huber_step(Z: np.ndarray, n: int, delta: float):
+    """The Huber prior's gradient P^T (kappa clip(P z, +-delta)) and its
+    majorizer's curvature |P|^T (2 delta kappa / max(|P z|, delta)) at Z."""
+    P, kappa = _pairs(n)[:2]
+    D = P @ Z
+    a = np.abs(D)
+    np.clip(D, -delta, delta, out=D)
+    D *= kappa[:, None]
+    np.maximum(a, delta, out=a)
+    np.divide((2.0 * delta) * kappa[:, None], a, out=a)
+    return P.T @ D, abs(P).T @ a
 
 
 def _sqs_solve(A: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
@@ -370,10 +352,11 @@ def _sqs_solve(A: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
 
     A z - Y and the quadratic prior's gradient L z are carried as the same
     combination of their values at x+ and x, so an iteration does one A
-    product, one A^T product and one prior evaluation (Huber adds a pass
-    for its gradient and curvature at z).  Columns never mix and t is per
-    channel, so a channel's float sequence is the same alone or batched.
-    A channel that stops is saved and no longer recorded; stopped columns
+    product, one A^T product and one L product; Huber instead takes its
+    value at x+ and its gradient and curvature at z as products with P.
+    Columns never mix, t is per channel and every per-channel sum goes
+    through ``_column_dots``, so a channel's float sequence is the same
+    alone or batched.  A channel that stops is saved and no longer recorded; stopped columns
     ride along until they make up a quarter of the batch, then are
     dropped.  Returns (X, info list per channel).
     """
@@ -383,26 +366,30 @@ def _sqs_solve(A: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
     use_prior = beta > 0 and n > 1
     huber = use_prior and opts.prior == "huber"
     quadratic = use_prior and not huber
+    delta = opts.huber_delta
+    _, _, L, curv = _pairs(n)
     Dc = A.T @ (W * (A @ np.ones(A.shape[1]))[:, None])
     if not huber:
         # constant denominator; pixels that no weighted ray and no prior
         # pair touch have a zero gradient and stay put (0/inf = 0)
         if use_prior:
-            Dc += beta * _laplacian(n)[1][:, None]
+            Dc += beta * curv[:, None]
         Dc[Dc <= 0] = np.inf
 
     def evaluate(X, Yb, Wb, WR):
-        """A X - Y, the prior's (value, gradient, curvature) and the
+        """A X - Y, L X (None unless the prior is quadratic) and the
         objective at X; W*(A X - Y) goes into WR."""
         R = A @ X
         R -= Yb
         np.multiply(Wb, R, out=WR)
-        obj = 0.5 * np.einsum("ij,ij->j", WR, R)
-        terms = (None, None, None)
-        if use_prior:
-            terms = _prior_terms(X, n, opts.prior, opts.huber_delta)
-            obj = obj + beta * terms[0]
-        return R, terms[1], terms[2], obj
+        obj = 0.5 * _column_dots(WR, R)
+        LX = None
+        if quadratic:
+            LX = L @ X
+            obj = obj + beta * (0.5 * _column_dots(X, LX))
+        elif huber:
+            obj = obj + beta * _huber_value(X, n, delta)
+        return R, LX, obj
 
     traces = [[] for _ in range(C)]
     iters = np.zeros(C, dtype=int)
@@ -417,35 +404,37 @@ def _sqs_solve(A: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
     coef = np.zeros(C)
     Yb, Wb, WR = Y, W, np.empty_like(Y)
     X = X0
-    RX, PX, KZ, fX = evaluate(X, Yb, Wb, WR)
+    RX, LX, fX = evaluate(X, Yb, Wb, WR)
     Z, RZ = X.copy(), RX.copy()
-    PZ = None if PX is None else PX.copy()
+    LZ = None if LX is None else LX.copy()
 
     for _ in range(opts.max_iters):
         G = A.T @ WR
         D = Dc
-        if use_prior:
-            PZ *= beta
-            G += PZ
-        if huber:
-            KZ *= beta
-            KZ += Dc
-            D = KZ
+        if quadratic:
+            LZ *= beta
+            G += LZ
+        elif huber:
+            HG, D = _huber_step(Z, n, delta)
+            HG *= beta
+            G += HG
+            D *= beta
+            D += Dc
         Xn = np.divide(G, D, out=G)
         np.subtract(Z, Xn, out=Xn)
         np.maximum(Xn, 0.0, out=Xn)
-        Rn, Pn, _, fn = evaluate(Xn, Yb, Wb, WR)
+        Rn, Ln, fn = evaluate(Xn, Yb, Wb, WR)
 
         back = (fn > fX) & (coef > 0)  # restart (b)
         if np.any(back):
             Xn[:, back] = X[:, back]
             Rn[:, back] = RX[:, back]
             if quadratic:
-                Pn[:, back] = PX[:, back]
+                Ln[:, back] = LX[:, back]
             fn[back] = fX[back]
         dX = np.subtract(Xn, X, out=X)
         Z -= Xn
-        turned = np.einsum("ij,ij->j", Z, dX) > 0.0  # restart (a)
+        turned = _column_dots(Z, dX) > 0.0  # restart (a)
         # a discarded step, or one that turned against the momentum, is no
         # measure of convergence
         done = live & ~back & ~turned & (
@@ -474,20 +463,17 @@ def _sqs_solve(A: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
         RZ *= coef
         RZ += Rn
         if quadratic:
-            PZ = np.subtract(Pn, PX, out=PX)
-            PZ *= coef
-            PZ += Pn
-        elif huber:
-            _, PZ, KZ = _huber_terms(Z, n, opts.huber_delta)
-        X, RX, PX, fX = Xn, Rn, Pn, fn
+            LZ = np.subtract(Ln, LX, out=LX)
+            LZ *= coef
+            LZ += Ln
+        X, RX, LX, fX = Xn, Rn, Ln, fn
         np.multiply(Wb, RZ, out=WR)
 
         if 4 * np.count_nonzero(~live) >= live.size:
             keep = live
-            Yb, Wb, WR, X, Z, RX, RZ, PX, PZ, KZ, Dc, fX, t, coef, idx, live = (
+            Yb, Wb, WR, X, Z, RX, RZ, LX, LZ, Dc, fX, t, coef, idx, live = (
                 None if a is None else a[..., keep]
-                for a in (Yb, Wb, WR, X, Z, RX, RZ, PX, PZ, KZ, Dc, fX, t, coef,
-                          idx, live))
+                for a in (Yb, Wb, WR, X, Z, RX, RZ, LX, LZ, Dc, fX, t, coef, idx, live))
 
     out[:, idx[live]] = X[:, live]
     info = [{"iterations": int(iters[c]), "converged": bool(conv[c]),

@@ -83,9 +83,9 @@ def patch_header(src, dst, mutate):
 
 class TestStageCommands:
     def test_phantom_truth_container(self, workdir):
-        vol, header = load_volume(workdir / "t.hsnct")
+        vol, axis = load_volume(workdir / "t.hsnct")
         assert vol.num_channels == 16 and vol.num_rows == 2
-        assert "spectral" in header
+        assert axis.num_bins == 16
         nonzero = vol.voxels[np.any(vol.voxels > 0, axis=1)]
         assert np.unique(nonzero, axis=0).shape[0] == 3
 
@@ -124,9 +124,9 @@ class TestStageCommands:
         assert main(["expand", "--in", str(d / "xs.hsnct"),
                      "--basis", str(d / "d.hsnct"),
                      "--out", str(d / "xh.hsnct")]) == 0
-        xh, header = load_volume(d / "xh.hsnct")
+        xh, axis = load_volume(d / "xh.hsnct")
         assert xh.num_channels == 16
-        assert "spectral" in header
+        assert axis.num_bins == 16
 
     def test_reconstruct_mbir_flags(self, workdir):
         d = workdir
@@ -196,8 +196,8 @@ class TestPipelineCommands:
             assert r1[k] == r2[k]
         assert r1["algorithm"] == "fhr" and r1["n_s"] == 3 and r1["n_k"] == 16
         assert r1["snr_db"] is None and r1["epsilon_frac"] > 0
-        vol, header = load_volume(d / "f1.hsnct")
-        assert vol.num_channels == 16 and "spectral" in header
+        vol, axis = load_volume(d / "f1.hsnct")
+        assert vol.num_channels == 16 and axis.num_bins == 16
 
     def test_dhr_report(self, workdir):
         d = workdir
@@ -341,6 +341,21 @@ class TestExitCodes:
                      "--out", str(workdir / "bad_pitch.pgm")]) == 2
         assert "voxel_pitch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mutate,key", [
+        (lambda h: h.update({"voxel_pitch": "0.5"}), "voxel_pitch"),
+        (lambda h: h["spectral"].update({"flight_path": "far"}), "flight_path"),
+    ], ids=["string-voxel-pitch", "string-spectral-flight-path"])
+    def test_malformed_volume_header_names_the_file(self, workdir, capsys, mutate, key):
+        # a volume's pitch and spectral section are read like any other header
+        bad = workdir / f"bad_volume_{key}.hsnct"
+        patch_header(workdir / "t.hsnct", bad, mutate)
+        out = workdir / "bad_volume.pgm"
+        assert main(["slice", "--in", str(bad), "--z", "0", "--bin", "0",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and err.count(str(bad)) == 1
+        assert not out.exists()
+
     def test_fbp_on_one_view_is_validation_error(self, tmp_path, capsys):
         geom = ScanGeometry(1, 1, 4, [0.0], flight_path=10.0)
         axis = SpectralAxis(np.linspace(1e-3, 2e-3, 3), ToFConverter(flight_path=10.0))
@@ -437,22 +452,28 @@ class TestExitCodes:
         ("geom", [], "pixel_pitch", "pixel_pich"),
         ("header", ["geometry"], "pixel_pitch", "pixel_pich"),
         ("header", ["spectral"], "neutron_mass", "neutron_mas"),
+        ("basis", ["spectral"], "neutron_mass", "neutron_mas"),
     ], ids=["spec-file", "phantom", "shape", "material", "edge", "spec-spectral", "geom",
-            "header-geometry", "header-spectral"])
+            "header-geometry", "header-spectral", "basis-spectral"])
     def test_misspelled_key_fails_loudly(self, workdir, capsys, source, where, key, typo):
         # every key must be a field of its dataclass: a misspelled one is
         # neither dropped nor replaced by the field's default, but exits 1
-        # naming the file in a JSON input and 2 in a container header
+        # in a JSON input and 2 in a container header, naming the file once
         def rename(blob):
             for step in where:
                 blob = blob[step]
             blob[typo] = blob.pop(key)
 
         out = workdir / f"typo_{source}_out.hsnct"
-        bad = workdir / f"typo_{source}.{'hsnct' if source == 'header' else 'json'}"
+        container = source in ("header", "basis")
+        bad = workdir / f"typo_{source}.{'hsnct' if container else 'json'}"
         if source == "header":
             patch_header(workdir / "p.hsnct", bad, rename)
             args = ["reconstruct", "--in", str(bad), "--engine", "fbp", "--out", str(out)]
+        elif source == "basis":
+            patch_header(workdir / "d.hsnct", bad, rename)
+            args = ["expand", "--in", str(workdir / "xs.hsnct"), "--basis", str(bad),
+                    "--out", str(out)]
         else:
             blob = json.loads((workdir / f"{source}.json").read_text())
             rename(blob)
@@ -460,9 +481,9 @@ class TestExitCodes:
             args = (["phantom", "--spec", str(bad), "--out-truth", str(out)] if source == "spec"
                     else ["simulate", "--truth", str(workdir / "t.hsnct"), "--geom", str(bad),
                           "--flux", "200", "--out", str(out)])
-        assert main(args) == (2 if source == "header" else 1)
+        assert main(args) == (2 if container else 1)
         err = capsys.readouterr().err
-        assert typo in err and (source == "header" or str(bad) in err)
+        assert typo in err and err.count(str(bad)) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("pair", [[0.5], ["0.5", "0.5"], [0.5, 0.5, 0.5]],
@@ -486,6 +507,24 @@ class TestExitCodes:
         assert main(["simulate", "--truth", str(workdir / "t.hsnct"), "--geom", str(bad),
                      "--flux", "200", "--out", str(out)]) == 1
         assert "flight_path must be > 0 and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,key,message", [
+        ("geom", "view_angles", "view angles holds a value beyond the float64 range"),
+        ("spec", "tof_edges", "tof_edges holds a value beyond the float64 range"),
+    ], ids=["view-angles", "tof-edges"])
+    def test_list_entry_beyond_float64_range_is_validation_error(self, workdir, capsys,
+                                                                 name, key, message):
+        blob = json.loads((workdir / f"{name}.json").read_text())
+        (blob["spectral"] if name == "spec" else blob)[key][1] = 10**400
+        bad = workdir / f"huge_{key}.json"
+        bad.write_text(json.dumps(blob))
+        out = workdir / "huge_list_out.hsnct"
+        args = (["phantom", "--spec", str(bad), "--out-truth", str(out)] if name == "spec"
+                else ["simulate", "--truth", str(workdir / "t.hsnct"), "--geom", str(bad),
+                      "--flux", "200", "--out", str(out)])
+        assert main(args) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_rejected(self, workdir, capsys):

@@ -289,12 +289,12 @@ class TestContainerFormat:
                           num_rows=1, num_cols=2, voxel_pitch=0.5)
         path = tmp_path / "vol.hsnct"
         write_container(path, vol)
-        back, header = load_volume(path)
+        back, axis = load_volume(path)
         assert back.voxels.shape == (4, 1)
         assert np.all(np.isfinite(back.voxels))
         np.testing.assert_array_equal(back.voxels, vol.voxels)
-        assert back.voxel_pitch == 0.5
-        assert header["axis_order"] == "row,col,slice,channel"
+        assert back.voxel_pitch == 0.5 and axis is None
+        assert read_container(path)[0]["axis_order"] == "row,col,slice,channel"
 
     def test_role_mismatch_rejected(self, tmp_path):
         vol = VolumeStack(np.ones((4, 1), dtype=np.float32), num_rows=1, num_cols=2)
@@ -308,8 +308,8 @@ class TestContainerFormat:
         sub = SubspaceSinogram(np.ones((sinogram_row_count(geom), 2)), geom)
         path = tmp_path / "v.hsnct"
         write_container(path, sub)
-        back, header = load_container(path, "sinogram", "subspace-sinogram")
-        assert isinstance(back, SubspaceSinogram) and header["role"] == "subspace-sinogram"
+        back, axis = load_container(path, "sinogram", "subspace-sinogram")
+        assert isinstance(back, SubspaceSinogram) and axis is None
         with pytest.raises(ValidationError, match="'sinogram' or 'basis'"):
             load_container(path, "sinogram", "basis")
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hsnct.containers import (
     HyperspectralSinogram,
@@ -393,6 +394,19 @@ class TestReconstructStack:
             img = mbir_reconstruct(y[:, :, c], sg, opts)
             assert batch.voxels[:, c].tobytes() == img.ravel().astype(np.float32).tobytes()
 
+    @pytest.mark.parametrize("prior", ["quadratic-difference", "huber"])
+    def test_solo_objective_trace_has_its_batched_bits(self, prior):
+        # a lone column's sums run in the order of a wider batch's, so its
+        # stopping and restart decisions cannot depend on the batch width
+        geom, vals = stack_inputs(n_r=1, C=5, seed=5)
+        vals = vals + np.random.default_rng(12).uniform(0, 0.2, vals.shape)
+        sg = slice_geometry_for(geom)
+        opts = MbirOptions(prior=prior, huber_delta=0.004, max_iters=20, rel_tol=1e-12)
+        _, batch = tomo._reconstruct_columns(vals, sg, opts)
+        _, solo = mbir_reconstruct(vals[:, 2].reshape(geom.num_views, geom.num_cols), sg,
+                                   opts, return_info=True)
+        assert solo["objective_trace"].tobytes() == batch[2]["objective_trace"].tobytes()
+
     def test_hyperspectral_input_accepted(self):
         geom, vals = stack_inputs(C=2)
         axis = SpectralAxis(np.linspace(1e-3, 2e-3, 3), ToFConverter(flight_path=10.0))
@@ -499,6 +513,31 @@ def reference_prior(X, n, prior, delta):
     return value, G.reshape(n * n, -1), K.reshape(n * n, -1)
 
 
+def reference_laplacian(n):
+    """The weighted graph Laplacian L of the pairs and its doubled diagonal,
+    accumulated pair offset by pair offset: each pair adds -k to L's two
+    off-diagonal entries and 2*k to both endpoints' curvature."""
+    idx = np.arange(n * n).reshape(n, n)
+    curv = np.zeros((n, n))
+    rows, cols, vals = [], [], []
+    for da, db, k in NEIGHBOR_OFFSETS:
+        a, b = pair_ends(n, da, db)
+        ia, ib = idx[a].ravel(), idx[b].ravel()
+        rows += [ia, ib]
+        cols += [ib, ia]
+        vals += [np.full(2 * ia.size, -k)]
+        curv[a] += 2.0 * k
+        curv[b] += 2.0 * k
+    curv = curv.ravel()
+    rows.append(idx.ravel())
+    cols.append(idx.ravel())
+    vals.append(0.5 * curv)
+    L = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n * n, n * n)).tocsr()
+    return L, curv
+
+
 def reference_sqs(A, Y, W, n, opts, X0, momentum=True):
     """The accelerated SQS iteration written plainly, one channel at a time:
     the residual and the prior at z are recomputed from scratch wherever
@@ -562,21 +601,26 @@ class TestPriorMatchesDirectionalDifferences:
     @pytest.mark.parametrize("C", [1, 5])
     def test_quadratic_value_gradient_curvature(self, n, C):
         X = np.random.default_rng(100 * n + C).uniform(0.0, 1.0, (n * n, C))
-        value, grad, curv = tomo._prior_terms(X, n, "quadratic-difference", 0.1)
+        _, _, L, curv = tomo._pairs(n)
+        grad = L @ X
         ref_value, ref_grad, ref_curv = reference_prior(X, n, "quadratic-difference", 0.1)
-        assert curv is None  # constant: the solver takes it from the Laplacian
-        assert_rel_close(value, ref_value, 1e-12)
+        assert_rel_close(0.5 * tomo._column_dots(X, grad), ref_value, 1e-12)
         assert_rel_close(grad, ref_grad, 1e-12)
-        const = tomo._laplacian(n)[1]
-        np.testing.assert_array_equal(np.broadcast_to(const[:, None], ref_curv.shape),
+        np.testing.assert_array_equal(np.broadcast_to(curv[:, None], ref_curv.shape),
                                       ref_curv)
+        # the quadratic solver's bytes: L x and the curvature are exactly
+        # those of the Laplacian accumulated offset by offset
+        ref_L, ref_const = reference_laplacian(n)
+        assert grad.tobytes() == (ref_L @ X).tobytes()
+        assert curv.tobytes() == ref_const.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 7, 16])
     @pytest.mark.parametrize("C", [1, 5])
     def test_huber_value_gradient_curvature(self, n, C):
         # differences of U(0, 1) values fall on both sides of delta
         X = np.random.default_rng(100 * n + C + 50).uniform(0.0, 1.0, (n * n, C))
-        value, grad, curv = tomo._prior_terms(X, n, "huber", 0.25)
+        value = tomo._huber_value(X, n, 0.25)
+        grad, curv = tomo._huber_step(X, n, 0.25)
         ref_value, ref_grad, ref_curv = reference_prior(X, n, "huber", 0.25)
         assert_rel_close(value, ref_value, 1e-12)
         assert_rel_close(grad, ref_grad, 1e-12)
