@@ -547,7 +547,7 @@ def write_container(path, data, extra_header: dict | None = None) -> None:
                 fh.write(MAGIC)
                 fh.write(struct.pack("<I", len(blob)))
                 fh.write(blob)
-                fh.write(payload.astype("<f4", copy=False).tobytes(order="C"))
+                fh.write(memoryview(np.ascontiguousarray(payload, "<f4")))
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):

@@ -11,6 +11,11 @@ draws Poisson counts for both the sample exposure and the open beam.  The
 generator is counter-based (Philox keyed by seed, stream and the (view, row)
 chunk), so the draw for any chunk is independent of evaluation order and the
 simulation stays reproducible under parallel execution.
+
+Neither makes a whole-volume float64 copy; both write straight into their
+float32 outputs.  ``build_ground_truth`` indexes a float32 material table
+with the voxel labels, and ``simulate_scan`` works one slice at a time,
+holding only that slice's line integrals in float64.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from hsnct.containers import (
     require_positive,
     tof_to_wavelength,
 )
-from hsnct.tomo import project_volume
+from hsnct.tomo import _slice_projections
 
 __all__ = [
     "EdgeFeature",
@@ -214,7 +219,10 @@ def build_ground_truth(spec: PhantomSpec, axis: SpectralAxis) -> VolumeStack:
             _require(lam_lo <= e.edge_wavelength <= lam_hi,
                      f"material {m.name!r} edge at {e.edge_wavelength} is outside "
                      f"the spectral range [{lam_lo}, {lam_hi}]")
-    table = np.stack([m.attenuation(axis.wavelength_centers) for m in spec.materials])
+    # one float32 row per material, then an all-zero row that label -1
+    # (uncovered) picks
+    table = np.stack([m.attenuation(axis.wavelength_centers) for m in spec.materials]
+                     + [np.zeros(axis.num_bins)]).astype(np.float32)
     n = spec.image_size
     labels = np.full((spec.num_slices, n, n), -1, dtype=np.int64)
     for shape in spec.shapes:
@@ -222,11 +230,7 @@ def build_ground_truth(spec: PhantomSpec, axis: SpectralAxis) -> VolumeStack:
         for z in range(spec.num_slices):
             if shape.covers_slice(z):
                 labels[z][m] = shape.material
-    flat = labels.reshape(-1)
-    voxels = np.zeros((flat.size, axis.num_bins), dtype=np.float32)
-    covered = flat >= 0
-    voxels[covered] = table[flat[covered]].astype(np.float32)
-    return VolumeStack(voxels, spec.num_slices, n)
+    return VolumeStack(table[labels.reshape(-1)], spec.num_slices, n)
 
 
 def _chunk_rng(seed: int, stream: int, *counters: int) -> Generator:
@@ -248,22 +252,27 @@ def simulate_scan(truth: VolumeStack, geom: ScanGeometry, axis: SpectralAxis,
     _require(truth.num_channels == axis.num_bins,
              f"truth has {truth.num_channels} channels but the axis has "
              f"{axis.num_bins} bins")
+    slices = _slice_projections(truth, geom)
     n_v, n_r, n_c, n_k = geom.num_views, geom.num_rows, geom.num_cols, axis.num_bins
-    ell = project_volume(truth, geom).reshape(n_v, n_r, n_c, n_k)
-    if not np.all(np.isfinite(ell)):
-        raise ValidationError("line integrals are not finite")
-    expected = flux * np.exp(-ell)
-    if not noise:
-        counts = expected
-        open_beam = np.full((n_r, n_c, n_k), flux)
-    else:
-        counts = np.empty((n_v, n_r, n_c, n_k))
-        for v in range(n_v):
-            for r in range(n_r):
-                counts[v, r] = _chunk_rng(seed, 0, v, r).poisson(expected[v, r])
-        open_beam = np.empty((n_r, n_c, n_k))
+    counts = np.empty((n_v, n_r, n_c, n_k), dtype=np.float32)
+    for r, expected in enumerate(slices):
+        if not np.all(np.isfinite(expected)):
+            raise ValidationError("line integrals are not finite")
+        # flux * exp(-ell), in place
+        np.negative(expected, out=expected)
+        np.exp(expected, out=expected)
+        expected *= flux
+        if noise:
+            for v in range(n_v):
+                counts[v, r] = _chunk_rng(seed, 0, v, r).poisson(expected[v])
+        else:
+            counts[:, r] = expected
+    if noise:
+        open_beam = np.empty((n_r, n_c, n_k), dtype=np.float32)
         for r in range(n_r):
             open_beam[r] = _chunk_rng(seed, 1, r).poisson(flux, size=(n_c, n_k))
+    else:
+        open_beam = np.full((n_r, n_c, n_k), flux, dtype=np.float32)
     return RawScan(counts, open_beam, geom, axis)
 
 

@@ -45,6 +45,8 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
+_SNR_ROWS = 4096  # voxels per block of snr_db: 8 MiB of float64 at 256 bins
+
 CSV_COLUMNS = ("algorithm", "engine", "n_k", "n_s", "snr_db",
                "extract_s", "recon_s", "expand_s", "total_s", "speedup")
 
@@ -153,18 +155,24 @@ def run_dhr(p: HyperspectralSinogram, cfg: PipelineConfig):
 
 def snr_db(recon: VolumeStack, reference: VolumeStack) -> float:
     """10*log10(|reference|^2 / |recon - reference|^2) over all voxels and
-    channels.  An exact match has no finite SNR and is reported as an error
+    channels, both sums accumulated in float64 over blocks of ``_SNR_ROWS``
+    voxels.  An exact match has no finite SNR and is reported as an error
     rather than inf."""
     if recon.voxels.shape != reference.voxels.shape:
         raise ValidationError(
             f"shape mismatch: recon {recon.voxels.shape} vs "
             f"reference {reference.voxels.shape}")
-    ref = reference.voxels.astype(np.float64)
-    sig = float(np.sum(ref * ref))
+    sig = noise = 0.0
+    for start in range(0, reference.voxels.shape[0], _SNR_ROWS):
+        rows = slice(start, start + _SNR_ROWS)
+        ref = reference.voxels[rows].astype(np.float64)
+        err = recon.voxels[rows] - ref
+        ref *= ref
+        err *= err
+        sig += float(ref.sum())
+        noise += float(err.sum())
     if sig == 0.0:
         raise ValidationError("reference volume is all-zero")
-    err = recon.voxels.astype(np.float64) - ref
-    noise = float(np.sum(err * err))
     if noise == 0.0:
         raise ValidationError("reconstruction matches the reference exactly "
                               "(perfect, SNR unbounded)")

@@ -10,6 +10,9 @@ stay finite.  Negative attenuation (noise pushing y above the open beam) is
 clamped to zero by default since the downstream factorization needs
 non-negative input; pass ``clamp_negative=False`` to keep raw values for
 per-bin-only reconstruction.
+
+``normalize`` works one view at a time, in float64, and writes straight
+into its float32 output.
 """
 
 from __future__ import annotations
@@ -42,11 +45,18 @@ def normalize(scan: RawScan, opts: NormalizationOptions | None = None) -> Hypers
     if opts is None:
         opts = NormalizationOptions()
     eps = np.float64(opts.count_floor)
-    y = np.maximum(scan.counts.astype(np.float64), eps)
     y0 = np.maximum(scan.open_beam.astype(np.float64), eps)
-    p = -np.log(y / y0[None, :, :, :])
-    if opts.clamp_negative:
-        np.maximum(p, 0.0, out=p)
+    p = np.empty(scan.counts.shape, dtype=np.float32)
+    for v, counts in enumerate(scan.counts):
+        # -log(max(y, eps) / y0), one view in float64, in place
+        q = counts.astype(np.float64)
+        np.maximum(q, eps, out=q)
+        q /= y0
+        np.log(q, out=q)
+        np.negative(q, out=q)
+        if opts.clamp_negative:
+            np.maximum(q, 0.0, out=q)
+        p[v] = q
     n_p = scan.geometry.num_views * scan.geometry.num_rows * scan.geometry.num_cols
     return HyperspectralSinogram(p.reshape(n_p, scan.axis.num_bins),
                                  scan.geometry, scan.axis)

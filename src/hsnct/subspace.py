@@ -55,6 +55,7 @@ __all__ = [
 
 _INNER_ALPHA = 0.5  # inner sweeps per factor and pass <= floor(1 + alpha rho)
 _INNER_SHARE = 0.01  # stop once a sweep moves the factor <= this share of the first
+_EXPAND_ROWS = 4096  # voxels per block of expand: 8 MiB of float64 at 256 bins
 
 
 @dataclass(frozen=True)
@@ -287,9 +288,16 @@ def subspace_residual(p: HyperspectralSinogram, v: SubspaceSinogram, d: Spectral
 
 
 def expand(x_s: VolumeStack, d: SpectralBasis) -> VolumeStack:
-    """Per-voxel channel-to-spectrum map x_h = x_s D^T; pure linear, no clamp."""
+    """Per-voxel channel-to-spectrum map x_h = x_s D^T; pure linear, no clamp.
+
+    Computed in float64 over blocks of ``_EXPAND_ROWS`` voxels, each written
+    straight into the float32 result."""
     if x_s.num_channels != d.rank:
         raise ValidationError(
             f"volume has {x_s.num_channels} channels, basis rank is {d.rank}")
-    voxels = x_s.voxels.astype(np.float64) @ d.basis.astype(np.float64).T
+    dt = d.basis.astype(np.float64).T
+    voxels = np.empty((x_s.voxels.shape[0], dt.shape[1]), dtype=np.float32)
+    for start in range(0, voxels.shape[0], _EXPAND_ROWS):
+        rows = slice(start, start + _EXPAND_ROWS)
+        voxels[rows] = x_s.voxels[rows].astype(np.float64) @ dt
     return VolumeStack(voxels, x_s.num_rows, x_s.num_cols, x_s.voxel_pitch)

@@ -156,22 +156,30 @@ def project_volume(volume: VolumeStack, geom: ScanGeometry) -> np.ndarray:
 
     Returns float64 coefficients shaped [N_p, C] in the sinogram layout
     (view, row, col row-major), so the result aligns bin-for-bin with
-    HyperspectralSinogram/SubspaceSinogram values.
+    HyperspectralSinogram/SubspaceSinogram values.  Works one slice at a
+    time: only one slice of the volume is held in float64.
     """
+    slices = _slice_projections(volume, geom)
+    n_v, n_r, n_c = geom.num_views, geom.num_rows, geom.num_cols
+    out = np.empty((n_v, n_r, n_c, volume.num_channels))
+    for r, ell in enumerate(slices):
+        out[:, r] = ell
+    return out.reshape(n_v * n_r * n_c, -1)
+
+
+def _slice_projections(volume: VolumeStack, geom: ScanGeometry):
+    """Check ``volume`` against ``geom`` now, then lazily yield the float64
+    line integrals of each slice r, shaped (N_v, N_c, C): detector row r."""
     if not isinstance(volume, VolumeStack):
         raise ValidationError(f"expected a VolumeStack, got {type(volume).__name__}")
     if volume.num_rows != geom.num_rows or volume.num_cols != geom.num_cols:
         raise ValidationError(
             f"volume grid ({volume.num_rows} slices of {volume.num_cols}^2) does "
             f"not match geometry ({geom.num_rows} rows, {geom.num_cols} cols)")
-    n_v, n_r, n_c = geom.num_views, geom.num_rows, geom.num_cols
-    C = volume.num_channels
+    n_v, n_c, n2 = geom.num_views, geom.num_cols, geom.num_cols ** 2
     A = _system_matrix(slice_geometry_for(geom))
-    vox = volume.voxels.astype(np.float64)
-    out = np.empty((n_v, n_r, n_c, C))
-    for r in range(n_r):
-        out[:, r] = (A @ vox[r * n_c * n_c:(r + 1) * n_c * n_c]).reshape(n_v, n_c, C)
-    return out.reshape(n_v * n_r * n_c, C)
+    return ((A @ volume.voxels[r * n2:(r + 1) * n2].astype(np.float64)).reshape(n_v, n_c, -1)
+            for r in range(geom.num_rows))
 
 
 def _system_matrix(geom: SliceGeometry) -> sp.csr_matrix:

@@ -209,6 +209,8 @@ class TestContainerFormat:
         hlen = int.from_bytes(raw[8:12], "little")
         header = raw[12 : 12 + hlen].decode("utf-8")
         assert header.startswith("{") and '"dtype":"f32le"' in header
+        payload = np.concatenate([scan.counts, scan.open_beam[None]])
+        assert raw[12 + hlen:] == payload.astype("<f4").tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         scan = random_raw_scan(np.random.default_rng(2))
