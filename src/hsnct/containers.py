@@ -100,7 +100,9 @@ class ContainerError(OSError):
 def _as_f32(values, name: str) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=np.float32)
     arr.flags.writeable = False
-    if arr.size and not np.all(np.isfinite(arr)):
+    # the min and the max are NaN or +-inf exactly when some entry is, and
+    # unlike an isfinite mask they need no array-sized temporary
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
 
@@ -450,10 +452,11 @@ def spectral_from_header(h: dict) -> SpectralAxis:
                         SpectralAxis(tof_edges, ToFConverter(**rest)))
 
 
-def _pack(data) -> tuple[dict, np.ndarray]:
-    """Header dict + payload array for a typed container (inverse of _unpack)."""
+def _pack(data) -> tuple[dict, tuple[np.ndarray, ...]]:
+    """Header dict + payload arrays for a typed container (inverse of
+    _unpack); the payload is the arrays concatenated along their first axis."""
     if isinstance(data, RawScan):
-        payload = np.concatenate([data.counts, data.open_beam[None]], axis=0)
+        payload = (data.counts, data.open_beam[None])
         return {
             "role": "raw-scan",
             "geometry": geometry_header(data.geometry),
@@ -466,26 +469,26 @@ def _pack(data) -> tuple[dict, np.ndarray]:
             "role": "sinogram",
             "geometry": geometry_header(g),
             "spectral": spectral_header(data.axis),
-        }, payload
+        }, (payload,)
     if isinstance(data, SubspaceSinogram):
         g = data.geometry
         payload = data.coeffs.reshape(g.num_views, g.num_rows, g.num_cols, data.rank)
         return {
             "role": "subspace-sinogram",
             "geometry": geometry_header(g),
-        }, payload
+        }, (payload,)
     if isinstance(data, SpectralBasis):
         return {
             "role": "basis",
             "spectral": spectral_header(data.axis),
-        }, data.basis
+        }, (data.basis,)
     if isinstance(data, VolumeStack):
         payload = data.voxels.reshape(data.num_rows, data.num_cols, data.num_cols,
                                       data.num_channels)
         return {
             "role": "volume",
             "voxel_pitch": float(data.voxel_pitch),
-        }, payload
+        }, (payload,)
     raise ValidationError(f"cannot serialize object of type {type(data).__name__}")
 
 
@@ -534,7 +537,7 @@ def write_container(path, data, extra_header: dict | None = None) -> None:
     header, payload = _pack(data)
     header["axis_order"] = AXIS_ORDERS[header["role"]]
     header["dtype"] = "f32le"
-    header["shape"] = list(payload.shape)
+    header["shape"] = [sum(a.shape[0] for a in payload), *payload[0].shape[1:]]
     for key, value in (extra_header or {}).items():
         if header.setdefault(key, value) != value:
             raise ValidationError(f"extra header key {key!r} conflicts with derived value")
@@ -547,7 +550,8 @@ def write_container(path, data, extra_header: dict | None = None) -> None:
                 fh.write(MAGIC)
                 fh.write(struct.pack("<I", len(blob)))
                 fh.write(blob)
-                fh.write(memoryview(np.ascontiguousarray(payload, "<f4")))
+                for a in payload:
+                    fh.write(memoryview(np.ascontiguousarray(a, "<f4")))
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -601,11 +605,7 @@ def read_container(path) -> tuple[dict, np.ndarray]:
         raise ContainerError(
             f"{path}: {available - expected} trailing bytes after payload")
     arr = np.frombuffer(raw, dtype="<f4", count=count, offset=body + hlen)
-    arr = arr.reshape(shape)
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{path}: payload contains non-finite entries")
-    arr.flags.writeable = False
-    return header, arr
+    return header, _as_f32(arr.reshape(shape), f"{path}: payload")
 
 
 def load_container(path, *roles: str):

@@ -40,12 +40,13 @@ Reconstructors:
   trace, so the trace does not increase.  Each iteration does one A and
   one A^T product, and one L product or Huber's P products at x+ and z.
 
-Both run through one driver, ``_reconstruct_columns``, which takes
-independent ray-major columns: one for a single slice, and one per
-(slice, channel) pair for ``reconstruct_stack``.  It alone decides how
-columns are grouped (parts of at most ``_BATCH_COLUMNS``, at least one per
-worker), the MBIR start, the one weight rule W = exp(-y), and the
-threading.  Columns never mix.
+Both run through one driver, ``_reconstruct_columns``, which reads slice
+sinograms in the container layout (angles, slices, bins, C) and writes
+images in the volume layout (slices, n^2, C).  It alone decides how the
+independent (slice, channel) columns are grouped, the MBIR start, the one
+weight rule W = exp(-y), and the threading.  With step = min(_BATCH_COLUMNS,
+ceil(slices*C / threads)), a block is step // C whole slices when C <= step,
+else step channels of one slice.  Columns never mix.
 
 All solver arithmetic is float64.
 """
@@ -268,7 +269,7 @@ def _fbp_batch(Y: np.ndarray, geom: SliceGeometry) -> np.ndarray:
 def fbp_reconstruct(sino: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     """Filtered backprojection of one slice sinogram."""
     sino = _slice_input(sino, geom)
-    img, _ = _reconstruct_columns(sino.reshape(-1, 1), geom, None)
+    img, _ = _reconstruct_columns(sino[:, None, :, None], geom, None)
     return img.reshape(geom.image_size, geom.image_size)
 
 
@@ -491,44 +492,47 @@ def _sqs_solve(A: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
 
 
 def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions | None,
-                         threads: int = 1):
-    """Reconstruct independent ray-major columns: Y (m, C) -> (images
-    (n^2, C), MBIR info per column).
+                         threads: int = 1, dtype=np.float64):
+    """Reconstruct slice sinograms Y (angles, slices, bins, C) -> (images
+    (slices, n^2, C) of ``dtype``, MBIR info per (slice, channel) column).
 
     ``opts`` None runs FBP, and there is no info.  Otherwise MBIR starts
     from the FBP image clamped at 0 (zeros below 2 views) and weights each
-    ray by exp(-y), the one weight rule.  Columns never mix, so they are
-    solved in parts of at most _BATCH_COLUMNS, with at least one part per
-    worker, and the parts are spread over ``threads`` workers.
+    ray by exp(-y), the one weight rule.  Blocks (module docstring) are read
+    and written with basic slices, keep (slice, channel) order, and are
+    spread over ``threads`` workers.
     """
-    C = Y.shape[1]
+    n_r, C = Y.shape[1], Y.shape[3]
     n = geom.image_size
     A = _system_matrix(geom)
-    step = max(1, min(_BATCH_COLUMNS, -(-C // threads)))
-    out = np.empty((n * n, C))
+    step = max(1, min(_BATCH_COLUMNS, -(-n_r * C // threads)))
+    rows, chans = (step // C, C) if C <= step else (1, step)
+    out = np.empty((n_r, n * n, C), dtype=dtype)
 
-    def solve(start: int):
-        part = slice(start, start + step)
-        y = np.ascontiguousarray(Y[:, part])
+    def solve(block):
+        r, c = block
+        # (angle, slice, bin, channel) -> rays x (slice, channel)
+        yb = Y[:, r:r + rows, :, c:c + chans].transpose(0, 2, 1, 3)
+        y = np.ascontiguousarray(yb, dtype=np.float64).reshape(A.shape[0], -1)
         if opts is None:
-            out[:, part] = _fbp_batch(y, geom)
-            return []
-        if geom.num_angles >= 2:
-            x0 = np.maximum(_fbp_batch(y, geom), 0.0)
+            X, info = _fbp_batch(y, geom), []
         else:
-            x0 = np.zeros((n * n, y.shape[1]))
-        # transmission-proportional statistical weights: high attenuation
-        # means few counts and an unreliable ray
-        X, info = _sqs_solve(A, y, np.exp(-y), n, opts, x0)
-        out[:, part] = X
+            if geom.num_angles >= 2:
+                x0 = np.maximum(_fbp_batch(y, geom), 0.0)
+            else:
+                x0 = np.zeros((n * n, y.shape[1]))
+            # transmission-proportional statistical weights: high attenuation
+            # means few counts and an unreliable ray
+            X, info = _sqs_solve(A, y, np.exp(-y), n, opts, x0)
+        out[r:r + rows, :, c:c + chans] = X.reshape(n * n, *yb.shape[2:]).transpose(1, 0, 2)
         return info
 
-    starts = range(0, C, step)
+    blocks = [(r, c) for r in range(0, n_r, rows) for c in range(0, C, chans)]
     if threads == 1:
-        infos = list(map(solve, starts))
+        infos = list(map(solve, blocks))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            infos = list(pool.map(solve, starts))
+            infos = list(pool.map(solve, blocks))
     return out, [i for info in infos for i in info]
 
 
@@ -538,7 +542,7 @@ def mbir_reconstruct(sino: np.ndarray, geom: SliceGeometry,
     if opts is None:
         opts = MbirOptions()
     sino = _slice_input(sino, geom)
-    X, info = _reconstruct_columns(sino.reshape(-1, 1), geom, opts)
+    X, info = _reconstruct_columns(sino[:, None, :, None], geom, opts)
     img = X.reshape(geom.image_size, geom.image_size)
     return (img, info[0]) if return_info else img
 
@@ -550,9 +554,9 @@ def reconstruct_stack(sinos, geom: ScanGeometry, engine: str,
 
     ``sinos`` is a SubspaceSinogram (C = subspace channels) or a
     HyperspectralSinogram (C = wavelength bins).  Detector row r maps to
-    volume slice r.  Every (slice, channel) pair is one column of a single
-    ``_reconstruct_columns`` call, which spreads its parts over ``threads``
-    workers and weights MBIR's rays by exp(-y).
+    volume slice r.  One ``_reconstruct_columns`` call reads the stack in
+    its container layout, spreads its blocks over ``threads`` workers,
+    weights MBIR's rays by exp(-y) and writes the float32 voxels.
     """
     require_engine(engine, opts)
     require_count(threads, "threads")
@@ -573,12 +577,6 @@ def reconstruct_stack(sinos, geom: ScanGeometry, engine: str,
 
     n_v, n_r, n_c = geom.num_views, geom.num_rows, geom.num_cols
     C = values.shape[1]
-
-    # (view, row, col, channel) -> rays (view, col) x (slice, channel)
-    V4 = values.reshape(n_v, n_r, n_c, C).transpose(0, 2, 1, 3)
-    Y = np.ascontiguousarray(V4, dtype=np.float64).reshape(n_v * n_c, -1)
-    X, _ = _reconstruct_columns(Y, slice_geometry_for(geom), opts, threads)
-    # pixels x (slice, channel) -> (slice, pixel, channel), cast once
-    vox = np.ascontiguousarray(X.reshape(n_c * n_c, n_r, C).transpose(1, 0, 2),
-                               dtype=np.float32)
+    vox, _ = _reconstruct_columns(values.reshape(n_v, n_r, n_c, C), slice_geometry_for(geom),
+                                  opts, threads, np.float32)
     return VolumeStack(vox.reshape(-1, C), n_r, n_c, geom.pixel_pitch)

@@ -132,6 +132,12 @@ class TestTypeInvariants:
         with pytest.raises(ValidationError):
             RawScan(counts, np.zeros((2, 2, 2)), geom, axis)
 
+    def test_plus_and_minus_inf_rejected(self):
+        vox = np.ones((4, 2))
+        vox.flat[-2:] = [np.inf, -np.inf]
+        with pytest.raises(ValidationError, match="voxels contains non-finite"):
+            VolumeStack(vox, 1, 2)
+
     def test_sinogram_row_bookkeeping_rejected(self):
         geom, axis = small_geometry(), small_axis()
         n_p = sinogram_row_count(geom)
@@ -249,6 +255,15 @@ class TestContainerFormat:
         raw[payload:payload + 4] = struct.pack("<f", np.nan)
         path.write_bytes(bytes(raw))
         with pytest.raises(ValidationError):
+            read_container(path)
+
+    @pytest.mark.parametrize("tail", [[np.nan], [np.inf, -np.inf]])
+    def test_non_finite_payload_tail_rejected(self, tmp_path, tail):
+        path = tmp_path / "x.hsnct"
+        write_container(path, SpectralBasis(np.ones((2, 2)), small_axis(n_k=2)))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-4 * len(tail)] + struct.pack(f"<{len(tail)}f", *tail))
+        with pytest.raises(ValidationError, match="x.hsnct: payload contains non-finite"):
             read_container(path)
 
     def test_missing_file_raises_io_error(self, tmp_path):

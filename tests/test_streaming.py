@@ -1,8 +1,8 @@
-"""Set-up, expansion and scoring work in bounded blocks (one slice, view or
-row block at a time).  Each streamed function must give the bytes of the
-whole-array formula it replaced, written out here as the reference, and
-must not hold whole-array float64 copies: tracemalloc measures what a call
-adds on inputs of at least 8 MiB."""
+"""Set-up, expansion, scoring and reconstruction work in bounded blocks
+(one slice, view, row or column block at a time).  Each streamed function
+must give the bytes of the whole-array formula it replaced, written out
+here as the reference, and must not hold whole-array float64 copies:
+tracemalloc measures what a call adds on inputs of at least 8 MiB."""
 
 import tracemalloc
 
@@ -11,12 +11,15 @@ import pytest
 
 from hsnct import pipeline, tomo
 from hsnct.containers import (
+    HyperspectralSinogram,
     RawScan,
     ScanGeometry,
     SpectralAxis,
     SpectralBasis,
     ToFConverter,
     VolumeStack,
+    read_container,
+    write_container,
 )
 from hsnct.phantom import (
     EdgeFeature,
@@ -200,7 +203,8 @@ def random_volume(rng, n_r, n_c, channels, scale=1.0):
 
 
 class TestMemoryIsBounded:
-    """At most 2x the output's bytes for set-up and expansion; a fixed
+    """At most 2x the output's bytes for set-up, expansion and
+    reconstruction; under 1 MiB to wrap or write a container; a fixed
     bound, whatever the volume size, for scoring."""
 
     def test_simulate_scan(self):
@@ -229,6 +233,38 @@ class TestMemoryIsBounded:
         d = SpectralBasis(rng.random((16, 8)), axis_for(16))
         x_h, added = added_bytes(expand, x_s, d)
         assert added <= 2 * x_h.voxels.nbytes
+
+    def test_reconstruct_stack(self):
+        # blocks go straight from the sinogram layout into the float32
+        # volume: no whole-stack float64 copy of the input or the images
+        geom = geometry(16, 16, 64)
+        rng = np.random.default_rng(5)
+        p = HyperspectralSinogram(rng.random((16 * 16 * 64, 64), dtype=np.float32),
+                                  geom, axis_for(64))
+        tomo._system_matrix(slice_geometry_for(geom))
+        vol, added = added_bytes(tomo.reconstruct_stack, p, geom, "fbp")
+        assert vol.voxels.nbytes >= 8 * MIB
+        assert added <= 2 * vol.voxels.nbytes
+
+    def test_container_wraps_without_a_mask(self):
+        vox = np.random.default_rng(6).random((16 * 64 * 64, 32), dtype=np.float32)
+        assert vox.nbytes >= 8 * MIB
+        _, added = added_bytes(VolumeStack, vox, 16, 64)
+        assert added < MIB
+
+    def test_raw_scan_write(self, tmp_path):
+        axis, geom = axis_for(128), geometry(32, 16, 32)
+        rng = np.random.default_rng(7)
+        counts = rng.random((32, 16, 32, 128), dtype=np.float32)
+        scan = RawScan(counts, rng.random((16, 32, 128), dtype=np.float32), geom, axis)
+        assert counts.nbytes >= 8 * MIB
+        path = tmp_path / "scan.hsnct"
+        _, added = added_bytes(write_container, path, scan)
+        assert added < MIB
+        # the bytes of a file whose payload is the concatenated array
+        payload = np.concatenate([scan.counts, scan.open_beam[None]])
+        assert read_container(path)[0]["shape"] == list(payload.shape)
+        assert path.read_bytes().endswith(payload.tobytes())
 
     def test_snr_db_adds_a_fixed_bound(self):
         channels = 16

@@ -318,6 +318,11 @@ def stack_inputs(n_r=2, n_c=24, n_v=12, C=3, seed=0):
     return geom, vals.reshape(-1, C)
 
 
+def one_slice(vals, sg):
+    """A single slice's (N_p, C) values as the driver's (angles, 1, bins, C)."""
+    return vals.reshape(sg.num_angles, 1, sg.num_detector_bins, -1)
+
+
 class TestReconstructStack:
     def test_single_slice_single_channel_matches_direct_call(self):
         geom, vals = stack_inputs(n_r=1, C=1)
@@ -378,21 +383,27 @@ class TestReconstructStack:
                 assert got.tobytes() == img.ravel().astype(np.float32).tobytes()
         assert len(iterations) > 2
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_wide_batch_matches_per_channel_runs(self, threads):
-        # more channels than one solver part takes are solved in parts,
-        # spread over the workers
-        C = tomo._BATCH_COLUMNS + 3
-        geom, vals = stack_inputs(n_r=1, C=C, seed=6)
-        vals = vals + np.random.default_rng(10).uniform(0, 0.2, vals.shape)
-        sub = SubspaceSinogram(vals, geom)
+        # whole-slice blocks (C <= step), and channel blocks of one slice
+        # when C exceeds a solver part or the per-worker share, all give
+        # each (slice, channel) the bytes of its solo run
         opts = MbirOptions(regularization_weight=1.0, max_iters=30, rel_tol=1e-4)
-        batch = reconstruct_stack(sub, geom, "mbir", opts, threads=threads)
-        y = sub.coeffs.astype(np.float64).reshape(geom.num_views, geom.num_cols, C)
-        sg = slice_geometry_for(geom)
-        for c in range(C):
-            img = mbir_reconstruct(y[:, :, c], sg, opts)
-            assert batch.voxels[:, c].tobytes() == img.ravel().astype(np.float32).tobytes()
+        for C in (3, tomo._BATCH_COLUMNS, 100):
+            geom, vals = stack_inputs(n_r=2, n_c=12, n_v=8, C=C, seed=6)
+            vals = vals + np.random.default_rng(10).uniform(0, 0.2, vals.shape)
+            sub = SubspaceSinogram(vals, geom)
+            n_v, n_c, sg = geom.num_views, geom.num_cols, slice_geometry_for(geom)
+            y4 = sub.coeffs.astype(np.float64).reshape(n_v, 2, n_c, C)
+            for engine, solo in (("fbp", lambda y: fbp_reconstruct(y, sg)),
+                                 ("mbir", lambda y: mbir_reconstruct(y, sg, opts))):
+                batch = reconstruct_stack(sub, geom, engine, opts if engine == "mbir" else None,
+                                          threads=threads)
+                vox = batch.voxels.reshape(2, n_c * n_c, C)
+                for r in range(2):
+                    for c in range(C):
+                        img = solo(y4[:, r, :, c]).ravel().astype(np.float32)
+                        assert vox[r, :, c].tobytes() == img.tobytes(), (C, engine, r, c)
 
     @pytest.mark.parametrize("prior", ["quadratic-difference", "huber"])
     def test_solo_objective_trace_has_its_batched_bits(self, prior):
@@ -402,7 +413,7 @@ class TestReconstructStack:
         vals = vals + np.random.default_rng(12).uniform(0, 0.2, vals.shape)
         sg = slice_geometry_for(geom)
         opts = MbirOptions(prior=prior, huber_delta=0.004, max_iters=20, rel_tol=1e-12)
-        _, batch = tomo._reconstruct_columns(vals, sg, opts)
+        _, batch = tomo._reconstruct_columns(one_slice(vals, sg), sg, opts)
         _, solo = mbir_reconstruct(vals[:, 2].reshape(geom.num_views, geom.num_cols), sg,
                                    opts, return_info=True)
         assert solo["objective_trace"].tobytes() == batch[2]["objective_trace"].tobytes()
@@ -665,8 +676,8 @@ class TestSolverMatchesReferenceLoop:
         else:
             assert lengths == [opts.max_iters] * 3
 
-        X, info = tomo._reconstruct_columns(vals, sg, opts)
-        assert_rel_close(X, ref_X, 1e-10)
+        X, info = tomo._reconstruct_columns(one_slice(vals, sg), sg, opts)
+        assert_rel_close(X[0], ref_X, 1e-10)
         for c in range(3):
             assert info[c]["iterations"] == lengths[c]
             assert_rel_close(info[c]["objective_trace"], ref_traces[c], 1e-10)
@@ -685,11 +696,11 @@ class TestSolverMatchesReferenceLoop:
         _, sg, vals, A, X0 = solver_inputs(seed=2, noise_seed=11)
         opts = MbirOptions(regularization_weight=2.0, max_iters=40, rel_tol=1e-12)
         ref_X, ref_traces = reference_sqs(A, vals, np.exp(-vals), sg.image_size, opts, X0)
-        X, info = tomo._reconstruct_columns(vals, sg, opts)
+        X, info = tomo._reconstruct_columns(one_slice(vals, sg), sg, opts)
         trace = info[0]["objective_trace"]
         assert np.any(trace[1:] == trace[:-1])
         assert np.all(trace[1:] <= trace[:-1])
-        assert_rel_close(X, ref_X, 1e-10)
+        assert_rel_close(X[0], ref_X, 1e-10)
         for c in range(3):
             assert_rel_close(info[c]["objective_trace"], ref_traces[c], 1e-10)
 
