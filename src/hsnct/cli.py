@@ -117,8 +117,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--out-v", required=True, help="coefficient sinogram output")
     p.add_argument("--out-d", required=True, help="spectral basis output")
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--max-iters", type=int, default=NmfOptions.max_iters,
+                   help="cap on HALS passes (default %(default)s)")
+    p.add_argument("--tol", type=float, default=NmfOptions.rel_tol,
+                   help="stop once the residual energy exceeds the best rank-r "
+                        "fit's by at most TOL x lambda_{r+1}, the energy of the "
+                        "strongest direction that fit leaves out (default %(default)s)")
 
     p = sub.add_parser("reconstruct", parents=[common],
                        help="reconstruct every channel of a sinogram container")
@@ -238,8 +242,8 @@ def _cmd_extract(args) -> int:
     coeffs, basis, report = nmf_factorize(sino, opts)
     write_container(args.out_v, coeffs)
     write_container(args.out_d, basis)
-    log.info("factorized rank %d in %d iterations, residual fraction %.3g",
-             args.rank, report.iterations_run, report.residual_energy)
+    log.info("factorized rank %d in %d passes, residual fraction %.3g, gap %.3g",
+             args.rank, report.iterations_run, report.residual_energy, report.gap)
     return 0
 
 

@@ -25,6 +25,19 @@ The objective needs no third read of X per pass, because
 with the D of the update just made.  A pass that revives a collapsed
 column changes V and D after X^T V was formed, so it takes the objective
 from a fresh pass over X instead.
+
+The passes stop on a certified gap.  With lambda_1 >= lambda_2 >= ... the
+eigenvalues of X's Gram matrix (X^T X or X X^T, whichever is smaller),
+
+    f_svd = max(||X||^2 - sum_{i<=r} lambda_i, 0)
+
+is the objective of the best rank-r fit (Eckart-Young), so no rank-r NMF
+can go below it, and f - f_svd bounds from above how much any further pass
+could still gain.  A run stops once f - f_svd <= max(tau lambda_{r+1},
+1e-15 ||X||^2): the gap is at most tau times the energy of one noise
+direction, lambda_{r+1} (0 when r = min(N_p, N_k)), or the fit is exact to
+rounding.  tau is ``NmfOptions.rel_tol``.  The Gram matrix costs one read
+of X, the read that ||X||^2, its trace, needs anyway.
 """
 
 from __future__ import annotations
@@ -60,10 +73,14 @@ _EXPAND_ROWS = 4096  # voxels per block of expand: 8 MiB of float64 at 256 bins
 
 @dataclass(frozen=True)
 class NmfOptions:
+    """``rank`` basis columns from a start drawn at ``seed``; at most
+    ``max_iters`` passes, stopping once the objective is within ``rel_tol``
+    (tau) times lambda_{r+1} of the best rank-r fit's (module docstring)."""
+
     rank: int
     seed: int
     max_iters: int = 500
-    rel_tol: float = 1e-6
+    rel_tol: float = 0.1
 
     def __post_init__(self):
         require_count(self.rank, "rank")
@@ -79,16 +96,21 @@ class FactorizationReport:
     ``iterations_run`` counts passes: one HALS update of V then of D, each
     with its own inner sweeps.  ``objective_trace[i]`` is ||X - V D^T||_F^2
     after pass i+1.  ``residual_energy`` is the final objective over
-    ||X||_F^2 (0 for an all-zero input).  ``reseeded_columns`` lists columns
-    revived once from the residual after collapsing to zero;
-    ``dead_columns`` lists columns that collapsed twice and were packaged
-    as an inert unit vector with zero coefficients.
+    ||X||_F^2 (0 for an all-zero input).  ``converged`` says the run met
+    the stopping rule within ``max_iters`` passes.  ``gap`` is the final
+    (f - f_svd) / lambda_{r+1}, the quantity that ``rel_tol`` bounds, or 0
+    when lambda_{r+1} = 0; a run that stopped on the exact-fit floor may
+    read above ``rel_tol`` when lambda_{r+1} is itself at rounding level.
+    ``reseeded_columns`` lists columns revived once from the residual after
+    collapsing to zero; ``dead_columns`` lists columns that collapsed twice
+    and were packaged as an inert unit vector with zero coefficients.
     """
 
     iterations_run: int
     objective_trace: np.ndarray
     residual_energy: float
     converged: bool
+    gap: float
     reseeded_columns: tuple = ()
     dead_columns: tuple = ()
 
@@ -101,6 +123,7 @@ class FactorizationReport:
         if trace.size and (not np.all(np.isfinite(trace)) or float(trace.min()) < 0):
             raise ValidationError("objective_trace must be finite and >= 0")
         require_nonneg(self.residual_energy, "residual_energy")
+        require_nonneg(self.gap, "gap")
 
 
 def _init_factors(X, rank, seed):
@@ -181,20 +204,19 @@ def _hals_update(W, A, G, max_inner):
             break
 
 
-def _accelerated_hals(X, X2, V, D, opts):
+def _accelerated_hals(X, X2, V, D, opts, f_stop):
     """Run the passes on V and D in place, two reads of X per pass; ``X2`` is
-    ||X||_F^2.  Returns (objective trace, converged, reseeded columns, dead
-    columns)."""
+    ||X||_F^2.  Stops after the first pass whose objective is <= ``f_stop``,
+    or after ``opts.max_iters`` passes.  Returns (objective trace, converged,
+    reseeded columns, dead columns)."""
     n_p, n_k, r = *X.shape, opts.rank
     # inner-sweep caps floor(1 + alpha rho), rho being one plus the cost of a
     # factor's products with X and with itself in inner sweeps (Gillis & Glineur)
     cap_v = int(1 + _INNER_ALPHA * (1 + n_k * (n_p + r) / (n_p * (r + 1))))
     cap_d = int(1 + _INNER_ALPHA * (1 + n_p * (n_k + r) / (n_k * (r + 1))))
-    zero_floor = X2 * 1e-15  # objective below this is numerically an exact fit
     reseeded: set = set()
     dead: set = set()
 
-    f_prev = _objective(X2, X, V, D)
     trace = []
     converged = False
     for _ in range(opts.max_iters):
@@ -210,10 +232,9 @@ def _accelerated_hals(X, X2, V, D, opts):
             f = max(X2 - 2.0 * float(np.einsum("ij,ij->", XtV, D))
                     + float(np.einsum("ij,ij->", VtV, D.T @ D)), 0.0)
         trace.append(f)
-        if f <= zero_floor or abs(f_prev - f) <= opts.rel_tol * max(f_prev, 1e-300):
+        if f <= f_stop:
             converged = True
             break
-        f_prev = f
     return trace, converged, reseeded, dead
 
 
@@ -237,8 +258,13 @@ def nmf_factorize(p: HyperspectralSinogram, opts: NmfOptions):
 
     # column-major factors: every HALS update reads and writes one column
     V, D = (np.asfortranarray(f) for f in _init_factors(X, opts.rank, opts.seed))
-    X2 = float(np.einsum("ij,ij->", X, X))
-    trace, converged, reseeded, dead = _accelerated_hals(X, X2, V, D, opts)
+    gram = X.T @ X if n_p >= n_k else X @ X.T  # on X's shorter side
+    X2, lam = float(np.trace(gram)), np.linalg.eigvalsh(gram)[::-1]
+    f_svd = max(X2 - float(lam[:opts.rank].sum()), 0.0)
+    lam_next = max(float(lam[opts.rank]), 0.0) if opts.rank < lam.size else 0.0
+    zero_floor = X2 * 1e-15  # a gap below this is rounding: the fit is exact
+    trace, converged, reseeded, dead = _accelerated_hals(
+        X, X2, V, D, opts, f_svd + max(opts.rel_tol * lam_next, zero_floor))
 
     # package: inert unit columns for the dead ones, unit-norm basis columns
     # elsewhere, descending coefficient norm everywhere
@@ -260,6 +286,7 @@ def nmf_factorize(p: HyperspectralSinogram, opts: NmfOptions):
         objective_trace=np.asarray(trace),
         residual_energy=(trace[-1] / X2) if X2 > 0 else 0.0,
         converged=converged,
+        gap=max(trace[-1] - f_svd, 0.0) / lam_next if lam_next > 0 else 0.0,
         reseeded_columns=tuple(sorted(remap[j] for j in reseeded)),
         dead_columns=tuple(sorted(remap[j] for j in dead)),
     )

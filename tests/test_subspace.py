@@ -98,17 +98,23 @@ class TestNmfFactorize:
 
     def test_converges_under_default_tolerance(self):
         # noisy rank-3 data fitted at rank 4, as on the desk scan: the fourth
-        # column fits noise; the run stops on rel_tol, not on max_iters
+        # column fits noise; the run stops on the certified gap, not on max_iters
         rng = np.random.default_rng(700)
         V = rng.uniform(0.2, 1.0, (3000, 3))
         D = rng.uniform(0.2, 1.0, (64, 3))
         clean = V @ D.T
         noisy = np.maximum(clean + 0.3 * clean.mean() * rng.standard_normal(clean.shape), 0.0)
+        p = sino_from(noisy)
         opts = NmfOptions(rank=4, seed=0)
-        _, _, report = nmf_factorize(sino_from(noisy), opts)
+        _, _, report = nmf_factorize(p, opts)
         assert report.converged
         assert report.iterations_run <= opts.max_iters // 2
         assert np.all(np.diff(report.objective_trace) <= 0.0)
+        # the reported gap is (f - f_svd) / lambda_5, with both taken from an SVD here
+        sq = np.linalg.svd(p.values.astype(np.float64), compute_uv=False) ** 2
+        gap = (report.objective_trace[-1] - sq[4:].sum()) / sq[4]
+        assert report.gap == pytest.approx(gap, rel=1e-6)
+        assert 0.0 < report.gap <= opts.rel_tol
 
     def test_same_seed_bit_identical(self):
         rng = np.random.default_rng(77)
@@ -169,6 +175,47 @@ class TestNmfFactorize:
         for seed in (None, -1, 1.5, True):
             with pytest.raises(ValidationError, match="seed"):
                 NmfOptions(rank=1, seed=seed)
+
+
+class TestCertificate:
+    """The stopping rule's lower bound f_svd (the best rank-r fit's
+    objective, from an SVD here) and the runs it stops."""
+
+    @pytest.mark.parametrize("shape", [(40, 12), (12, 40), (300, 16)])
+    def test_no_iterate_beats_the_svd_bound(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        for seed in range(5):
+            p = sino_from(rng.uniform(0.0, 2.0, shape))
+            X = p.values.astype(np.float64)
+            rank = 1 + seed % 3
+            f_svd = float(np.sum(np.linalg.svd(X, compute_uv=False)[rank:] ** 2))
+            _, _, report = nmf_factorize(
+                p, NmfOptions(rank=rank, seed=seed, max_iters=60, rel_tol=1e-12))
+            assert np.all(report.objective_trace >= f_svd - 1e-12 * np.sum(X * X))
+
+    def test_exact_rank_stops_on_the_zero_floor(self):
+        # small-integer factors: the product is exact in float32, so the
+        # sinogram holds an exactly rank-3 matrix and lambda_4 is rounding
+        rng = np.random.default_rng(2024)
+        X = rng.integers(1, 5, (200, 3)) @ rng.integers(1, 5, (24, 3)).T
+        opts = NmfOptions(rank=3, seed=0)
+        _, _, report = nmf_factorize(sino_from(X), opts)
+        assert report.converged
+        assert report.iterations_run <= opts.max_iters // 4
+        # the first pass within the floor, 1e-15 ||X||^2, ends the run
+        floor = 1e-15 * float(np.sum(X.astype(np.float64) ** 2))
+        assert report.objective_trace[-1] <= floor
+        assert np.all(report.objective_trace[:-1] > floor)
+
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (5, 5)])
+    def test_full_rank_has_no_next_eigenvalue(self, shape):
+        # rank = min(N_p, N_k): lambda_{r+1} does not exist and f_svd is 0
+        rng = np.random.default_rng(5)
+        opts = NmfOptions(rank=min(shape), seed=0)
+        _, _, report = nmf_factorize(sino_from(rng.uniform(0.0, 1.0, shape)), opts)
+        assert report.gap == 0.0
+        assert ((report.converged and report.residual_energy <= 1e-14)
+                or report.iterations_run == opts.max_iters)
 
 
 class TestRankScan:
@@ -300,7 +347,7 @@ class TestSinglePassSweep:
         opts = NmfOptions(rank=3, seed=5, max_iters=self.SWEEPS, rel_tol=1e-15)
         V, D = _init_factors(X, opts.rank, opts.seed)
         V_ref, D_ref = V.copy(), D.copy()
-        trace, converged, _, _ = _accelerated_hals(X, float(np.sum(X * X)), V, D, opts)
+        trace, converged, _, _ = _accelerated_hals(X, float(np.sum(X * X)), V, D, opts, 0.0)
         ref_trace, _ = three_pass_sweeps(X, V_ref, D_ref, self.SWEEPS)
         assert not converged and len(trace) == self.SWEEPS
         np.testing.assert_allclose(trace, ref_trace, rtol=1e-10, atol=0)
@@ -324,11 +371,11 @@ class TestSinglePassSweep:
         X2 = float(np.sum(X * X))
         V1, D1 = V.copy(), D.copy()
         trace1, _, reseeded1, _ = _accelerated_hals(
-            X, X2, V1, D1, NmfOptions(rank=3, seed=2, max_iters=1))
+            X, X2, V1, D1, NmfOptions(rank=3, seed=2, max_iters=1), 0.0)
         assert reseeded1 == {1}
         assert trace1[0] == pytest.approx(direct_objective(X, V1, D1), rel=1e-10)
         V_ref, D_ref = V.copy(), D.copy()
-        trace, _, reseeded, _ = _accelerated_hals(X, X2, V, D, opts)
+        trace, _, reseeded, _ = _accelerated_hals(X, X2, V, D, opts, 0.0)
         ref_trace, ref_reseeded = three_pass_sweeps(X, V_ref, D_ref, opts.max_iters)
         assert reseeded == ref_reseeded == {1}
         np.testing.assert_allclose(trace, ref_trace, rtol=1e-10, atol=0)
@@ -338,7 +385,7 @@ class TestSinglePassSweep:
         X = np.zeros((6, 5))
         V, D = _init_factors(X, 2, 0)
         trace, converged, _, dead = _accelerated_hals(
-            X, 0.0, V, D, NmfOptions(rank=2, seed=0))
+            X, 0.0, V, D, NmfOptions(rank=2, seed=0), 0.0)
         assert converged and dead == {0, 1}
         assert trace == [direct_objective(X, V, D)] == [0.0]
 
