@@ -78,8 +78,8 @@ def _positive_int(text: str) -> int:
 
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker budget for slice reconstructions (default 1)")
+    common.add_argument("--threads", type=_positive_int, default=PipelineConfig.threads,
+                        help="worker budget for slice reconstructions (default %(default)s)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for the seeded stages (default 0)")
     common.add_argument("--verbose", action="store_true",
@@ -108,8 +108,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--no-clamp", action="store_true",
                    help="keep negative attenuation values")
-    p.add_argument("--floor", type=float, default=0.5,
-                   help="count floor applied before the log (default 0.5)")
+    p.add_argument("--floor", type=float, default=NormalizationOptions.count_floor,
+                   help="count floor applied before the log (default %(default)s)")
 
     p = sub.add_parser("extract", parents=[common],
                        help="factorize projections into coefficients and basis")
@@ -250,14 +250,12 @@ def _cmd_extract(args) -> int:
 def _cmd_reconstruct(args) -> int:
     sinos, axis = load_container(args.infile, "subspace-sinogram", "sinogram")
     extra = None if axis is None else {"spectral": spectral_header(axis)}
-    if args.engine == "fbp":
-        if args.beta is not None or args.prior is not None:
-            raise ValidationError("--beta/--prior only apply to the mbir engine")
-        opts = None
-    else:
-        opts = MbirOptions(
-            prior=_PRIOR_NAMES[args.prior or "quadratic"],
-            regularization_weight=1.0 if args.beta is None else args.beta)
+    # MbirOptions supplies what the flags leave out
+    flags = {"prior": _PRIOR_NAMES.get(args.prior), "regularization_weight": args.beta}
+    given = {key: value for key, value in flags.items() if value is not None}
+    if given and args.engine == "fbp":
+        raise ValidationError("--beta/--prior only apply to the mbir engine")
+    opts = MbirOptions(**given) if args.engine == "mbir" else None
     vol = reconstruct_stack(sinos, sinos.geometry, args.engine, opts, threads=args.threads)
     write_container(args.out, vol, extra_header=extra)
     log.info("wrote volume %s [%d voxels x %d channels, %s]", args.out,
@@ -299,7 +297,7 @@ def _cmd_bench(args) -> int:
     # desk preset: the fixed benchmark phantom, MBIR engine on both
     # pipelines with identical solver settings, subspace rank 4
     spec, axis, geom = default_benchmark_phantom()
-    mbir = MbirOptions(regularization_weight=2.0, max_iters=100)
+    mbir = MbirOptions(regularization_weight=2.0)
     fhr_cfg = PipelineConfig(subspace=NmfOptions(rank=4, seed=args.seed),
                              recon_engine="mbir", recon=mbir, threads=args.threads)
     dhr_cfg = PipelineConfig(recon_engine="mbir", recon=mbir, threads=args.threads)

@@ -9,10 +9,12 @@ containers below, and every file on disk is the same single format:
     raw little-endian float32 payload, row-major
 
 The header always carries ``dtype`` (``"f32le"``), ``shape``, ``axis_order``
-and ``role``; ``geometry`` and ``spectral`` sub-dicts are present when the
-container type has them (a volume may carry the spectral axis of its
-channels).  Identical logical content produces identical bytes
-on every platform.
+and ``role``; the role fixes which of the ``geometry`` and ``spectral``
+sub-dicts it carries (a volume may also carry the spectral axis of its
+channels).  One table gives each geometry, spectral and volume key its JSON
+kind (integer count, real number or list of reals): readers check that kind
+and writers convert to it.  Identical logical content produces identical
+bytes on every platform.
 
 The role fixes the axis order (``AXIS_ORDERS``); a header whose
 ``axis_order`` disagrees with its role, that holds a value of the wrong JSON
@@ -43,8 +45,9 @@ import os
 import reprlib
 import struct
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -87,6 +90,9 @@ MAGIC = b"HSNCT1\n\0"
 AXIS_ORDERS = {"raw-scan": "view,row,col,bin", "sinogram": "view,row,col,bin",
                "subspace-sinogram": "view,row,col,bin", "basis": "bin,channel",
                "volume": "row,col,slice,channel"}
+# the header sections each role carries; a volume may carry the spectral axis of its channels
+_SECTIONS = {"raw-scan": ("geometry", "spectral"), "sinogram": ("geometry", "spectral"),
+             "subspace-sinogram": ("geometry",), "basis": ("spectral",), "volume": ()}
 
 
 class ValidationError(ValueError):
@@ -97,13 +103,16 @@ class ContainerError(OSError):
     """A ``.hsnct`` file is malformed: bad magic, bad header, short payload."""
 
 
-def _as_f32(values, name: str) -> np.ndarray:
+def _as_f32(values, name: str, nonneg: bool = False) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=np.float32)
     arr.flags.writeable = False
-    # the min and the max are NaN or +-inf exactly when some entry is, and
-    # unlike an isfinite mask they need no array-sized temporary
-    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-        raise ValidationError(f"{name} contains non-finite entries")
+    if arr.size:
+        # the min and the max are NaN or +-inf exactly when some entry is, and
+        # unlike an isfinite mask they need no array-sized temporary
+        lo = arr.min()
+        if not (np.isfinite(lo) and np.isfinite(arr.max())):
+            raise ValidationError(f"{name} contains non-finite entries")
+        _require(not nonneg or lo >= 0.0, f"{name} must be >= 0")
     return arr
 
 
@@ -140,12 +149,22 @@ def _float64_array(values, name: str) -> np.ndarray:
     return arr
 
 
-# the JSON type of each geometry, spectral and volume value; the dataclasses check the values
-_HEADER_TYPES = {**dict.fromkeys(("num_views", "num_rows", "num_cols"), _is_integer),
-                 **dict.fromkeys(("flight_path", "pixel_pitch", "planck_h", "neutron_mass",
-                                  "voxel_pitch"), _is_real),
-                 **dict.fromkeys(("view_angles", "tof_edges"),
-                                 lambda v: isinstance(v, list) and all(map(_is_real, v)))}
+class _Kind(NamedTuple):
+    """A header value's JSON kind: the test a reader applies, the conversion a writer applies."""
+
+    check: Callable[[object], bool]
+    write: Callable[[object], object]
+
+
+# the JSON kind of each geometry, spectral and volume value; the dataclasses check the values
+_HEADER_KINDS = {
+    **dict.fromkeys(("num_views", "num_rows", "num_cols"), _Kind(_is_integer, int)),
+    **dict.fromkeys(("flight_path", "pixel_pitch", "planck_h", "neutron_mass", "voxel_pitch"),
+                    _Kind(_is_real, float)),
+    **dict.fromkeys(("view_angles", "tof_edges"),
+                    _Kind(lambda v: isinstance(v, list) and all(map(_is_real, v)),
+                          lambda v: [float(x) for x in v])),
+}
 
 
 def require_count(value, name: str):
@@ -284,8 +303,8 @@ class RawScan:
 
     def __post_init__(self):
         g, ax = self.geometry, self.axis
-        counts = _as_f32(self.counts, "counts")
-        open_beam = _as_f32(self.open_beam, "open_beam")
+        counts = _as_f32(self.counts, "counts", nonneg=True)
+        open_beam = _as_f32(self.open_beam, "open_beam", nonneg=True)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "open_beam", open_beam)
         expect = (g.num_views, g.num_rows, g.num_cols, ax.num_bins)
@@ -293,8 +312,6 @@ class RawScan:
                  f"counts shape {counts.shape} does not match geometry/axis {expect}")
         _require(open_beam.shape == expect[1:],
                  f"open_beam shape {open_beam.shape} does not match geometry/axis {expect[1:]}")
-        _require(counts.size == 0 or float(counts.min()) >= 0.0, "counts must be >= 0")
-        _require(open_beam.size == 0 or float(open_beam.min()) >= 0.0, "open_beam must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -327,13 +344,12 @@ class SubspaceSinogram:
     geometry: ScanGeometry
 
     def __post_init__(self):
-        coeffs = _as_f32(self.coeffs, "coeffs")
+        coeffs = _as_f32(self.coeffs, "coeffs", nonneg=True)
         object.__setattr__(self, "coeffs", coeffs)
         n_p = sinogram_row_count(self.geometry)
         _require(coeffs.ndim == 2 and coeffs.shape[0] == n_p,
                  f"coeffs shape {coeffs.shape} does not match N_p={n_p}")
         _require(coeffs.shape[1] >= 1, "subspace rank must be >= 1")
-        _require(coeffs.size == 0 or float(coeffs.min()) >= 0.0, "coeffs must be >= 0")
 
     @property
     def rank(self) -> int:
@@ -352,15 +368,13 @@ class SpectralBasis:
     axis: SpectralAxis
 
     def __post_init__(self):
-        basis = _as_f32(self.basis, "basis")
+        basis = _as_f32(self.basis, "basis", nonneg=True)
         object.__setattr__(self, "basis", basis)
         _require(basis.ndim == 2, "basis must be 2-D [N_k, N_s]")
         _require(basis.shape[0] == self.axis.num_bins,
                  f"basis has {basis.shape[0]} bins, axis has {self.axis.num_bins}")
         _require(basis.shape[1] >= 1, "basis must have at least one column")
-        _require(basis.size == 0 or float(basis.min()) >= 0.0, "basis must be >= 0")
-        col_max = basis.max(axis=0) if basis.size else np.zeros(basis.shape[1])
-        _require(bool(np.all(col_max > 0)), "basis contains an all-zero column")
+        _require(bool(np.all(basis.max(axis=0) > 0)), "basis contains an all-zero column")
 
     @property
     def rank(self) -> int:
@@ -407,28 +421,23 @@ class VolumeStack:
 # ---------------------------------------------------------------------------
 # serialization helpers
 
+def _header(obj, keys=None) -> dict:
+    """The attributes ``keys`` of ``obj`` (default: its dataclass fields), each
+    written as its JSON kind."""
+    keys = keys or [f.name for f in fields(obj)]
+    return {key: _HEADER_KINDS[key].write(getattr(obj, key)) for key in keys}
+
+
 def geometry_header(g: ScanGeometry) -> dict:
     """JSON-compatible description of a ScanGeometry (inverse of
     geometry_from_header)."""
-    return {
-        "num_views": g.num_views,
-        "num_rows": g.num_rows,
-        "num_cols": g.num_cols,
-        "view_angles": [float(a) for a in g.view_angles],
-        "flight_path": float(g.flight_path),
-        "pixel_pitch": float(g.pixel_pitch),
-    }
+    return _header(g)
 
 
 def spectral_header(ax: SpectralAxis) -> dict:
     """JSON-compatible description of a SpectralAxis (inverse of
     spectral_from_header)."""
-    return {
-        "tof_edges": [float(t) for t in ax.tof_edges],
-        "flight_path": float(ax.converter.flight_path),
-        "planck_h": float(ax.converter.planck_h),
-        "neutron_mass": float(ax.converter.neutron_mass),
-    }
+    return {**_header(ax, ["tof_edges"]), **_header(ax.converter)}
 
 
 def _from_header(h, section: str, build):
@@ -436,7 +445,7 @@ def _from_header(h, section: str, build):
     or unknown key are a ContainerError; ``build``'s checks raise ValidationError."""
     try:  # a non-object header fails at its first use as one
         for key in h:
-            if key in _HEADER_TYPES and not _HEADER_TYPES[key](h[key]):
+            if key in _HEADER_KINDS and not _HEADER_KINDS[key].check(h[key]):
                 raise TypeError(f"{key} has the wrong JSON type: {reprlib.repr(h[key])}")
         return build(**h)
     except TypeError as exc:
@@ -455,41 +464,29 @@ def spectral_from_header(h: dict) -> SpectralAxis:
 def _pack(data) -> tuple[dict, tuple[np.ndarray, ...]]:
     """Header dict + payload arrays for a typed container (inverse of
     _unpack); the payload is the arrays concatenated along their first axis."""
+    header = {}
     if isinstance(data, RawScan):
-        payload = (data.counts, data.open_beam[None])
-        return {
-            "role": "raw-scan",
-            "geometry": geometry_header(data.geometry),
-            "spectral": spectral_header(data.axis),
-        }, payload
-    if isinstance(data, HyperspectralSinogram):
+        role, payload = "raw-scan", (data.counts, data.open_beam[None])
+    elif isinstance(data, HyperspectralSinogram):
+        role, payload = "sinogram", (data.values,)
+    elif isinstance(data, SubspaceSinogram):
+        role, payload = "subspace-sinogram", (data.coeffs,)
+    elif isinstance(data, SpectralBasis):
+        role, payload = "basis", (data.basis,)
+    elif isinstance(data, VolumeStack):
+        role, header = "volume", _header(data, ["voxel_pitch"])
+        payload = (data.voxels.reshape(data.num_rows, data.num_cols, data.num_cols, -1),)
+    else:
+        raise ValidationError(f"cannot serialize object of type {type(data).__name__}")
+    header["role"] = role
+    if "geometry" in _SECTIONS[role]:
         g = data.geometry
-        payload = data.values.reshape(g.num_views, g.num_rows, g.num_cols, data.axis.num_bins)
-        return {
-            "role": "sinogram",
-            "geometry": geometry_header(g),
-            "spectral": spectral_header(data.axis),
-        }, (payload,)
-    if isinstance(data, SubspaceSinogram):
-        g = data.geometry
-        payload = data.coeffs.reshape(g.num_views, g.num_rows, g.num_cols, data.rank)
-        return {
-            "role": "subspace-sinogram",
-            "geometry": geometry_header(g),
-        }, (payload,)
-    if isinstance(data, SpectralBasis):
-        return {
-            "role": "basis",
-            "spectral": spectral_header(data.axis),
-        }, (data.basis,)
-    if isinstance(data, VolumeStack):
-        payload = data.voxels.reshape(data.num_rows, data.num_cols, data.num_cols,
-                                      data.num_channels)
-        return {
-            "role": "volume",
-            "voxel_pitch": float(data.voxel_pitch),
-        }, (payload,)
-    raise ValidationError(f"cannot serialize object of type {type(data).__name__}")
+        header["geometry"] = geometry_header(g)
+        # the rows of a sinogram-like payload run over [view, row, col]
+        payload = tuple(a.reshape(-1, g.num_rows, g.num_cols, a.shape[-1]) for a in payload)
+    if "spectral" in _SECTIONS[role]:
+        header["spectral"] = spectral_header(data.axis)
+    return header, payload
 
 
 def _unpack(header: dict, arr: np.ndarray):
@@ -498,7 +495,7 @@ def _unpack(header: dict, arr: np.ndarray):
     role = header.get("role")
     axis = None
     # a volume may carry the spectral axis of its channels; the roles that own one need it
-    if "spectral" in header or role in ("raw-scan", "sinogram", "basis"):
+    if "spectral" in header or "spectral" in _SECTIONS[role]:
         axis = spectral_from_header(header.get("spectral", {}))
     if role == "basis":
         return SpectralBasis(arr, axis), axis

@@ -137,14 +137,6 @@ def _init_factors(X, rank, seed):
     return V, D
 
 
-def _objective(X2, X, V, D):
-    """||X - V D^T||_F^2 without forming the product, clamped at 0."""
-    XD = X @ D
-    cross = float(np.einsum("ij,ij->", XD, V))
-    gram = float(np.einsum("ij,ij->", V.T @ V, D.T @ D))
-    return max(X2 - 2.0 * cross + gram, 0.0)
-
-
 def _revive_dead_columns(X, V, D, reseeded, dead):
     """Re-seed columns of D that collapsed to zero from the largest-residual
     spectrum; a column that collapses twice is retired to ``dead``.  The
@@ -227,10 +219,10 @@ def _accelerated_hals(X, X2, V, D, opts, f_stop):
         VtV = V.T @ V
         _hals_update(D, XtV, VtV, cap_d)
         if _revive_dead_columns(X, V, D, reseeded, dead):
-            f = _objective(X2, X, V, D)  # XtV and VtV predate the revival
-        else:
-            f = max(X2 - 2.0 * float(np.einsum("ij,ij->", XtV, D))
-                    + float(np.einsum("ij,ij->", VtV, D.T @ D)), 0.0)
+            XtV, VtV = (V.T @ X).T, V.T @ V  # the ones above predate the revival
+        # ||X - V D^T||_F^2 without forming the product, clamped at 0
+        f = max(X2 - 2.0 * float(np.einsum("ij,ij->", XtV, D))
+                + float(np.einsum("ij,ij->", VtV, D.T @ D)), 0.0)
         trace.append(f)
         if f <= f_stop:
             converged = True

@@ -16,6 +16,7 @@ from hsnct.containers import (
     geometry_header,
     load_basis,
     load_container,
+    load_raw_scan,
     load_sinogram,
     load_volume,
     spectral_header,
@@ -28,7 +29,9 @@ from hsnct.phantom import (
     ShapeSpec,
     spec_to_dict,
 )
+from hsnct.preprocess import normalize
 from hsnct.subspace import NmfOptions, nmf_factorize
+from hsnct.tomo import MbirOptions, reconstruct_stack
 
 ANG = 1e-10
 REPORT_KEYS = {"algorithm", "engine", "n_k", "n_s", "extract_s", "recon_s",
@@ -146,6 +149,24 @@ class TestStageCommands:
         assert (d / "d_def.hsnct").read_bytes() == (d / "d_ref.hsnct").read_bytes()
         assert f"in {report.iterations_run} passes" in log
         assert f"gap {report.gap:.3g}" in log
+
+    def test_reconstruct_defaults_are_mbir_options_defaults(self, workdir):
+        # without --beta and --prior, mbir runs what MbirOptions() sets
+        d = workdir
+        assert main(["reconstruct", "--in", str(d / "v.hsnct"), "--engine", "mbir",
+                     "--out", str(d / "xs_def.hsnct")]) == 0
+        coeffs, _ = load_container(d / "v.hsnct", "subspace-sinogram")
+        write_container(d / "xs_ref.hsnct",
+                        reconstruct_stack(coeffs, coeffs.geometry, "mbir", MbirOptions()))
+        assert (d / "xs_def.hsnct").read_bytes() == (d / "xs_ref.hsnct").read_bytes()
+
+    def test_normalize_defaults_are_normalization_options_defaults(self, workdir):
+        # without --floor and --no-clamp, normalize runs what normalize(scan) runs
+        d = workdir
+        assert main(["normalize", "--scan", str(d / "scan.hsnct"),
+                     "--out", str(d / "p_def.hsnct")]) == 0
+        write_container(d / "p_ref.hsnct", normalize(load_raw_scan(d / "scan.hsnct")))
+        assert (d / "p_def.hsnct").read_bytes() == (d / "p_ref.hsnct").read_bytes()
 
     def test_reconstruct_mbir_flags(self, workdir):
         d = workdir

@@ -389,3 +389,63 @@ class TestContainerFormat:
                 b = getattr(back, ("values", "coeffs", "basis", "voxels")[
                     (sino, sub, basis, vol).index(obj)])
                 assert a.tobytes() == b.tobytes()
+
+
+def tiny_containers():
+    """One fixed tiny container of each role."""
+    geom = ScanGeometry(2, 1, 2, [0.0, 1.5], flight_path=10.0, pixel_pitch=0.5)
+    axis = SpectralAxis([1e-3, 2e-3, 4e-3], ToFConverter(flight_path=10.0))
+    return {"raw-scan": RawScan(np.ones((2, 1, 2, 2)), np.ones((1, 2, 2)), geom, axis),
+            "sinogram": HyperspectralSinogram(np.zeros((4, 2)), geom, axis),
+            "subspace-sinogram": SubspaceSinogram(np.zeros((4, 1)), geom),
+            "basis": SpectralBasis(np.ones((2, 1)), axis),
+            "volume": VolumeStack(np.ones((4, 1)), 1, 2, voxel_pitch=0.5)}
+
+
+_GEOMETRY = ('"geometry":{"flight_path":10.0,"num_cols":2,"num_rows":1,"num_views":2,'
+             '"pixel_pitch":0.5,"view_angles":[0.0,1.5]}')
+_SPECTRAL = ('"spectral":{"flight_path":10.0,"neutron_mass":1.67492749804e-27,'
+             '"planck_h":6.62607015e-34,"tof_edges":[0.001,0.002,0.004]}')
+_GRID = '"axis_order":"view,row,col,bin","dtype":"f32le",'
+
+
+class TestHeaderSchema:
+    @pytest.mark.parametrize("role, text", [
+        ("raw-scan", "{" + _GRID + _GEOMETRY + ',"role":"raw-scan","shape":[3,1,2,2],'
+         + _SPECTRAL + "}"),
+        ("sinogram", "{" + _GRID + _GEOMETRY + ',"role":"sinogram","shape":[2,1,2,2],'
+         + _SPECTRAL + "}"),
+        ("subspace-sinogram", "{" + _GRID + _GEOMETRY
+         + ',"role":"subspace-sinogram","shape":[2,1,2,1]}'),
+        ("basis", '{"axis_order":"bin,channel","dtype":"f32le","role":"basis","shape":[2,1],'
+         + _SPECTRAL + "}"),
+        ("volume", '{"axis_order":"row,col,slice,channel","dtype":"f32le","role":"volume",'
+         '"shape":[1,2,2,1],"voxel_pitch":0.5}'),
+    ])
+    def test_header_text_is_fixed(self, tmp_path, role, text):
+        # the on-disk format: these exact bytes, key order and number spelling included
+        path = tmp_path / "x.hsnct"
+        write_container(path, tiny_containers()[role])
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[8:12], "little")
+        assert raw[12 : 12 + hlen].decode("utf-8") == text
+
+    def test_numpy_scalars_round_trip(self, tmp_path):
+        # numpy counts and lengths are written as the JSON kinds the reader demands
+        geom = ScanGeometry(np.int64(2), np.int32(1), np.int64(2), [0.0, 1.5],
+                            flight_path=np.float64(10.0), pixel_pitch=np.float32(0.5))
+        axis = SpectralAxis([1e-3, 2e-3, 4e-3], ToFConverter(flight_path=np.float32(10.0)))
+        sino = HyperspectralSinogram(np.zeros((4, 2)), geom, axis)
+        vol = VolumeStack(np.ones((4, 1)), np.int64(1), np.int64(2),
+                          voxel_pitch=np.float32(0.5))
+        tiny = tiny_containers()
+        for obj, role in ((sino, "sinogram"), (vol, "volume")):
+            path, ref = tmp_path / f"{role}.hsnct", tmp_path / f"{role}_ref.hsnct"
+            write_container(path, obj)
+            write_container(ref, tiny[role])
+            assert path.read_bytes() == ref.read_bytes()
+            back, back_axis = load_container(path, role)
+            assert type(back) is type(obj)
+        assert back_axis is None
+        back, back_axis = load_container(tmp_path / "sinogram.hsnct", "sinogram")
+        assert back.geometry.num_views == 2 and back_axis.converter.flight_path == 10.0
