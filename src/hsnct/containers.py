@@ -564,6 +564,12 @@ def read_container(path) -> tuple[dict, np.ndarray]:
     :class:`ValidationError` if the payload contains non-finite entries
     (every declared type forbids them).
     """
+    header, arr = _read_unchecked(path)
+    return header, _as_f32(arr, f"{path}: payload")
+
+
+def _read_unchecked(path) -> tuple[dict, np.ndarray]:
+    """``read_container`` without the payload's finiteness scan."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -601,15 +607,15 @@ def read_container(path) -> tuple[dict, np.ndarray]:
     if available > expected:
         raise ContainerError(
             f"{path}: {available - expected} trailing bytes after payload")
-    arr = np.frombuffer(raw, dtype="<f4", count=count, offset=body + hlen)
-    return header, _as_f32(arr.reshape(shape), f"{path}: payload")
+    return header, np.frombuffer(raw, dtype="<f4", count=count, offset=body + hlen).reshape(shape)
 
 
 def load_container(path, *roles: str):
     """Read ``path`` as the typed container of its role, which must be one
     of ``roles``; returns (container, SpectralAxis of its header or None).
-    Every fault in the header or payload names the file."""
-    header, arr = read_container(path)
+    Every fault in the header or payload names the file.  The payload is
+    scanned once, by the typed container's own finiteness check."""
+    header, arr = _read_unchecked(path)
     if header.get("role") not in roles:
         raise ValidationError(
             f"{path}: expected a {' or '.join(map(repr, roles))} container, "

@@ -19,8 +19,9 @@ Reconstructors:
 
 * ``fbp_reconstruct``: frequency-domain ramp filtering per view (the bare
   ramp, no window; rows zero-padded to the next power of two >= twice the
-  detector width), backprojection with A^T, and a pi/(num_angles*pitch^2)
-  scale so a density-1 disk comes back at value ~1.
+  detector width), backprojection with A^T (a float32 CSR copy, built and
+  cached with A), and a pi/(num_angles*pitch^2) scale so a density-1 disk
+  comes back at value ~1.
 * ``mbir_reconstruct``: minimizes 0.5*||W^(1/2)(Ax - y)||^2 + beta*R(x)
   over x >= 0 with W = diag(exp(-y)), where R sums kappa*rho(x_a - x_b)
   over 8-neighbor pairs (each unordered pair once, kappa 1, or 1/sqrt(2)
@@ -48,7 +49,10 @@ weight rule W = exp(-y), and the threading.  With step = min(_BATCH_COLUMNS,
 ceil(slices*C / threads)), a block is step // C whole slices when C <= step,
 else step channels of one slice.  Columns never mix.
 
-All solver arithmetic is float64.
+MBIR's arithmetic is float64.  FBP's is float32, the precision of the
+container payloads it reads and the volumes it writes: it is one linear
+pass, with no iteration for rounding to build up in.  Both of its steps
+give a column the same bits at any batch width.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.sparse as sp
 
 from hsnct.containers import (
@@ -190,12 +195,18 @@ def _system_matrix(geom: SliceGeometry) -> sp.csr_matrix:
     Cached per geometry (the angles enter the key as bytes, since an
     ndarray does not hash).
     """
-    return _splat_matrix(geom.angles.tobytes(), geom.num_detector_bins, geom.pixel_pitch)
+    return _splat_matrix(geom.angles.tobytes(), geom.num_detector_bins, geom.pixel_pitch)[0]
+
+
+def _fbp_backprojector(geom: SliceGeometry) -> sp.csr_matrix:
+    """FBP's backprojector: A^T as a float32 CSR matrix, cached with A."""
+    return _splat_matrix(geom.angles.tobytes(), geom.num_detector_bins, geom.pixel_pitch)[1]
 
 
 # geometries are tiny and few per process
 @functools.lru_cache(maxsize=8)
-def _splat_matrix(angle_bytes: bytes, nd: int, pitch: float) -> sp.csr_matrix:
+def _splat_matrix(angle_bytes: bytes, nd: int,
+                  pitch: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     angles = np.frombuffer(angle_bytes)
     n = nd  # the image is as wide as the detector
     half = 0.5 * (n - 1)
@@ -214,9 +225,13 @@ def _splat_matrix(angle_bytes: bytes, nd: int, pitch: float) -> sp.csr_matrix:
             rows.append(i * nd + bins[ok])
             cols.append(pix[ok])
             vals.append(w[ok] * pitch)
-    return sp.coo_matrix(
+    A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(angles.size * nd, n * n), dtype=np.float64).tocsr()
+    # the float32 A^T is built here with A, not on the first FBP: allocated
+    # later, it lands among the solver's buffers (peak RSS of MBIR on one
+    # desk row rose ~7 %)
+    return A, A.T.tocsr().astype(np.float32)
 
 
 def _slice_input(values, geom: SliceGeometry, image: bool = False) -> np.ndarray:
@@ -248,26 +263,28 @@ def back_project(sino: np.ndarray, geom: SliceGeometry) -> np.ndarray:
 
 
 def _fbp_batch(Y: np.ndarray, geom: SliceGeometry) -> np.ndarray:
-    """FBP over ray-major columns: Y (m, C) -> images (n^2, C); each view
-    is ramp-filtered, then backprojected."""
+    """FBP over ray-major columns, in float32: Y (m, C) -> float32 images
+    (n^2, C); each view is ramp-filtered, then backprojected."""
     if geom.num_angles < 2:
         raise ValidationError("fbp needs at least 2 view angles")
     nd = geom.num_detector_bins
     n_pad = 1 << max(int(np.ceil(np.log2(2 * nd))), 1)
-    mult = np.fft.rfftfreq(n_pad)  # the ramp |f| in cycles per sample, 0 .. 0.5
-    padded = np.zeros((geom.num_angles, n_pad, Y.shape[1]))
-    padded[:, :nd, :] = Y.reshape(geom.num_angles, nd, -1)
-    spec = np.fft.rfft(padded, axis=1) * mult[None, :, None]
-    q = np.fft.irfft(spec, n=n_pad, axis=1)[:, :nd, :].reshape(Y.shape)
     # filtered values are in cycles-per-sample units and A^T carries one
     # pitch factor, so the physical units fold into one 1/pitch^2 scale
-    # together with the angular quadrature weight
+    # together with the angular quadrature weight; it rides on the ramp |f|
+    # (cycles per sample, 0 .. 0.5)
     scale = np.pi / (geom.num_angles * geom.pixel_pitch ** 2)
-    return (_system_matrix(geom).T @ q) * scale
+    ramp = (np.fft.rfftfreq(n_pad) * scale).astype(np.float32)
+    y = np.asarray(Y, dtype=np.float32).reshape(geom.num_angles, nd, -1)
+    spec = scipy.fft.rfft(y, n=n_pad, axis=1)
+    spec *= ramp[:, None]
+    q = scipy.fft.irfft(spec, n=n_pad, axis=1)[:, :nd].reshape(Y.shape)
+    return _fbp_backprojector(geom) @ q
 
 
 def fbp_reconstruct(sino: np.ndarray, geom: SliceGeometry) -> np.ndarray:
-    """Filtered backprojection of one slice sinogram."""
+    """Filtered backprojection of one slice sinogram: a float64 image whose
+    values carry float32 precision, as FBP computes in float32."""
     sino = _slice_input(sino, geom)
     img, _ = _reconstruct_columns(sino[:, None, :, None], geom, None)
     return img.reshape(geom.image_size, geom.image_size)
@@ -496,11 +513,12 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
     """Reconstruct slice sinograms Y (angles, slices, bins, C) -> (images
     (slices, n^2, C) of ``dtype``, MBIR info per (slice, channel) column).
 
-    ``opts`` None runs FBP, and there is no info.  Otherwise MBIR starts
-    from the FBP image clamped at 0 (zeros below 2 views) and weights each
-    ray by exp(-y), the one weight rule.  Blocks (module docstring) are read
-    and written with basic slices, keep (slice, channel) order, and are
-    spread over ``threads`` workers.
+    ``opts`` None runs FBP on the float32 block, and there is no info.
+    Otherwise MBIR starts from the float32 FBP image clamped at 0 and cast
+    to float64 (zeros below 2 views), and weights each ray by exp(-y), the
+    one weight rule.  Blocks (module docstring) are read and written with
+    basic slices, keep (slice, channel) order, and are spread over
+    ``threads`` workers.
     """
     n_r, C = Y.shape[1], Y.shape[3]
     n = geom.image_size
@@ -513,12 +531,13 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
         r, c = block
         # (angle, slice, bin, channel) -> rays x (slice, channel)
         yb = Y[:, r:r + rows, :, c:c + chans].transpose(0, 2, 1, 3)
-        y = np.ascontiguousarray(yb, dtype=np.float64).reshape(A.shape[0], -1)
+        y = np.ascontiguousarray(yb, dtype=np.float32 if opts is None else np.float64)
+        y = y.reshape(A.shape[0], -1)
         if opts is None:
             X, info = _fbp_batch(y, geom), []
         else:
             if geom.num_angles >= 2:
-                x0 = np.maximum(_fbp_batch(y, geom), 0.0)
+                x0 = np.maximum(_fbp_batch(y, geom), 0.0).astype(np.float64)
             else:
                 x0 = np.zeros((n * n, y.shape[1]))
             # transmission-proportional statistical weights: high attenuation

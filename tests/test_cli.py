@@ -88,6 +88,29 @@ def patch_header(src, dst, mutate):
     dst.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen:])
 
 
+def write_wide_sinogram(d):
+    """A noisy rank-3 sinogram of 2,048 rays x 256 bins at ``d``/p.hsnct: at
+    this size OpenBLAS splits the Gram matrix and the factor products over
+    its threads (at 4,096 x 64 it does not)."""
+    rng = np.random.default_rng(12)
+    geom = ScanGeometry(16, 2, 64, np.linspace(0, np.pi, 16, endpoint=False),
+                        flight_path=10.0)
+    axis = SpectralAxis(np.linspace(2.5e-3, 1.31e-2, 257), ToFConverter(flight_path=10.0))
+    clean = rng.uniform(0.0, 1.0, (2048, 3)) @ rng.uniform(0.0, 1.0, (256, 3)).T
+    noisy = np.maximum(clean + 0.05 * rng.standard_normal(clean.shape), 0.0)
+    write_container(d / "p.hsnct", HyperspectralSinogram(noisy, geom, axis))
+    return d / "p.hsnct"
+
+
+def run_hsnct(args, blas_threads):
+    """Run the CLI in a child process with OPENBLAS_NUM_THREADS set; it must succeed."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hsnct", *args],
+        env={**os.environ, "OPENBLAS_NUM_THREADS": blas_threads},
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestStageCommands:
     def test_phantom_truth_container(self, workdir):
         vol, axis = load_volume(workdir / "t.hsnct")
@@ -240,29 +263,28 @@ class TestPipelineCommands:
         assert vol.num_channels == 16 and axis.num_bins == 16
 
     def test_fhr_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        # 2,048 rays x 256 bins: at this size OpenBLAS splits the Gram matrix
-        # and the factor products over its threads (at 4,096 x 64 it does not)
-        rng = np.random.default_rng(12)
-        geom = ScanGeometry(16, 2, 64, np.linspace(0, np.pi, 16, endpoint=False),
-                            flight_path=10.0)
-        axis = SpectralAxis(np.linspace(2.5e-3, 1.31e-2, 257), ToFConverter(flight_path=10.0))
-        clean = rng.uniform(0.0, 1.0, (2048, 3)) @ rng.uniform(0.0, 1.0, (256, 3)).T
-        noisy = np.maximum(clean + 0.05 * rng.standard_normal(clean.shape), 0.0)
-        write_container(tmp_path / "p.hsnct", HyperspectralSinogram(noisy, geom, axis))
+        sino = write_wide_sinogram(tmp_path)
         reports = []
         for n in ("1", "3"):
-            proc = subprocess.run(
-                [sys.executable, "-W", "error::RuntimeWarning", "-m", "hsnct", "fhr",
-                 "--in", str(tmp_path / "p.hsnct"), "--rank", "3", "--engine", "fbp",
-                 "--out", str(tmp_path / f"x{n}.hsnct"),
-                 "--report", str(tmp_path / f"r{n}.json")],
-                env={**os.environ, "OPENBLAS_NUM_THREADS": n},
-                capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
+            run_hsnct(["fhr", "--in", str(sino), "--rank", "3", "--engine", "fbp",
+                       "--out", str(tmp_path / f"x{n}.hsnct"),
+                       "--report", str(tmp_path / f"r{n}.json")], n)
             report = json.loads((tmp_path / f"r{n}.json").read_text())
             reports.append({k: v for k, v in report.items() if k not in TIMING_KEYS})
         assert (tmp_path / "x1.hsnct").read_bytes() == (tmp_path / "x3.hsnct").read_bytes()
         assert reports[0] == reports[1]
+
+    def test_dhr_fbp_bytes_do_not_depend_on_thread_counts(self, tmp_path):
+        # FBP's float32 filter and backprojection give each column the same
+        # bits at any OpenBLAS thread count and any --threads split
+        sino = write_wide_sinogram(tmp_path)
+        volumes = []
+        for blas, threads in (("1", "1"), ("3", "1"), ("1", "2")):
+            out = tmp_path / f"x{blas}{threads}.hsnct"
+            run_hsnct(["dhr", "--in", str(sino), "--engine", "fbp", "--out", str(out),
+                       "--report", str(tmp_path / "r.json"), "--threads", threads], blas)
+            volumes.append(out.read_bytes())
+        assert volumes[0] == volumes[1] == volumes[2]
 
     def test_dhr_report(self, workdir):
         d = workdir

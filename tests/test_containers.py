@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -256,6 +257,20 @@ class TestContainerFormat:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValidationError):
             read_container(path)
+
+    def test_nan_sinogram_payload_names_the_file(self, tmp_path):
+        # the loader leaves the finiteness scan to the typed container, whose
+        # error still names the file
+        path = tmp_path / "p.hsnct"
+        geom = small_geometry()
+        write_container(path, HyperspectralSinogram(np.ones((8, 2)), geom, small_axis(n_k=2)))
+        raw = bytearray(path.read_bytes())
+        payload = 12 + int.from_bytes(raw[8:12], "little")
+        raw[payload + 20:payload + 24] = struct.pack("<f", np.nan)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{path}: values contains non-finite")):
+            load_sinogram(path)
 
     @pytest.mark.parametrize("tail", [[np.nan], [np.inf, -np.inf]])
     def test_non_finite_payload_tail_rejected(self, tmp_path, tail):

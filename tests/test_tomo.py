@@ -214,6 +214,31 @@ class TestFbp:
         assert tomo._system_matrix(uniform_geom(4, 8)) is not tomo._system_matrix(
             uniform_geom(5, 8))
 
+    def test_float32_fbp_matches_a_float64_fbp(self):
+        # FBP computes in float32; the same FBP in float64, written out here
+        _, geom, p = sparse_noisy_projection()
+        nd = geom.num_detector_bins
+        n_pad = 1 << int(np.ceil(np.log2(2 * nd)))
+        padded = np.zeros((geom.num_angles, n_pad))
+        padded[:, :nd] = p
+        q = np.fft.irfft(np.fft.rfft(padded, axis=1) * np.fft.rfftfreq(n_pad), n=n_pad, axis=1)
+        ref = (tomo._system_matrix(geom).T @ q[:, :nd].ravel()) * (
+            np.pi / (geom.num_angles * geom.pixel_pitch ** 2))
+        rec = fbp_reconstruct(p, geom)
+        assert rec.dtype == np.float64
+        assert_rel_close(rec.ravel(), ref, 1e-5)
+
+    def test_fbp_backprojector_is_the_float32_transpose(self):
+        geom = uniform_geom(12, 24)
+        B = tomo._fbp_backprojector(geom)
+        assert B is tomo._fbp_backprojector(uniform_geom(12, 24))
+        assert B.format == "csr" and B.dtype == np.float32
+        ra, ca, va = sp.find(tomo._system_matrix(geom))
+        rb, cb, vb = sp.find(B)
+        a, b = np.lexsort((ra, ca)), np.lexsort((cb, rb))  # both in B's (row, col) order
+        assert np.array_equal(ca[a], rb[b]) and np.array_equal(ra[a], cb[b])
+        assert vb[b].tobytes() == va[a].astype(np.float32).tobytes()
+
 
 def sparse_noisy_projection(n=64, seed=1, flux=200.0):
     """Disk phantom, 32 views, Poisson counting noise; returns (truth, geom, p)."""
@@ -661,7 +686,7 @@ def solver_inputs(seed, noise_seed):
     vals = vals.astype(np.float32).astype(np.float64)  # as the container holds it
     sg = slice_geometry_for(geom)
     A = tomo._system_matrix(sg)
-    return geom, sg, vals, A, np.maximum(tomo._fbp_batch(vals, sg), 0.0)
+    return geom, sg, vals, A, np.maximum(tomo._fbp_batch(vals, sg), 0.0).astype(np.float64)
 
 
 class TestSolverMatchesReferenceLoop:
@@ -713,7 +738,7 @@ class TestSolverMatchesReferenceLoop:
         assert opts.max_iters == 100
         y = p.reshape(-1, 1)
         A = tomo._system_matrix(geom)
-        X0 = np.maximum(tomo._fbp_batch(y, geom), 0.0)
+        X0 = np.maximum(tomo._fbp_batch(y, geom), 0.0).astype(np.float64)
         _, plain = reference_sqs(A, y, np.exp(-y), geom.image_size,
                                  MbirOptions(regularization_weight=2.0, max_iters=300),
                                  X0, momentum=False)
