@@ -23,7 +23,7 @@ from hsnct.containers import (
     ToFConverter,
     ValidationError,
     VolumeStack,
-    read_container,
+    load_container,
     write_container,
 )
 
@@ -40,7 +40,7 @@ __all__ = [
     "ToFConverter",
     "ValidationError",
     "VolumeStack",
-    "read_container",
+    "load_container",
     "write_container",
     "__version__",
 ]

@@ -74,7 +74,6 @@ __all__ = [
     "sinogram_row_count",
     "tof_to_wavelength",
     "write_container",
-    "read_container",
     "load_container",
     "load_raw_scan",
     "load_sinogram",
@@ -556,20 +555,11 @@ def write_container(path, data, extra_header: dict | None = None) -> None:
             raise
     except OSError as exc:
         raise ContainerError(f"cannot write {path}: {exc}") from exc
-def read_container(path) -> tuple[dict, np.ndarray]:
-    """Read a ``.hsnct`` file back as (header, float32 array).
-
-    Raises :class:`ContainerError` on bad magic, malformed header, or a
-    payload whose byte length does not match the declared shape, and
-    :class:`ValidationError` if the payload contains non-finite entries
-    (every declared type forbids them).
-    """
-    header, arr = _read_unchecked(path)
-    return header, _as_f32(arr, f"{path}: payload")
 
 
-def _read_unchecked(path) -> tuple[dict, np.ndarray]:
-    """``read_container`` without the payload's finiteness scan."""
+def _read_file(path) -> tuple[dict, np.ndarray]:
+    """``load_container``'s parse of ``path`` into (header, float32 payload);
+    the payload's values are left to the typed container to check."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -613,9 +603,10 @@ def _read_unchecked(path) -> tuple[dict, np.ndarray]:
 def load_container(path, *roles: str):
     """Read ``path`` as the typed container of its role, which must be one
     of ``roles``; returns (container, SpectralAxis of its header or None).
-    Every fault in the header or payload names the file.  The payload is
-    scanned once, by the typed container's own finiteness check."""
-    header, arr = _read_unchecked(path)
+    This is the only reader of ``.hsnct`` files.  Every fault in the file
+    names it.  The payload is scanned once, by the typed container's own
+    finiteness check."""
+    header, arr = _read_file(path)
     if header.get("role") not in roles:
         raise ValidationError(
             f"{path}: expected a {' or '.join(map(repr, roles))} container, "

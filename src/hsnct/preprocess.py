@@ -57,6 +57,4 @@ def normalize(scan: RawScan, opts: NormalizationOptions | None = None) -> Hypers
         if opts.clamp_negative:
             np.maximum(q, 0.0, out=q)
         p[v] = q
-    n_p = scan.geometry.num_views * scan.geometry.num_rows * scan.geometry.num_cols
-    return HyperspectralSinogram(p.reshape(n_p, scan.axis.num_bins),
-                                 scan.geometry, scan.axis)
+    return HyperspectralSinogram(p.reshape(-1, scan.axis.num_bins), scan.geometry, scan.axis)

@@ -13,15 +13,15 @@ matrix A holds these weights times the pixel pitch, so A x is a line
 integral (value * length), matching the chord length of a shape rather
 than a bare pixel count.  It is assembled sparse once per geometry and
 reused; the backprojector is its exact transpose, which makes the adjoint
-test exact up to float rounding.
+test exact up to float rounding.  One accessor, ``_operators``, returns A
+together with FBP's float32 copy of A^T, built and cached with it.
 
 Reconstructors:
 
 * ``fbp_reconstruct``: frequency-domain ramp filtering per view (the bare
   ramp, no window; rows zero-padded to the next power of two >= twice the
-  detector width), backprojection with A^T (a float32 CSR copy, built and
-  cached with A), and a pi/(num_angles*pitch^2) scale so a density-1 disk
-  comes back at value ~1.
+  detector width), backprojection with the float32 A^T, and a
+  pi/(num_angles*pitch^2) scale so a density-1 disk comes back at value ~1.
 * ``mbir_reconstruct``: minimizes 0.5*||W^(1/2)(Ax - y)||^2 + beta*R(x)
   over x >= 0 with W = diag(exp(-y)), where R sums kappa*rho(x_a - x_b)
   over 8-neighbor pairs (each unordered pair once, kappa 1, or 1/sqrt(2)
@@ -43,9 +43,11 @@ Reconstructors:
 
 Both run through one driver, ``_reconstruct_columns``, which reads slice
 sinograms in the container layout (angles, slices, bins, C) and writes
-images in the volume layout (slices, n^2, C).  It alone decides how the
-independent (slice, channel) columns are grouped, the MBIR start, the one
-weight rule W = exp(-y), and the threading.  With step = min(_BATCH_COLUMNS,
+images in the volume layout (slices, n^2, C), in the precision of its
+input: float32 container blocks give float32 volumes, and float64 single
+slices give float64 images.  It alone decides how the independent (slice,
+channel) columns are grouped, the MBIR start, the one weight rule
+W = exp(-y), and the threading.  With step = min(_BATCH_COLUMNS,
 ceil(slices*C / threads)), a block is step // C whole slices when C <= step,
 else step channels of one slice.  Columns never mix.
 
@@ -183,24 +185,20 @@ def _slice_projections(volume: VolumeStack, geom: ScanGeometry):
             f"volume grid ({volume.num_rows} slices of {volume.num_cols}^2) does "
             f"not match geometry ({geom.num_rows} rows, {geom.num_cols} cols)")
     n_v, n_c, n2 = geom.num_views, geom.num_cols, geom.num_cols ** 2
-    A = _system_matrix(slice_geometry_for(geom))
+    A, _ = _operators(slice_geometry_for(geom))
     return ((A @ volume.voxels[r * n2:(r + 1) * n2].astype(np.float64)).reshape(n_v, n_c, -1)
             for r in range(geom.num_rows))
 
 
-def _system_matrix(geom: SliceGeometry) -> sp.csr_matrix:
-    """The length-scaled system matrix A, (num_angles*num_detector_bins) x
-    num_detector_bins^2: splat weights times the pixel pitch.
+def _operators(geom: SliceGeometry) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(A, FBP's backprojector).  A is the length-scaled system matrix,
+    (num_angles*num_detector_bins) x num_detector_bins^2: splat weights
+    times the pixel pitch.  The backprojector is A^T as a float32 CSR matrix.
 
-    Cached per geometry (the angles enter the key as bytes, since an
-    ndarray does not hash).
+    Both are cached per geometry (the angles enter the key as bytes, since
+    an ndarray does not hash).
     """
-    return _splat_matrix(geom.angles.tobytes(), geom.num_detector_bins, geom.pixel_pitch)[0]
-
-
-def _fbp_backprojector(geom: SliceGeometry) -> sp.csr_matrix:
-    """FBP's backprojector: A^T as a float32 CSR matrix, cached with A."""
-    return _splat_matrix(geom.angles.tobytes(), geom.num_detector_bins, geom.pixel_pitch)[1]
+    return _splat_matrix(geom.angles.tobytes(), geom.num_detector_bins, geom.pixel_pitch)
 
 
 # geometries are tiny and few per process
@@ -251,14 +249,14 @@ def _slice_input(values, geom: SliceGeometry, image: bool = False) -> np.ndarray
 def forward_project(image: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     """Line integrals of a square slice: (num_angles, num_detector_bins)."""
     image = _slice_input(image, geom, image=True)
-    sino = _system_matrix(geom) @ image.ravel()
+    sino = _operators(geom)[0] @ image.ravel()
     return sino.reshape(geom.num_angles, geom.num_detector_bins)
 
 
 def back_project(sino: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     """Exact transpose of forward_project."""
     sino = _slice_input(sino, geom)
-    img = _system_matrix(geom).T @ sino.ravel()
+    img = _operators(geom)[0].T @ sino.ravel()
     return img.reshape(geom.image_size, geom.image_size)
 
 
@@ -279,7 +277,7 @@ def _fbp_batch(Y: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     spec = scipy.fft.rfft(y, n=n_pad, axis=1)
     spec *= ramp[:, None]
     q = scipy.fft.irfft(spec, n=n_pad, axis=1)[:, :nd].reshape(Y.shape)
-    return _fbp_backprojector(geom) @ q
+    return _operators(geom)[1] @ q
 
 
 def fbp_reconstruct(sino: np.ndarray, geom: SliceGeometry) -> np.ndarray:
@@ -382,8 +380,9 @@ def _sqs_solve(A: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
     value at x+ and its gradient and curvature at z as products with P.
     Columns never mix, t is per channel and every per-channel sum goes
     through ``_column_dots``, so a channel's float sequence is the same
-    alone or batched.  A channel that stops is saved and no longer recorded; stopped columns
-    ride along until they make up a quarter of the batch, then are
+    alone or batched.  A channel that stops is saved and no longer
+    recorded, so its iteration count is the length of its trace; stopped
+    columns ride along until they make up a quarter of the batch, then are
     dropped.  Returns (X, info list per channel).
     """
     C = Y.shape[1]
@@ -418,7 +417,6 @@ def _sqs_solve(A: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
         return R, LX, obj
 
     traces = [[] for _ in range(C)]
-    iters = np.zeros(C, dtype=int)
     conv = np.zeros(C, dtype=bool)
     out = np.empty_like(X0)
 
@@ -465,8 +463,6 @@ def _sqs_solve(A: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
         # measure of convergence
         done = live & ~back & ~turned & (
             (fn <= 0.0) | (np.abs(fX - fn) <= opts.rel_tol * np.maximum(fX, 1e-300)))
-        chans = idx[live]
-        iters[chans] += 1
         for local in np.flatnonzero(live):
             traces[idx[local]].append(float(fn[local]))
         if np.any(done):
@@ -502,16 +498,16 @@ def _sqs_solve(A: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
                 for a in (Yb, Wb, WR, X, Z, RX, RZ, LX, LZ, Dc, fX, t, coef, idx, live))
 
     out[:, idx[live]] = X[:, live]
-    info = [{"iterations": int(iters[c]), "converged": bool(conv[c]),
+    info = [{"iterations": len(traces[c]), "converged": bool(conv[c]),
              "objective": traces[c][-1],
              "objective_trace": np.asarray(traces[c])} for c in range(C)]
     return out, info
 
 
 def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions | None,
-                         threads: int = 1, dtype=np.float64):
+                         threads: int = 1):
     """Reconstruct slice sinograms Y (angles, slices, bins, C) -> (images
-    (slices, n^2, C) of ``dtype``, MBIR info per (slice, channel) column).
+    (slices, n^2, C) in Y's precision, MBIR info per (slice, channel) column).
 
     ``opts`` None runs FBP on the float32 block, and there is no info.
     Otherwise MBIR starts from the float32 FBP image clamped at 0 and cast
@@ -522,10 +518,10 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
     """
     n_r, C = Y.shape[1], Y.shape[3]
     n = geom.image_size
-    A = _system_matrix(geom)
+    A, _ = _operators(geom)
     step = max(1, min(_BATCH_COLUMNS, -(-n_r * C // threads)))
     rows, chans = (step // C, C) if C <= step else (1, step)
-    out = np.empty((n_r, n * n, C), dtype=dtype)
+    out = np.empty((n_r, n * n, C), dtype=Y.dtype)
 
     def solve(block):
         r, c = block
@@ -575,7 +571,8 @@ def reconstruct_stack(sinos, geom: ScanGeometry, engine: str,
     HyperspectralSinogram (C = wavelength bins).  Detector row r maps to
     volume slice r.  One ``_reconstruct_columns`` call reads the stack in
     its container layout, spreads its blocks over ``threads`` workers,
-    weights MBIR's rays by exp(-y) and writes the float32 voxels.
+    weights MBIR's rays by exp(-y) and writes voxels in the float32 of the
+    container's values.
     """
     require_engine(engine, opts)
     require_count(threads, "threads")
@@ -597,5 +594,5 @@ def reconstruct_stack(sinos, geom: ScanGeometry, engine: str,
     n_v, n_r, n_c = geom.num_views, geom.num_rows, geom.num_cols
     C = values.shape[1]
     vox, _ = _reconstruct_columns(values.reshape(n_v, n_r, n_c, C), slice_geometry_for(geom),
-                                  opts, threads, np.float32)
+                                  opts, threads)
     return VolumeStack(vox.reshape(-1, C), n_r, n_c, geom.pixel_pitch)

@@ -173,6 +173,21 @@ class TestStageCommands:
         assert f"in {report.iterations_run} passes" in log
         assert f"gap {report.gap:.3g}" in log
 
+    def test_extract_warns_when_it_stops_at_the_pass_cap(self, workdir, capsys):
+        # the warning shows without --verbose; a run that meets --tol prints nothing
+        d = workdir
+        args = ["extract", "--in", str(d / "p.hsnct"), "--rank", "3",
+                "--out-v", str(d / "v_cap.hsnct"), "--out-d", str(d / "d_cap.hsnct")]
+        assert main(args + ["--max-iters", "1"]) == 0
+        _, _, report = nmf_factorize(load_sinogram(d / "p.hsnct"),
+                                     NmfOptions(rank=3, seed=0, max_iters=1))
+        assert not report.converged
+        assert capsys.readouterr().err == (
+            f"hsnct extract: warning: stopped at the pass cap after 1 passes, "
+            f"gap {report.gap:.3g} above --tol {NmfOptions.rel_tol:g}\n")
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
+
     def test_reconstruct_defaults_are_mbir_options_defaults(self, workdir):
         # without --beta and --prior, mbir runs what MbirOptions() sets
         d = workdir

@@ -23,7 +23,6 @@ from hsnct.containers import (
     load_raw_scan,
     load_sinogram,
     load_volume,
-    read_container,
     require_nonneg,
     require_positive,
     sinogram_row_count,
@@ -227,7 +226,7 @@ class TestContainerFormat:
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
         with pytest.raises(ContainerError):
-            read_container(path)
+            load_container(path, "raw-scan")
 
     def test_truncated_by_one_byte_rejected(self, tmp_path):
         scan = random_raw_scan(np.random.default_rng(3))
@@ -236,7 +235,7 @@ class TestContainerFormat:
         raw = path.read_bytes()
         path.write_bytes(raw[:-1])
         with pytest.raises(ContainerError):
-            read_container(path)
+            load_container(path, "raw-scan")
 
     def test_trailing_bytes_rejected(self, tmp_path):
         scan = random_raw_scan(np.random.default_rng(4))
@@ -244,7 +243,7 @@ class TestContainerFormat:
         write_container(path, scan)
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(ContainerError):
-            read_container(path)
+            load_container(path, "raw-scan")
 
     def test_nan_payload_rejected(self, tmp_path):
         # patch a NaN into the payload of a valid container, bypassing type
@@ -256,7 +255,7 @@ class TestContainerFormat:
         raw[payload:payload + 4] = struct.pack("<f", np.nan)
         path.write_bytes(bytes(raw))
         with pytest.raises(ValidationError):
-            read_container(path)
+            load_container(path, "basis")
 
     def test_nan_sinogram_payload_names_the_file(self, tmp_path):
         # the loader leaves the finiteness scan to the typed container, whose
@@ -278,13 +277,32 @@ class TestContainerFormat:
         write_container(path, SpectralBasis(np.ones((2, 2)), small_axis(n_k=2)))
         raw = path.read_bytes()
         path.write_bytes(raw[:-4 * len(tail)] + struct.pack(f"<{len(tail)}f", *tail))
-        with pytest.raises(ValidationError, match="x.hsnct: payload contains non-finite"):
-            read_container(path)
+        with pytest.raises(ValidationError, match="x.hsnct: basis contains non-finite"):
+            load_container(path, "basis")
 
     def test_missing_file_raises_io_error(self, tmp_path):
         with pytest.raises(ContainerError):
-            read_container(tmp_path / "does-not-exist.hsnct")
+            load_container(tmp_path / "does-not-exist.hsnct", "raw-scan")
         assert issubclass(ContainerError, OSError)
+
+    @pytest.mark.parametrize("fault, error", [
+        ("bad-magic", ContainerError), ("truncated", ContainerError),
+        ("trailing-bytes", ContainerError), ("nan", ValidationError),
+        ("inf", ValidationError), ("missing", ContainerError)])
+    def test_every_fault_names_the_file(self, tmp_path, fault, error):
+        path = tmp_path / "b.hsnct"
+        write_container(path, SpectralBasis(np.ones((2, 2)), small_axis(n_k=2)))
+        raw = path.read_bytes()
+        damaged = {"bad-magic": b"XXXX" + raw[4:], "truncated": raw[:-1],
+                   "trailing-bytes": raw + b"\0",
+                   "nan": raw[:-4] + struct.pack("<f", np.nan),
+                   "inf": raw[:-4] + struct.pack("<f", np.inf)}
+        if fault == "missing":
+            path.unlink()
+        else:
+            path.write_bytes(damaged[fault])
+        with pytest.raises(error, match=re.escape(str(path))):
+            load_container(path, "basis")
 
     @pytest.mark.parametrize("fail_at", ["payload", "rename", "interrupt"])
     def test_failed_write_keeps_target_and_leaves_no_temp(self, tmp_path, monkeypatch,
@@ -326,7 +344,9 @@ class TestContainerFormat:
         assert np.all(np.isfinite(back.voxels))
         np.testing.assert_array_equal(back.voxels, vol.voxels)
         assert back.voxel_pitch == 0.5 and axis is None
-        assert read_container(path)[0]["axis_order"] == "row,col,slice,channel"
+        raw = path.read_bytes()
+        header = json.loads(raw[12:12 + int.from_bytes(raw[8:12], "little")])
+        assert header["axis_order"] == "row,col,slice,channel"
 
     def test_role_mismatch_rejected(self, tmp_path):
         vol = VolumeStack(np.ones((4, 1), dtype=np.float32), num_rows=1, num_cols=2)

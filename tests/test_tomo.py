@@ -209,10 +209,9 @@ class TestFbp:
             fbp_reconstruct(np.zeros((1, 8)), geom)
 
     def test_system_matrix_shared_by_equal_geometries(self):
-        assert tomo._system_matrix(uniform_geom(4, 8)) is tomo._system_matrix(
-            uniform_geom(4, 8))
-        assert tomo._system_matrix(uniform_geom(4, 8)) is not tomo._system_matrix(
-            uniform_geom(5, 8))
+        assert tomo._operators(uniform_geom(4, 8)) is tomo._operators(uniform_geom(4, 8))
+        assert tomo._operators(uniform_geom(4, 8))[0] is not tomo._operators(
+            uniform_geom(5, 8))[0]
 
     def test_float32_fbp_matches_a_float64_fbp(self):
         # FBP computes in float32; the same FBP in float64, written out here
@@ -222,7 +221,7 @@ class TestFbp:
         padded = np.zeros((geom.num_angles, n_pad))
         padded[:, :nd] = p
         q = np.fft.irfft(np.fft.rfft(padded, axis=1) * np.fft.rfftfreq(n_pad), n=n_pad, axis=1)
-        ref = (tomo._system_matrix(geom).T @ q[:, :nd].ravel()) * (
+        ref = (tomo._operators(geom)[0].T @ q[:, :nd].ravel()) * (
             np.pi / (geom.num_angles * geom.pixel_pitch ** 2))
         rec = fbp_reconstruct(p, geom)
         assert rec.dtype == np.float64
@@ -230,10 +229,10 @@ class TestFbp:
 
     def test_fbp_backprojector_is_the_float32_transpose(self):
         geom = uniform_geom(12, 24)
-        B = tomo._fbp_backprojector(geom)
-        assert B is tomo._fbp_backprojector(uniform_geom(12, 24))
+        A, B = tomo._operators(geom)
+        assert B is tomo._operators(uniform_geom(12, 24))[1]
         assert B.format == "csr" and B.dtype == np.float32
-        ra, ca, va = sp.find(tomo._system_matrix(geom))
+        ra, ca, va = sp.find(A)
         rb, cb, vb = sp.find(B)
         a, b = np.lexsort((ra, ca)), np.lexsort((cb, rb))  # both in B's (row, col) order
         assert np.array_equal(ca[a], rb[b]) and np.array_equal(ra[a], cb[b])
@@ -685,7 +684,7 @@ def solver_inputs(seed, noise_seed):
     vals = vals + rng.uniform(0, 0.2, vals.shape) * np.array([1.0, 3.0, 0.2])
     vals = vals.astype(np.float32).astype(np.float64)  # as the container holds it
     sg = slice_geometry_for(geom)
-    A = tomo._system_matrix(sg)
+    A, _ = tomo._operators(sg)
     return geom, sg, vals, A, np.maximum(tomo._fbp_batch(vals, sg), 0.0).astype(np.float64)
 
 
@@ -737,7 +736,7 @@ class TestSolverMatchesReferenceLoop:
         opts = MbirOptions(regularization_weight=2.0)
         assert opts.max_iters == 100
         y = p.reshape(-1, 1)
-        A = tomo._system_matrix(geom)
+        A, _ = tomo._operators(geom)
         X0 = np.maximum(tomo._fbp_batch(y, geom), 0.0).astype(np.float64)
         _, plain = reference_sqs(A, y, np.exp(-y), geom.image_size,
                                  MbirOptions(regularization_weight=2.0, max_iters=300),
