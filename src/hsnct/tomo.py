@@ -14,7 +14,8 @@ integral (value * length), matching the chord length of a shape rather
 than a bare pixel count.  It is assembled sparse once per geometry and
 reused; the backprojector is its exact transpose, which makes the adjoint
 test exact up to float rounding.  One accessor, ``_operators``, returns A
-together with FBP's float32 copy of A^T, built and cached with it.
+together with a float32 CSR copy of A^T, built and cached with it, which
+FBP and MBIR share.
 
 Reconstructors:
 
@@ -51,10 +52,12 @@ W = exp(-y), and the threading.  With step = min(_BATCH_COLUMNS,
 ceil(slices*C / threads)), a block is step // C whole slices when C <= step,
 else step channels of one slice.  Columns never mix.
 
-MBIR's arithmetic is float64.  FBP's is float32, the precision of the
-container payloads it reads and the volumes it writes: it is one linear
-pass, with no iteration for rounding to build up in.  Both of its steps
-give a column the same bits at any batch width.
+One precision rule: the sparse projector products run in float32, the
+precision of the container payloads, with the cached A^T and its CSC view
+as A; the solver state runs in float64.  FBP, one linear pass, is wholly
+float32.  MBIR's iterate, residual, curvature, objective sums and prior
+products stay float64, so rounding does not build up over its
+iterations.  Each step gives a column the same bits at any batch width.
 """
 
 from __future__ import annotations
@@ -94,9 +97,9 @@ __all__ = [
 
 _PRIORS = ("quadratic-difference", "huber")
 _ENGINES = ("fbp", "mbir")
-# columns per reconstruction part: the sparse products cost ~1.8x more per
-# column at 4 columns than at 16-256, and the solver runs ~5-10 % slower per
-# column at 256 than at 64
+# columns per reconstruction part: the float32 sparse products cost ~2-4x
+# more per column at 4 columns than at 16-256, and the solver runs ~5-20 %
+# slower per column at 256 than at 64 (one desk slice)
 _BATCH_COLUMNS = 64
 
 _ISQ2 = 1.0 / np.sqrt(2.0)
@@ -191,9 +194,11 @@ def _slice_projections(volume: VolumeStack, geom: ScanGeometry):
 
 
 def _operators(geom: SliceGeometry) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """(A, FBP's backprojector).  A is the length-scaled system matrix,
+    """(A, A^T in float32).  A is the length-scaled system matrix,
     (num_angles*num_detector_bins) x num_detector_bins^2: splat weights
-    times the pixel pitch.  The backprojector is A^T as a float32 CSR matrix.
+    times the pixel pitch, in float64 for the simulator and the exact
+    adjoint.  A^T is a float32 CSR matrix: FBP's backprojector, and MBIR's
+    operator both ways (its CSC view is A).
 
     Both are cached per geometry (the angles enter the key as bytes, since
     an ndarray does not hash).
@@ -348,15 +353,17 @@ def _huber_step(Z: np.ndarray, n: int, delta: float):
     return P.T @ D, abs(P).T @ a
 
 
-def _sqs_solve(A: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
+def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
                opts: MbirOptions, X0: np.ndarray):
     """Majorized projected descent with momentum on a batch of independent
     channels.
 
-    A is the length-scaled system matrix (m x n^2); Y, W, X0 are (m, C) /
-    (n^2, C); X0's memory is reused.  Each channel keeps its iterate x, an
-    extrapolated point z and a momentum scalar t (z = x0 and t = 1 at the
-    start), and one iteration is
+    AT is the length-scaled system matrix's transpose as CSR (n^2 x m) and
+    A its CSC view AT.T; Y, W, X0 are float64 (m, C) / (n^2, C), and X0's
+    memory is reused.  Every product with A or A^T, the curvature's too,
+    runs in AT's precision and lands in float64; all else is float64.  Each
+    channel keeps its iterate x, an extrapolated point z and a momentum
+    scalar t (z = x0 and t = 1 at the start), and one iteration is
 
         x+ = max(z - grad f(z) / D(z), 0)
         t+ = (1 + sqrt(1 + 4 t^2)) / 2
@@ -393,7 +400,10 @@ def _sqs_solve(A: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
     quadratic = use_prior and not huber
     delta = opts.huber_delta
     _, _, L, curv = _pairs(n)
-    Dc = A.T @ (W * (A @ np.ones(A.shape[1]))[:, None])
+    A, dtype = AT.T, AT.dtype
+    # the data term's curvature A^T W A 1, from the operator the steps use
+    Dc = AT @ (W * (A @ np.ones(A.shape[1], dtype))[:, None]).astype(dtype, copy=False)
+    Dc = Dc.astype(np.float64, copy=False)
     if not huber:
         # constant denominator; pixels that no weighted ray and no prior
         # pair touch have a zero gradient and stay put (0/inf = 0)
@@ -404,8 +414,7 @@ def _sqs_solve(A: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
     def evaluate(X, Yb, Wb, WR):
         """A X - Y, L X (None unless the prior is quadratic) and the
         objective at X; W*(A X - Y) goes into WR."""
-        R = A @ X
-        R -= Yb
+        R = np.subtract(A @ X.astype(dtype, copy=False), Yb)
         np.multiply(Wb, R, out=WR)
         obj = 0.5 * _column_dots(WR, R)
         LX = None
@@ -433,17 +442,19 @@ def _sqs_solve(A: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
     LZ = None if LX is None else LX.copy()
 
     for _ in range(opts.max_iters):
-        G = A.T @ WR
+        G = AT @ WR.astype(dtype, copy=False)
         D = Dc
         if quadratic:
             LZ *= beta
-            G += LZ
+            G = np.add(G, LZ, out=LZ)
         elif huber:
             HG, D = _huber_step(Z, n, delta)
             HG *= beta
-            G += HG
+            G = np.add(G, HG, out=HG)
             D *= beta
             D += Dc
+        else:
+            G = G.astype(np.float64, copy=False)
         Xn = np.divide(G, D, out=G)
         np.subtract(Z, Xn, out=Xn)
         np.maximum(Xn, 0.0, out=Xn)
@@ -518,7 +529,7 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
     """
     n_r, C = Y.shape[1], Y.shape[3]
     n = geom.image_size
-    A, _ = _operators(geom)
+    _, AT = _operators(geom)
     step = max(1, min(_BATCH_COLUMNS, -(-n_r * C // threads)))
     rows, chans = (step // C, C) if C <= step else (1, step)
     out = np.empty((n_r, n * n, C), dtype=Y.dtype)
@@ -528,7 +539,7 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
         # (angle, slice, bin, channel) -> rays x (slice, channel)
         yb = Y[:, r:r + rows, :, c:c + chans].transpose(0, 2, 1, 3)
         y = np.ascontiguousarray(yb, dtype=np.float32 if opts is None else np.float64)
-        y = y.reshape(A.shape[0], -1)
+        y = y.reshape(AT.shape[1], -1)
         if opts is None:
             X, info = _fbp_batch(y, geom), []
         else:
@@ -538,7 +549,7 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
                 x0 = np.zeros((n * n, y.shape[1]))
             # transmission-proportional statistical weights: high attenuation
             # means few counts and an unreliable ray
-            X, info = _sqs_solve(A, y, np.exp(-y), n, opts, x0)
+            X, info = _sqs_solve(AT, y, np.exp(-y), n, opts, x0)
         out[r:r + rows, :, c:c + chans] = X.reshape(n * n, *yb.shape[2:]).transpose(1, 0, 2)
         return info
 

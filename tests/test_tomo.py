@@ -678,7 +678,7 @@ SOLVER_CASES = {
 def solver_inputs(seed, noise_seed):
     """One slice of three channels with different noise levels, so with a
     loose tolerance they stop at different iterations: (geom, sg, values,
-    length-scaled system matrix, the clamped FBP start)."""
+    length-scaled float64 system matrix, the clamped FBP start)."""
     geom, vals = stack_inputs(n_r=1, C=3, seed=seed)
     rng = np.random.default_rng(noise_seed)
     vals = vals + rng.uniform(0, 0.2, vals.shape) * np.array([1.0, 3.0, 0.2])
@@ -700,19 +700,28 @@ class TestSolverMatchesReferenceLoop:
         else:
             assert lengths == [opts.max_iters] * 3
 
-        X, info = tomo._reconstruct_columns(one_slice(vals, sg), sg, opts)
-        assert_rel_close(X[0], ref_X, 1e-10)
+        # the solver with a float64 A^T is the reference loop
+        X, info = tomo._sqs_solve(A.T.tocsr(), vals, np.exp(-vals), sg.image_size, opts,
+                                  X0.copy())
+        assert_rel_close(X, ref_X, 1e-10)
         for c in range(3):
             assert info[c]["iterations"] == lengths[c]
             assert_rel_close(info[c]["objective_trace"], ref_traces[c], 1e-10)
+
+        # every entry point runs it with the cached float32 A^T, bit for bit
+        X32, info32 = tomo._sqs_solve(tomo._operators(sg)[1], vals, np.exp(-vals),
+                                      sg.image_size, opts, X0.copy())
+        X, info = tomo._reconstruct_columns(one_slice(vals, sg), sg, opts)
+        assert X[0].tobytes() == X32.tobytes()
+        for c in range(3):
+            assert info[c]["objective_trace"].tobytes() == info32[c]["objective_trace"].tobytes()
             img, solo = mbir_reconstruct(vals[:, c].reshape(geom.num_views, geom.num_cols),
                                          sg, opts, return_info=True)
-            assert_rel_close(img.ravel(), ref_X[:, c], 1e-10)
-            assert_rel_close(solo["objective_trace"], ref_traces[c], 1e-10)
+            assert img.ravel().tobytes() == X32[:, c].tobytes()
+            assert solo["objective_trace"].tobytes() == info32[c]["objective_trace"].tobytes()
 
         vol = reconstruct_stack(SubspaceSinogram(vals, geom), geom, "mbir", opts)
-        assert_rel_close(vol.voxels.astype(np.float64),
-                         ref_X.astype(np.float32).astype(np.float64), 1e-10)
+        assert vol.voxels.tobytes() == X32.astype(np.float32).tobytes()
 
     def test_discarded_step_repeats_the_objective(self):
         # channel 0's momentum overshoots once within 40 iterations; the
@@ -720,13 +729,39 @@ class TestSolverMatchesReferenceLoop:
         _, sg, vals, A, X0 = solver_inputs(seed=2, noise_seed=11)
         opts = MbirOptions(regularization_weight=2.0, max_iters=40, rel_tol=1e-12)
         ref_X, ref_traces = reference_sqs(A, vals, np.exp(-vals), sg.image_size, opts, X0)
-        X, info = tomo._reconstruct_columns(one_slice(vals, sg), sg, opts)
+        X, info = tomo._sqs_solve(A.T.tocsr(), vals, np.exp(-vals), sg.image_size, opts,
+                                  X0.copy())
         trace = info[0]["objective_trace"]
         assert np.any(trace[1:] == trace[:-1])
         assert np.all(trace[1:] <= trace[:-1])
-        assert_rel_close(X[0], ref_X, 1e-10)
+        assert_rel_close(X, ref_X, 1e-10)
         for c in range(3):
             assert_rel_close(info[c]["objective_trace"], ref_traces[c], 1e-10)
+
+        X32, info32 = tomo._sqs_solve(tomo._operators(sg)[1], vals, np.exp(-vals),
+                                      sg.image_size, opts, X0.copy())
+        X, info = tomo._reconstruct_columns(one_slice(vals, sg), sg, opts)
+        assert X[0].tobytes() == X32.tobytes()
+        for c in range(3):
+            assert info[c]["objective_trace"].tobytes() == info32[c]["objective_trace"].tobytes()
+
+    def test_float32_operator_tracks_the_float64_one(self):
+        # measured: 44 iterations on both sides, objectives 1.5e-8 apart
+        # (relative), voxels at most 1.0e-7 of their max apart
+        _, geom, p = sparse_noisy_projection(seed=1)
+        opts = MbirOptions(regularization_weight=2.0)
+        y = p.reshape(-1, 1)
+        A, AT32 = tomo._operators(geom)
+        assert AT32.dtype == np.float32
+        X0 = np.maximum(tomo._fbp_batch(y, geom), 0.0).astype(np.float64)
+        X64, (info64,) = tomo._sqs_solve(A.T.tocsr(), y, np.exp(-y), geom.image_size, opts,
+                                         X0.copy())
+        X32, (info32,) = tomo._sqs_solve(AT32, y, np.exp(-y), geom.image_size, opts, X0)
+        assert info64["converged"] and info32["converged"]
+        assert abs(info32["iterations"] - info64["iterations"]) <= 1
+        assert abs(info32["objective"] - info64["objective"]) <= 1e-6 * info64["objective"]
+        assert X32.dtype == np.float64
+        assert_rel_close(X32, X64, 2e-3)
 
     # at seed 9, step 27 turns against the momentum and changes the
     # objective by less than rel_tol while 3.7e-4 above the optimum
