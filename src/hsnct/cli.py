@@ -77,33 +77,35 @@ def _positive_int(text: str) -> int:
 
 
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=_positive_int, default=PipelineConfig.threads,
-                        help="worker budget for slice reconstructions (default %(default)s)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for the seeded stages (default 0)")
-    common.add_argument("--verbose", action="store_true",
-                        help="log progress lines to stderr")
+    shared = {name: argparse.ArgumentParser(add_help=False)
+              for name in ("threads", "seed", "verbose")}
+    shared["threads"].add_argument(
+        "--threads", type=_positive_int, default=PipelineConfig.threads,
+        help="worker budget for slice reconstructions (default %(default)s)")
+    shared["seed"].add_argument("--seed", type=int, default=0,
+                                help="seed for the seeded stages (default 0)")
+    shared["verbose"].add_argument("--verbose", action="store_true",
+                                   help="log progress lines to stderr")
 
     parser = _Parser(prog="hsnct",
                      description="Fast hyperspectral neutron CT reconstruction")
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    p = sub.add_parser("phantom", parents=[common],
-                       help="rasterize a phantom spec into a ground-truth volume")
+    def command(name, blurb, *reads):  # --verbose and the shared settings it reads
+        return sub.add_parser(name, help=blurb, parents=[shared[k] for k in (*reads, "verbose")])
+
+    p = command("phantom", "rasterize a phantom spec into a ground-truth volume")
     p.add_argument("--spec", required=True, help="phantom spec JSON")
     p.add_argument("--out-truth", required=True, help="output truth container")
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="simulate a noisy scan of a truth volume")
+    p = command("simulate", "simulate a noisy scan of a truth volume", "seed")
     p.add_argument("--truth", required=True)
     p.add_argument("--geom", required=True, help="scan geometry JSON")
     p.add_argument("--flux", required=True, type=float,
                    help="expected open-beam counts per bin")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("normalize", parents=[common],
-                       help="counts to attenuation line integrals")
+    p = command("normalize", "counts to attenuation line integrals")
     p.add_argument("--scan", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--no-clamp", action="store_true",
@@ -111,8 +113,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--floor", type=float, default=NormalizationOptions.count_floor,
                    help="count floor applied before the log (default %(default)s)")
 
-    p = sub.add_parser("extract", parents=[common],
-                       help="factorize projections into coefficients and basis")
+    p = command("extract", "factorize projections into coefficients and basis", "seed")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--out-v", required=True, help="coefficient sinogram output")
@@ -124,8 +125,7 @@ def _build_parser() -> _Parser:
                         "fit's by at most TOL x lambda_{r+1}, the energy of the "
                         "strongest direction that fit leaves out (default %(default)s)")
 
-    p = sub.add_parser("reconstruct", parents=[common],
-                       help="reconstruct every channel of a sinogram container")
+    p = command("reconstruct", "reconstruct every channel of a sinogram container", "threads")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--engine", required=True, choices=("fbp", "mbir"))
     p.add_argument("--out", required=True)
@@ -134,15 +134,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--prior", choices=tuple(_PRIOR_NAMES), default=None,
                    help="mbir prior")
 
-    p = sub.add_parser("expand", parents=[common],
-                       help="expand a coefficient volume through a basis")
+    p = command("expand", "expand a coefficient volume through a basis")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--basis", required=True)
     p.add_argument("--out", required=True)
 
-    for name, blurb in (("fhr", "extract, reconstruct and expand in one run"),
-                        ("dhr", "per-bin baseline reconstruction")):
-        p = sub.add_parser(name, parents=[common], help=blurb)
+    for name, blurb, reads in (
+            ("fhr", "extract, reconstruct and expand in one run", ("seed", "threads")),
+            ("dhr", "per-bin baseline reconstruction", ("threads",))):
+        p = command(name, blurb, *reads)
         p.add_argument("--in", dest="infile", required=True)
         if name == "fhr":
             p.add_argument("--rank", required=True, type=int)
@@ -150,13 +150,11 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", required=True)
         p.add_argument("--report", required=True, help="run report JSON output")
 
-    p = sub.add_parser("bench", parents=[common],
-                       help="run both pipelines on the benchmark phantom")
+    p = command("bench", "run both pipelines on the benchmark phantom", "seed", "threads")
     p.add_argument("--out", required=True, help="comparison CSV output")
     p.add_argument("--preset", choices=("desk",), default="desk")
 
-    p = sub.add_parser("slice", parents=[common],
-                       help="export one slice/bin image as 8-bit PGM")
+    p = command("slice", "export one slice/bin image as 8-bit PGM")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--z", required=True, type=int)
     p.add_argument("--bin", required=True, type=int)
@@ -297,15 +295,13 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    # desk preset: the fixed benchmark phantom, MBIR engine on both
-    # pipelines with identical solver settings, subspace rank 4
+    # desk preset: the fixed benchmark phantom, subspace rank 4, and one
+    # config, so both pipelines run MBIR at beta 2 with the same settings
     spec, axis, geom = default_benchmark_phantom()
-    mbir = MbirOptions(regularization_weight=2.0)
-    fhr_cfg = PipelineConfig(subspace=NmfOptions(rank=4, seed=args.seed),
-                             recon_engine="mbir", recon=mbir, threads=args.threads)
-    dhr_cfg = PipelineConfig(recon_engine="mbir", recon=mbir, threads=args.threads)
+    cfg = PipelineConfig(subspace=NmfOptions(rank=4, seed=args.seed), recon_engine="mbir",
+                         recon=MbirOptions(regularization_weight=2.0), threads=args.threads)
     t0 = time.perf_counter()
-    result = run_benchmark(spec, axis, geom, fhr_cfg, dhr_cfg)
+    result = run_benchmark(spec, axis, geom, cfg)
     out = Path(args.out)
     out.write_text(result.csv_text, encoding="ascii", newline="")
     stem = out.with_suffix("")

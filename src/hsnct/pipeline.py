@@ -55,9 +55,9 @@ CSV_COLUMNS = ("algorithm", "engine", "n_k", "n_s", "snr_db",
 class PipelineConfig:
     """Knobs for one pipeline run.
 
-    ``subspace`` configures fhr's extraction; dhr has none and leaves it
-    None.  ``recon`` holds the MbirOptions of the mbir engine, or None for
-    its defaults; fbp (the ramp filter) takes no options.  Both routes hand
+    ``subspace`` configures fhr's extraction; run_dhr does not read it.
+    ``recon`` holds the MbirOptions of the mbir engine, or None for its
+    defaults; fbp (the ramp filter) takes no options.  Both routes hand
     ``recon`` to ``reconstruct_stack`` as it is, so fhr and dhr run the same
     reconstructor with the same settings.  ``threads`` is the worker budget
     handed to the slice reconstructions.
@@ -220,15 +220,15 @@ def _comparison_slices(truth, fhr_vol, dhr_vol, axis) -> dict:
 
 
 def run_benchmark(spec: PhantomSpec, axis: SpectralAxis, geom: ScanGeometry,
-                  fhr_cfg: PipelineConfig, dhr_cfg: PipelineConfig) -> BenchmarkResult:
-    """Simulate one noisy scan of the phantom and run both pipelines on the
-    identical normalized data; SNR is measured against the ground truth."""
+                  cfg: PipelineConfig) -> BenchmarkResult:
+    """Run both pipelines with the one ``cfg`` on one simulated noisy scan of
+    the phantom; SNR is measured against the ground truth."""
     truth = build_ground_truth(spec, axis)
     scan = simulate_scan(truth, geom, axis, spec.flux, spec.seed)
     p = normalize(scan)
 
-    fhr_vol, _, fhr_rep = run_fhr(p, fhr_cfg)
-    dhr_vol, dhr_rep = run_dhr(p, dhr_cfg)
+    fhr_vol, _, fhr_rep = run_fhr(p, cfg)
+    dhr_vol, dhr_rep = run_dhr(p, cfg)
     fhr_rep = replace(fhr_rep, snr_db=snr_db(fhr_vol, truth))
     dhr_rep = replace(dhr_rep, snr_db=snr_db(dhr_vol, truth))
 

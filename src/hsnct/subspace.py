@@ -93,9 +93,9 @@ class NmfOptions:
 class FactorizationReport:
     """Convergence record of one factorization run.
 
-    ``iterations_run`` counts passes: one HALS update of V then of D, each
-    with its own inner sweeps.  ``objective_trace[i]`` is ||X - V D^T||_F^2
-    after pass i+1.  ``residual_energy`` is the final objective over
+    ``objective_trace[i]`` is ||X - V D^T||_F^2 after pass i+1, one HALS
+    update of V then of D, each with its own inner sweeps; ``iterations_run``
+    is its length.  ``residual_energy`` is the final objective over
     ||X||_F^2 (0 for an all-zero input).  ``converged`` says the run met
     the stopping rule within ``max_iters`` passes.  ``gap`` is the final
     (f - f_svd) / lambda_{r+1}, the quantity that ``rel_tol`` bounds, or 0
@@ -106,7 +106,6 @@ class FactorizationReport:
     and were packaged as an inert unit vector with zero coefficients.
     """
 
-    iterations_run: int
     objective_trace: np.ndarray
     residual_energy: float
     converged: bool
@@ -118,12 +117,14 @@ class FactorizationReport:
         trace = np.ascontiguousarray(self.objective_trace, dtype=np.float64)
         trace.flags.writeable = False
         object.__setattr__(self, "objective_trace", trace)
-        if trace.size != self.iterations_run:
-            raise ValidationError("objective_trace length must equal iterations_run")
         if trace.size and (not np.all(np.isfinite(trace)) or float(trace.min()) < 0):
             raise ValidationError("objective_trace must be finite and >= 0")
         require_nonneg(self.residual_energy, "residual_energy")
         require_nonneg(self.gap, "gap")
+
+    @property
+    def iterations_run(self) -> int:
+        return self.objective_trace.size
 
 
 def _init_factors(X, rank, seed):
@@ -274,7 +275,6 @@ def nmf_factorize(p: HyperspectralSinogram, opts: NmfOptions):
     remap = {int(old): new for new, old in enumerate(order)}
 
     report = FactorizationReport(
-        iterations_run=len(trace),
         objective_trace=np.asarray(trace),
         residual_energy=(trace[-1] / X2) if X2 > 0 else 0.0,
         converged=converged,

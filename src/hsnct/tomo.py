@@ -63,6 +63,7 @@ iterations.  Each step gives a column the same bits at any batch width.
 from __future__ import annotations
 
 import functools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -524,8 +525,8 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
     Otherwise MBIR starts from the float32 FBP image clamped at 0 and cast
     to float64 (zeros below 2 views), and weights each ray by exp(-y), the
     one weight rule.  Blocks (module docstring) are read and written with
-    basic slices, keep (slice, channel) order, and are spread over
-    ``threads`` workers.
+    basic slices, keep (slice, channel) order, and are split for
+    ``threads`` workers; the pool holds at most one worker per CPU.
     """
     n_r, C = Y.shape[1], Y.shape[3]
     n = geom.image_size
@@ -554,10 +555,11 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
         return info
 
     blocks = [(r, c) for r in range(0, n_r, rows) for c in range(0, C, chans)]
-    if threads == 1:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers == 1:
         infos = list(map(solve, blocks))
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             infos = list(pool.map(solve, blocks))
     return out, [i for info in infos for i in info]
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from hsnct.cli import main
+from hsnct.cli import _build_parser, main
 from hsnct.containers import (
     HyperspectralSinogram,
     ScanGeometry,
@@ -37,6 +38,21 @@ ANG = 1e-10
 REPORT_KEYS = {"algorithm", "engine", "n_k", "n_s", "extract_s", "recon_s",
                "expand_s", "total_s", "epsilon_frac", "snr_db"}
 TIMING_KEYS = {"extract_s", "recon_s", "expand_s", "total_s"}
+
+# every optional flag of each subcommand: a command takes --seed or
+# --threads only where it reads it, so a new flag is a deliberate edit here
+COMMAND_FLAGS = {
+    "phantom": {"--verbose"},
+    "simulate": {"--seed", "--verbose"},
+    "normalize": {"--verbose", "--no-clamp", "--floor"},
+    "extract": {"--seed", "--verbose", "--max-iters", "--tol"},
+    "reconstruct": {"--threads", "--verbose", "--beta", "--prior"},
+    "expand": {"--verbose"},
+    "fhr": {"--seed", "--threads", "--verbose"},
+    "dhr": {"--threads", "--verbose"},
+    "bench": {"--seed", "--threads", "--verbose", "--preset"},
+    "slice": {"--verbose"},
+}
 
 
 @pytest.fixture(scope="module")
@@ -643,9 +659,9 @@ class TestExitCodes:
                      "--out-d", str(workdir / "nd.hsnct")]) == 1
 
     @pytest.mark.parametrize("command", ["extract", "phantom"])
-    def test_zero_threads_rejected_where_unused(self, workdir, capsys, command):
-        # --threads is validated for every subcommand, also where no stage
-        # runs in parallel
+    def test_zero_threads_is_an_unknown_flag_where_unused(self, workdir, capsys, command):
+        # a command that runs no slice reconstruction has no --threads, so
+        # any value of it, a bad one included, is an unknown flag
         d = workdir
         outs = {"extract": ["--out-v", str(d / "zt_v.hsnct"),
                             "--out-d", str(d / "zt_d.hsnct")],
@@ -657,3 +673,50 @@ class TestExitCodes:
         assert "usage" in err and "--threads" in err
         assert not any((d / name).exists()
                        for name in ("zt_v.hsnct", "zt_d.hsnct", "zt_t.hsnct"))
+
+
+def _command_args(d, command, tag):
+    """A valid command line of ``command`` on the workspace ``d``, whose
+    outputs are named after ``tag``."""
+    out = str(d / f"{tag}.out")
+    return {
+        "phantom": ["--spec", str(d / "spec.json"), "--out-truth", out],
+        "simulate": ["--truth", str(d / "t.hsnct"), "--geom", str(d / "geom.json"),
+                     "--flux", "200", "--out", out],
+        "normalize": ["--scan", str(d / "scan.hsnct"), "--out", out],
+        "extract": ["--in", str(d / "p.hsnct"), "--rank", "2", "--out-v", out,
+                    "--out-d", str(d / f"{tag}.d.out")],
+        "reconstruct": ["--in", str(d / "v.hsnct"), "--engine", "fbp", "--out", out],
+        "expand": ["--in", str(d / "xs.hsnct"), "--basis", str(d / "d.hsnct"), "--out", out],
+        "dhr": ["--in", str(d / "p.hsnct"), "--engine", "fbp", "--out", out,
+                "--report", str(d / f"{tag}.r.out")],
+        "slice": ["--in", str(d / "xs.hsnct"), "--z", "0", "--bin", "0", "--out", out],
+    }[command]
+
+
+class TestSharedFlags:
+    def test_each_command_has_its_pinned_flags(self):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(COMMAND_FLAGS)
+        for name, p in sub.choices.items():
+            flags = {opt for a in p._actions if not a.required for opt in a.option_strings}
+            assert flags - {"-h", "--help"} == COMMAND_FLAGS[name], name
+
+    @pytest.mark.parametrize("command, flag", [
+        *((c, "--seed") for c in ("phantom", "normalize", "reconstruct", "expand",
+                                  "dhr", "slice")),
+        *((c, "--threads") for c in ("phantom", "simulate", "normalize", "extract",
+                                     "expand", "slice")),
+    ])
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, workdir, capsys,
+                                                             command, flag):
+        tag = f"unread_{command}_{flag[2:]}"
+        args = _command_args(workdir, command, tag)
+        assert main([command, *args, flag, "5"]) == 1
+        captured = capsys.readouterr()
+        assert "usage" in captured.err and flag in captured.err
+        assert captured.out == ""
+        assert not list(workdir.glob(f"{tag}*"))
+        # the same command line without the flag runs
+        assert main([command, *args]) == 0

@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import fields, replace
 
 import numpy as np
@@ -281,7 +282,7 @@ class TestFbpCommutation:
 def small_bench():
     spec, axis, geom = small_phantom(n_v=16)
     cfg = fbp_cfg(rank=3)
-    return spec, axis, geom, run_benchmark(spec, axis, geom, cfg, cfg)
+    return spec, axis, geom, run_benchmark(spec, axis, geom, cfg)
 
 
 class TestRunBenchmark:
@@ -306,9 +307,15 @@ class TestRunBenchmark:
     def test_snr_deterministic_across_reruns(self, small_bench):
         spec, axis, geom, res = small_bench
         cfg = fbp_cfg(rank=3)
-        again = run_benchmark(spec, axis, geom, cfg, cfg)
+        again = run_benchmark(spec, axis, geom, cfg)
         assert again.fhr_report.snr_db == res.fhr_report.snr_db
         assert again.dhr_report.snr_db == res.dhr_report.snr_db
+
+    def test_one_config_for_both_routes(self):
+        # identical settings on fhr and dhr hold by construction
+        params = inspect.signature(run_benchmark).parameters
+        assert tuple(params) == ("spec", "axis", "geom", "cfg")
+        assert params["cfg"].annotation == "PipelineConfig"
 
     def test_slice_images_exported(self, small_bench):
         _, _, geom, res = small_bench

@@ -464,6 +464,33 @@ class TestReconstructStack:
         v2 = reconstruct_stack(sub, geom, "mbir", opts, threads=2)
         assert v1.voxels.tobytes() == v2.voxels.tobytes()
 
+    @pytest.mark.parametrize("cpus, pools", [(2, [2]), (1, []), (None, [])])
+    def test_pool_holds_at_most_one_worker_per_cpu(self, monkeypatch, cpus, pools):
+        # a huge budget still splits the stack into one-column blocks, but
+        # the pool is sized by the CPUs, and one worker runs them serially
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        geom, vals = stack_inputs(n_r=2, C=3, seed=7)
+        sub = SubspaceSinogram(vals, geom)
+        v1 = reconstruct_stack(sub, geom, "fbp", threads=1)
+        sizes = []
+        monkeypatch.setattr(tomo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(tomo.os, "cpu_count", lambda: cpus)
+        v_many = reconstruct_stack(sub, geom, "fbp", threads=100_000)
+        assert sizes == pools
+        assert v_many.voxels.tobytes() == v1.voxels.tobytes()
+
     def test_geometry_mismatch_rejected(self):
         geom, vals = stack_inputs()
         other = ScanGeometry(geom.num_views, geom.num_rows, geom.num_cols,
