@@ -24,6 +24,7 @@ import numpy as np
 from hsnct.containers import (
     ContainerError,
     ValidationError,
+    _write_whole,
     geometry_from_header,
     load_basis,
     load_container,
@@ -190,13 +191,11 @@ def _write_pgm(path, image: np.ndarray) -> None:
         data = np.zeros_like(img)
     payload = np.round(data * 255.0).astype(np.uint8)
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + payload.tobytes())
+    _write_whole(path, [header, payload.tobytes()])
 
 
 def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_whole(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
 def _cmd_phantom(args) -> int:
@@ -251,12 +250,10 @@ def _cmd_extract(args) -> int:
 def _cmd_reconstruct(args) -> int:
     sinos, axis = load_container(args.infile, "subspace-sinogram", "sinogram")
     extra = None if axis is None else {"spectral": spectral_header(axis)}
-    # MbirOptions supplies what the flags leave out
+    # MbirOptions fills in the flags left out; reconstruct_stack rejects it under fbp
     flags = {"prior": _PRIOR_NAMES.get(args.prior), "regularization_weight": args.beta}
     given = {key: value for key, value in flags.items() if value is not None}
-    if given and args.engine == "fbp":
-        raise ValidationError("--beta/--prior only apply to the mbir engine")
-    opts = MbirOptions(**given) if args.engine == "mbir" else None
+    opts = MbirOptions(**given) if given else None
     vol = reconstruct_stack(sinos, sinos.geometry, args.engine, opts, threads=args.threads)
     write_container(args.out, vol, extra_header=extra)
     log.info("wrote volume %s [%d voxels x %d channels, %s]", args.out,
@@ -302,9 +299,8 @@ def _cmd_bench(args) -> int:
                          recon=MbirOptions(regularization_weight=2.0), threads=args.threads)
     t0 = time.perf_counter()
     result = run_benchmark(spec, axis, geom, cfg)
-    out = Path(args.out)
-    out.write_text(result.csv_text, encoding="ascii", newline="")
-    stem = out.with_suffix("")
+    _write_whole(args.out, [result.csv_text.encode("ascii")])
+    stem = Path(args.out).with_suffix("")
     for key in sorted(result.slice_images):
         _write_pgm(f"{stem}_{key}.pgm", result.slice_images[key])
     log.info("benchmark finished in %.1fs: speedup %.2fx, snr gap %+.2f dB",

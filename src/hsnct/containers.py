@@ -525,10 +525,8 @@ def write_container(path, data, extra_header: dict | None = None) -> None:
     """Write a typed container to ``path``.
 
     The header is derived from ``data``; ``extra_header`` entries are merged
-    into it, and entries that contradict a derived value are rejected.  The
-    file is written to a temporary name in the same directory and then
-    renamed onto ``path``, so an existing target is replaced whole or left
-    as it was.
+    into it, and entries that contradict a derived value are rejected.
+    ``_write_whole`` replaces an existing target whole or leaves it as it was.
     """
     header, payload = _pack(data)
     header["axis_order"] = AXIS_ORDERS[header["role"]]
@@ -538,23 +536,28 @@ def write_container(path, data, extra_header: dict | None = None) -> None:
         if header.setdefault(key, value) != value:
             raise ValidationError(f"extra header key {key!r} conflicts with derived value")
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    try:
+        _write_whole(path, [MAGIC, struct.pack("<I", len(blob)), blob,
+                            *(memoryview(np.ascontiguousarray(a, "<f4")) for a in payload)])
+    except OSError as exc:
+        raise ContainerError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_whole(path, chunks) -> None:
+    """Write the byte ``chunks`` to a temporary name beside ``path``, then
+    rename it onto ``path``: an existing target is replaced whole or left as
+    it was, and the temporary file does not outlive a failure."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        try:
-            with open(tmp, "xb") as fh:
-                fh.write(MAGIC)
-                fh.write(struct.pack("<I", len(blob)))
-                fh.write(blob)
-                for a in payload:
-                    fh.write(memoryview(np.ascontiguousarray(a, "<f4")))
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                tmp.unlink(missing_ok=True)
-            raise
-    except OSError as exc:
-        raise ContainerError(f"cannot write {path}: {exc}") from exc
+        with open(tmp, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_file(path) -> tuple[dict, np.ndarray]:

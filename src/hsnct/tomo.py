@@ -48,9 +48,9 @@ images in the volume layout (slices, n^2, C), in the precision of its
 input: float32 container blocks give float32 volumes, and float64 single
 slices give float64 images.  It alone decides how the independent (slice,
 channel) columns are grouped, the MBIR start, the one weight rule
-W = exp(-y), and the threading.  With step = min(_BATCH_COLUMNS,
-ceil(slices*C / threads)), a block is step // C whole slices when C <= step,
-else step channels of one slice.  Columns never mix.
+W = exp(-y), and the threading: workers = min(threads, CPUs) run blocks of
+step = min(_BATCH_COLUMNS, ceil(slices*C / workers)) columns, step // C whole
+slices when C <= step, else step channels of one slice.  Columns never mix.
 
 One precision rule: the sparse projector products run in float32, the
 precision of the container payloads, with the cached A^T and its CSC view
@@ -150,12 +150,14 @@ class MbirOptions:
         require_positive(self.rel_tol, "rel_tol")
 
 
-def require_engine(engine: str, opts) -> None:
-    """Raise ValidationError unless ``engine`` is known and ``opts`` suits it."""
+def require_engine(engine: str, opts) -> MbirOptions | None:
+    """The options ``engine`` runs: None for fbp, ``opts`` or MbirOptions() for
+    mbir.  Raises ValidationError unless ``engine`` is known and ``opts`` suits it."""
     if engine not in _ENGINES:
         raise ValidationError(f"engine must be one of {_ENGINES}, got {engine!r}")
     if opts is not None and (engine != "mbir" or not isinstance(opts, MbirOptions)):
         raise ValidationError("options only apply to the mbir engine, as MbirOptions")
+    return None if engine == "fbp" else opts or MbirOptions()
 
 
 def slice_geometry_for(geom: ScanGeometry) -> SliceGeometry:
@@ -525,13 +527,15 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
     Otherwise MBIR starts from the float32 FBP image clamped at 0 and cast
     to float64 (zeros below 2 views), and weights each ray by exp(-y), the
     one weight rule.  Blocks (module docstring) are read and written with
-    basic slices, keep (slice, channel) order, and are split for
-    ``threads`` workers; the pool holds at most one worker per CPU.
+    basic slices and keep (slice, channel) order; workers = min(threads, CPUs)
+    and step = max(1, min(_BATCH_COLUMNS, ceil(slices*C / workers))), so a
+    budget at or above the CPU count plans what the CPU count plans.
     """
     n_r, C = Y.shape[1], Y.shape[3]
     n = geom.image_size
     _, AT = _operators(geom)
-    step = max(1, min(_BATCH_COLUMNS, -(-n_r * C // threads)))
+    workers = min(threads, os.cpu_count() or 1)
+    step = max(1, min(_BATCH_COLUMNS, -(-n_r * C // workers)))
     rows, chans = (step // C, C) if C <= step else (1, step)
     out = np.empty((n_r, n * n, C), dtype=Y.dtype)
 
@@ -555,7 +559,6 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
         return info
 
     blocks = [(r, c) for r in range(0, n_r, rows) for c in range(0, C, chans)]
-    workers = min(threads, os.cpu_count() or 1)
     if workers == 1:
         infos = list(map(solve, blocks))
     else:
@@ -567,8 +570,7 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
 def mbir_reconstruct(sino: np.ndarray, geom: SliceGeometry,
                      opts: MbirOptions | None = None, return_info: bool = False):
     """Regularized weighted-least-squares reconstruction of one slice."""
-    if opts is None:
-        opts = MbirOptions()
+    opts = require_engine("mbir", opts)
     sino = _slice_input(sino, geom)
     X, info = _reconstruct_columns(sino[:, None, :, None], geom, opts)
     img = X.reshape(geom.image_size, geom.image_size)
@@ -582,12 +584,13 @@ def reconstruct_stack(sinos, geom: ScanGeometry, engine: str,
 
     ``sinos`` is a SubspaceSinogram (C = subspace channels) or a
     HyperspectralSinogram (C = wavelength bins).  Detector row r maps to
-    volume slice r.  One ``_reconstruct_columns`` call reads the stack in
-    its container layout, spreads its blocks over ``threads`` workers,
-    weights MBIR's rays by exp(-y) and writes voxels in the float32 of the
-    container's values.
+    volume slice r.  ``require_engine`` gives the options.  One
+    ``_reconstruct_columns`` call reads the stack in its container layout,
+    runs blocks of step = max(1, min(_BATCH_COLUMNS, ceil(slices*C / workers)))
+    columns on workers = min(threads, CPUs), weights MBIR's rays by exp(-y)
+    and writes voxels in the float32 of the container's values.
     """
-    require_engine(engine, opts)
+    opts = require_engine(engine, opts)
     require_count(threads, "threads")
     if isinstance(sinos, SubspaceSinogram):
         values, sgeom = sinos.coeffs, sinos.geometry
@@ -601,8 +604,6 @@ def reconstruct_stack(sinos, geom: ScanGeometry, engine: str,
             or sgeom.pixel_pitch != geom.pixel_pitch
             or not np.array_equal(sgeom.view_angles, geom.view_angles)):
         raise ValidationError("sinogram geometry does not match the scan geometry")
-    if engine == "mbir" and opts is None:
-        opts = MbirOptions()
 
     n_v, n_r, n_c = geom.num_views, geom.num_rows, geom.num_cols
     C = values.shape[1]

@@ -7,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from hsnct import cli, containers
 from hsnct.cli import _build_parser, main
 from hsnct.containers import (
+    ContainerError,
     HyperspectralSinogram,
     ScanGeometry,
     SpectralAxis,
@@ -255,11 +257,33 @@ class TestStageCommands:
         assert not out.exists()
 
     def test_reconstruct_fbp_rejects_mbir_flags(self, workdir, capsys):
+        out = workdir / "nope.hsnct"
         rc = main(["reconstruct", "--in", str(workdir / "v.hsnct"),
-                   "--engine", "fbp", "--beta", "1.0",
-                   "--out", str(workdir / "nope.hsnct")])
+                   "--engine", "fbp", "--beta", "1.0", "--out", str(out)])
         assert rc == 1
         assert "mbir" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
+        # every writer renames a finished temporary file onto its target, so
+        # a failed write leaves the old bytes and no temporary file behind
+        targets = [tmp_path / name for name in ("v.hsnct", "r.json", "s.pgm")]
+        for path in targets:
+            path.write_bytes(b"old " + path.name.encode())
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(containers.os, "replace", refuse)
+        with pytest.raises(ContainerError, match="rename refused"):
+            write_container(targets[0], VolumeStack(np.ones((2 * 4 * 4, 1)), 2, 4))
+        with pytest.raises(OSError, match="rename refused"):
+            cli._write_json(targets[1], {"snr_db": 1.0})
+        with pytest.raises(OSError, match="rename refused"):
+            cli._write_pgm(targets[2], np.ones((4, 4)))
+        assert sorted(tmp_path.iterdir()) == sorted(targets)
+        for path in targets:
+            assert path.read_bytes() == b"old " + path.name.encode()
 
     def test_expand_rank_mismatch_names_both_counts(self, workdir, capsys):
         d = workdir
@@ -294,16 +318,18 @@ class TestPipelineCommands:
         assert vol.num_channels == 16 and axis.num_bins == 16
 
     def test_fhr_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # a --threads budget above the CPU count is checked end to end too
         sino = write_wide_sinogram(tmp_path)
-        reports = []
-        for n in ("1", "3"):
+        volumes, reports = [], []
+        for blas, threads in (("1", "1"), ("3", "1"), ("1", "64")):
+            out, report = tmp_path / f"x{blas}{threads}.hsnct", tmp_path / "r.json"
             run_hsnct(["fhr", "--in", str(sino), "--rank", "3", "--engine", "fbp",
-                       "--out", str(tmp_path / f"x{n}.hsnct"),
-                       "--report", str(tmp_path / f"r{n}.json")], n)
-            report = json.loads((tmp_path / f"r{n}.json").read_text())
-            reports.append({k: v for k, v in report.items() if k not in TIMING_KEYS})
-        assert (tmp_path / "x1.hsnct").read_bytes() == (tmp_path / "x3.hsnct").read_bytes()
-        assert reports[0] == reports[1]
+                       "--out", str(out), "--report", str(report), "--threads", threads], blas)
+            volumes.append(out.read_bytes())
+            reports.append({k: v for k, v in json.loads(report.read_text()).items()
+                            if k not in TIMING_KEYS})
+        assert volumes[0] == volumes[1] == volumes[2]
+        assert reports[0] == reports[1] == reports[2]
 
     def test_dhr_fbp_bytes_do_not_depend_on_thread_counts(self, tmp_path):
         # FBP's float32 filter and backprojection give each column the same

@@ -327,6 +327,12 @@ class TestMbir:
         for value in (np.float32(0.5), np.float64(0.5), np.int64(2)):
             assert MbirOptions(regularization_weight=value).regularization_weight == value
 
+    def test_options_must_be_mbir_options(self):
+        # the rule reconstruct_stack and PipelineConfig apply, not an AttributeError
+        with pytest.raises(ValidationError, match="as MbirOptions"):
+            mbir_reconstruct(np.zeros((4, 8)), uniform_geom(4, 8),
+                             {"regularization_weight": 2.0})
+
 
 def stack_inputs(n_r=2, n_c=24, n_v=12, C=3, seed=0):
     geom = ScanGeometry(n_v, n_r, n_c, np.linspace(0, np.pi, n_v, endpoint=False),
@@ -408,10 +414,12 @@ class TestReconstructStack:
         assert len(iterations) > 2
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_wide_batch_matches_per_channel_runs(self, threads):
+    def test_wide_batch_matches_per_channel_runs(self, monkeypatch, threads):
         # whole-slice blocks (C <= step), and channel blocks of one slice
         # when C exceeds a solver part or the per-worker share, all give
-        # each (slice, channel) the bytes of its solo run
+        # each (slice, channel) the bytes of its solo run; 4 CPUs split the
+        # same way on any host
+        monkeypatch.setattr(tomo.os, "cpu_count", lambda: 4)
         opts = MbirOptions(regularization_weight=1.0, max_iters=30, rel_tol=1e-4)
         for C in (3, tomo._BATCH_COLUMNS, 100):
             geom, vals = stack_inputs(n_r=2, n_c=12, n_v=8, C=C, seed=6)
@@ -449,14 +457,16 @@ class TestReconstructStack:
         vol = reconstruct_stack(sino, geom, "fbp")
         assert vol.num_channels == 2
 
-    def test_threads_do_not_change_fbp_result(self):
+    def test_threads_do_not_change_fbp_result(self, monkeypatch):
+        monkeypatch.setattr(tomo.os, "cpu_count", lambda: 4)
         geom, vals = stack_inputs(n_r=4, C=2)
         sub = SubspaceSinogram(vals, geom)
         v1 = reconstruct_stack(sub, geom, "fbp", threads=1)
         v2 = reconstruct_stack(sub, geom, "fbp", threads=3)
         np.testing.assert_array_equal(v1.voxels, v2.voxels)
 
-    def test_threads_do_not_change_mbir_result(self):
+    def test_threads_do_not_change_mbir_result(self, monkeypatch):
+        monkeypatch.setattr(tomo.os, "cpu_count", lambda: 4)
         geom, vals = stack_inputs(n_r=3, C=2, seed=4)
         sub = SubspaceSinogram(vals, geom)
         opts = MbirOptions(regularization_weight=1.0, max_iters=8)
@@ -466,8 +476,9 @@ class TestReconstructStack:
 
     @pytest.mark.parametrize("cpus, pools", [(2, [2]), (1, []), (None, [])])
     def test_pool_holds_at_most_one_worker_per_cpu(self, monkeypatch, cpus, pools):
-        # a huge budget still splits the stack into one-column blocks, but
-        # the pool is sized by the CPUs, and one worker runs them serially
+        # a budget above the CPU count plans what the CPU count plans: the 6
+        # columns split into one block per worker (the columns of each FBP
+        # call), a pool holds one worker per CPU, and one worker runs serially
         class RecordingPool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
@@ -484,12 +495,17 @@ class TestReconstructStack:
         geom, vals = stack_inputs(n_r=2, C=3, seed=7)
         sub = SubspaceSinogram(vals, geom)
         v1 = reconstruct_stack(sub, geom, "fbp", threads=1)
-        sizes = []
+        fbp_batch = tomo._fbp_batch
         monkeypatch.setattr(tomo, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(tomo.os, "cpu_count", lambda: cpus)
-        v_many = reconstruct_stack(sub, geom, "fbp", threads=100_000)
-        assert sizes == pools
-        assert v_many.voxels.tobytes() == v1.voxels.tobytes()
+        monkeypatch.setattr(tomo, "_fbp_batch",
+                            lambda y, sg: widths.append(y.shape[1]) or fbp_batch(y, sg))
+        workers = cpus or 1
+        for threads in (workers, 100_000):
+            sizes, widths = [], []
+            v = reconstruct_stack(sub, geom, "fbp", threads=threads)
+            assert (sizes, widths) == (pools, [6 // workers] * workers), threads
+            assert v.voxels.tobytes() == v1.voxels.tobytes()
 
     def test_geometry_mismatch_rejected(self):
         geom, vals = stack_inputs()
