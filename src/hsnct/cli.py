@@ -17,6 +17,7 @@ import json
 import logging
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -49,13 +50,11 @@ from hsnct.pipeline import (
 )
 from hsnct.preprocess import NormalizationOptions, normalize
 from hsnct.subspace import NmfOptions, expand, nmf_factorize
-from hsnct.tomo import MbirOptions, reconstruct_stack
+from hsnct.tomo import _ENGINES, _PRIORS, MbirOptions, reconstruct_stack
 
 __all__ = ["main", "entry"]
 
 log = logging.getLogger("hsnct")
-
-_PRIOR_NAMES = {"quadratic": "quadratic-difference", "huber": "huber"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,21 +66,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _build_parser() -> _Parser:
     shared = {name: argparse.ArgumentParser(add_help=False)
               for name in ("threads", "seed", "verbose")}
     shared["threads"].add_argument(
-        "--threads", type=_positive_int, default=PipelineConfig.threads,
+        "--threads", type=int, default=PipelineConfig.threads,
         help="worker budget for slice reconstructions (default %(default)s)")
     shared["seed"].add_argument("--seed", type=int, default=0,
                                 help="seed for the seeded stages (default 0)")
@@ -128,11 +117,11 @@ def _build_parser() -> _Parser:
 
     p = command("reconstruct", "reconstruct every channel of a sinogram container", "threads")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--engine", required=True, choices=("fbp", "mbir"))
+    p.add_argument("--engine", required=True, choices=_ENGINES)
     p.add_argument("--out", required=True)
     p.add_argument("--beta", type=float, default=None,
                    help="mbir regularization weight")
-    p.add_argument("--prior", choices=tuple(_PRIOR_NAMES), default=None,
+    p.add_argument("--prior", choices=_PRIORS, default=None,
                    help="mbir prior")
 
     p = command("expand", "expand a coefficient volume through a basis")
@@ -147,7 +136,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--in", dest="infile", required=True)
         if name == "fhr":
             p.add_argument("--rank", required=True, type=int)
-        p.add_argument("--engine", required=True, choices=("fbp", "mbir"))
+        p.add_argument("--engine", required=True, choices=_ENGINES)
         p.add_argument("--out", required=True)
         p.add_argument("--report", required=True, help="run report JSON output")
 
@@ -251,7 +240,7 @@ def _cmd_reconstruct(args) -> int:
     sinos, axis = load_container(args.infile, "subspace-sinogram", "sinogram")
     extra = None if axis is None else {"spectral": spectral_header(axis)}
     # MbirOptions fills in the flags left out; reconstruct_stack rejects it under fbp
-    flags = {"prior": _PRIOR_NAMES.get(args.prior), "regularization_weight": args.beta}
+    flags = {"prior": args.prior, "regularization_weight": args.beta}
     given = {key: value for key, value in flags.items() if value is not None}
     opts = MbirOptions(**given) if given else None
     vol = reconstruct_stack(sinos, sinos.geometry, args.engine, opts, threads=args.threads)
@@ -273,10 +262,11 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_route(args) -> int:
-    """``fhr`` or ``dhr``: the same input, outputs and report; only the route differs."""
-    sino = load_sinogram(args.infile)
+    """``fhr`` or ``dhr``: the same input and outputs, and the run's RunReport as
+    ``--report``; only the route differs.  The settings are checked before any I/O."""
     subspace = NmfOptions(rank=args.rank, seed=args.seed) if args.command == "fhr" else None
     cfg = PipelineConfig(subspace=subspace, recon_engine=args.engine, threads=args.threads)
+    sino = load_sinogram(args.infile)
     if subspace is None:
         vol, report = run_dhr(sino, cfg)
     else:
@@ -284,9 +274,8 @@ def _cmd_route(args) -> int:
     # the basis that fhr returns carries the input's spectral axis
     write_container(args.out, vol,
                     extra_header={"spectral": spectral_header(sino.axis)})
-    _write_json(args.report, {**report.fields(sino.axis.num_bins),
-                              "epsilon_frac": report.epsilon_frac})
-    log.info("%s done: %d channels in %.2fs -> %s", args.command, report.channels,
+    _write_json(args.report, asdict(report))
+    log.info("%s done: %d channels in %.2fs -> %s", args.command, report.n_s,
              report.total_s, args.out)
     return 0
 

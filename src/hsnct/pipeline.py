@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -75,11 +75,15 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Wall-clock and bookkeeping record of one pipeline run."""
+    """Wall-clock and bookkeeping record of one pipeline run.  Its fields are
+    the keys of the CLI's ``--report`` JSON; a bench CSV row is the record
+    plus ``speedup``, without ``epsilon_frac``.  ``n_k`` counts the input's
+    bins, ``n_s`` the channels reconstructed; ``total_s`` sums the stages."""
 
     algorithm: str
     engine: str
-    channels: int
+    n_k: int
+    n_s: int
     extract_s: float
     recon_s: float
     expand_s: float
@@ -90,17 +94,17 @@ class RunReport:
     def __post_init__(self):
         for name in ("extract_s", "recon_s", "expand_s", "total_s"):
             require_nonneg(getattr(self, name), name)
-        require_count(self.channels, "channels")
+        require_count(self.n_k, "n_k")
+        require_count(self.n_s, "n_s")
         if self.snr_db is not None and not np.isfinite(self.snr_db):
             raise ValidationError("snr_db must be finite when present")
 
-    def fields(self, n_k: int) -> dict:
-        """The fields that the CLI's ``--report`` JSON and a bench CSV row
-        share; ``n_k`` is the wavelength-bin count of the input."""
-        return {"algorithm": self.algorithm, "engine": self.engine,
-                "n_k": n_k, "n_s": self.channels, "snr_db": self.snr_db,
-                "extract_s": self.extract_s, "recon_s": self.recon_s,
-                "expand_s": self.expand_s, "total_s": self.total_s}
+
+def _timed(stage, *args, **kwargs):
+    """``(stage(*args, **kwargs), seconds)``: one stage and its wall time."""
+    t0 = time.perf_counter()
+    result = stage(*args, **kwargs)
+    return result, time.perf_counter() - t0
 
 
 def run_fhr(p: HyperspectralSinogram, cfg: PipelineConfig):
@@ -112,26 +116,14 @@ def run_fhr(p: HyperspectralSinogram, cfg: PipelineConfig):
     """
     if cfg.subspace is None:
         raise ValidationError("run_fhr needs NmfOptions in PipelineConfig.subspace")
-    clock = time.perf_counter
-    t_run = clock()
-
-    t0 = clock()
-    coeffs, basis, fact = nmf_factorize(p, cfg.subspace)
-    t_extract = clock() - t0
-
-    t0 = clock()
-    x_s = reconstruct_stack(coeffs, p.geometry, cfg.recon_engine, cfg.recon,
-                            threads=cfg.threads)
-    t_recon = clock() - t0
-
-    t0 = clock()
-    x_h = expand(x_s, basis)
-    t_expand = clock() - t0
-
-    total = clock() - t_run
-    report = RunReport("fhr", cfg.recon_engine, channels=coeffs.rank,
+    (coeffs, basis, fact), t_extract = _timed(nmf_factorize, p, cfg.subspace)
+    x_s, t_recon = _timed(reconstruct_stack, coeffs, p.geometry, cfg.recon_engine,
+                          cfg.recon, threads=cfg.threads)
+    x_h, t_expand = _timed(expand, x_s, basis)
+    report = RunReport("fhr", cfg.recon_engine, n_k=p.num_bins, n_s=coeffs.rank,
                        extract_s=t_extract, recon_s=t_recon, expand_s=t_expand,
-                       total_s=total, epsilon_frac=float(fact.residual_energy))
+                       total_s=t_extract + t_recon + t_expand,
+                       epsilon_frac=float(fact.residual_energy))
     return x_h, basis, report
 
 
@@ -141,16 +133,10 @@ def run_dhr(p: HyperspectralSinogram, cfg: PipelineConfig):
     Returns (VolumeStack, RunReport).  No spectral processing happens, so
     the extract and expand stages are zero by construction.
     """
-    clock = time.perf_counter
-    t_run = clock()
-    t0 = clock()
-    x_h = reconstruct_stack(p, p.geometry, cfg.recon_engine, cfg.recon,
-                            threads=cfg.threads)
-    t_recon = clock() - t0
-    total = clock() - t_run
-    return x_h, RunReport("dhr", cfg.recon_engine, channels=p.axis.num_bins,
-                          extract_s=0.0, recon_s=t_recon, expand_s=0.0,
-                          total_s=total)
+    x_h, t_recon = _timed(reconstruct_stack, p, p.geometry, cfg.recon_engine, cfg.recon,
+                          threads=cfg.threads)
+    return x_h, RunReport("dhr", cfg.recon_engine, n_k=p.num_bins, n_s=p.num_bins,
+                          extract_s=0.0, recon_s=t_recon, expand_s=0.0, total_s=t_recon)
 
 
 def snr_db(recon: VolumeStack, reference: VolumeStack) -> float:
@@ -233,8 +219,7 @@ def run_benchmark(spec: PhantomSpec, axis: SpectralAxis, geom: ScanGeometry,
     dhr_rep = replace(dhr_rep, snr_db=snr_db(dhr_vol, truth))
 
     speedup = dhr_rep.total_s / fhr_rep.total_s
-    rows = ({**fhr_rep.fields(axis.num_bins), "speedup": speedup},
-            {**dhr_rep.fields(axis.num_bins), "speedup": 1.0})
+    rows = ({**asdict(fhr_rep), "speedup": speedup}, {**asdict(dhr_rep), "speedup": 1.0})
     images = _comparison_slices(truth, fhr_vol, dhr_vol, axis)
     return BenchmarkResult(rows=rows, csv_text=_csv_text(rows),
                            fhr_report=fhr_rep, dhr_report=dhr_rep,

@@ -65,7 +65,7 @@ from __future__ import annotations
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.fft
@@ -155,7 +155,11 @@ def require_engine(engine: str, opts) -> MbirOptions | None:
     mbir.  Raises ValidationError unless ``engine`` is known and ``opts`` suits it."""
     if engine not in _ENGINES:
         raise ValidationError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    if opts is not None and (engine != "mbir" or not isinstance(opts, MbirOptions)):
+    if opts is not None and engine == "fbp":
+        *names, last = (f.name for f in fields(MbirOptions))
+        raise ValidationError(f"fbp takes no options: {', '.join(names)} and {last} "
+                              "are mbir settings")
+    if opts is not None and not isinstance(opts, MbirOptions):
         raise ValidationError("options only apply to the mbir engine, as MbirOptions")
     return None if engine == "fbp" else opts or MbirOptions()
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from hsnct import cli, containers
+from hsnct import cli, containers, tomo
 from hsnct.cli import _build_parser, main
 from hsnct.containers import (
     ContainerError,
@@ -32,6 +33,7 @@ from hsnct.phantom import (
     ShapeSpec,
     spec_to_dict,
 )
+from hsnct.pipeline import RunReport
 from hsnct.preprocess import normalize
 from hsnct.subspace import NmfOptions, nmf_factorize
 from hsnct.tomo import MbirOptions, reconstruct_stack
@@ -248,21 +250,57 @@ class TestStageCommands:
         assert "count_floor" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_reconstruct_rejects_zero_threads(self, workdir, capsys):
-        out = workdir / "zero_threads.hsnct"
-        rc = main(["reconstruct", "--in", str(workdir / "v.hsnct"), "--engine", "fbp",
-                   "--threads", "0", "--out", str(out)])
-        assert rc == 1
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["reconstruct", "fhr", "dhr", "bench"])
+    def test_reconstruct_rejects_zero_threads(self, workdir, capsys, command, threads):
+        # the library's threads rule, the one rule, reports a bad budget
+        tag = f"bad_threads_{command}{threads}"
+        assert main([command, *_command_args(workdir, command, tag),
+                     "--threads", threads]) == 1
         assert "threads" in capsys.readouterr().err
+        assert not list(workdir.glob(f"{tag}*"))
+
+    @pytest.mark.parametrize("command", ["fhr", "dhr"])
+    def test_bad_threads_is_reported_before_the_input_is_read(self, tmp_path, capsys,
+                                                               command):
+        rank = ["--rank", "3"] if command == "fhr" else []
+        assert main([command, "--in", str(tmp_path / "missing.hsnct"), *rank,
+                     "--engine", "fbp", "--out", str(tmp_path / "x.hsnct"),
+                     "--report", str(tmp_path / "r.json"), "--threads", "0"]) == 1
+        assert "threads" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_fractional_threads_is_a_usage_error(self, workdir, capsys):
+        out = workdir / "frac_threads.hsnct"
+        assert main(["reconstruct", "--in", str(workdir / "v.hsnct"), "--engine", "fbp",
+                     "--threads", "1.5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "usage" in err and "--threads" in err
         assert not out.exists()
 
-    def test_reconstruct_fbp_rejects_mbir_flags(self, workdir, capsys):
+    @pytest.mark.parametrize("flag, value, setting", [
+        ("--beta", "1.0", "regularization_weight"), ("--prior", "huber", "prior")],
+        ids=["beta", "prior"])
+    def test_reconstruct_fbp_rejects_mbir_flags(self, workdir, capsys, flag, value, setting):
         out = workdir / "nope.hsnct"
         rc = main(["reconstruct", "--in", str(workdir / "v.hsnct"),
-                   "--engine", "fbp", "--beta", "1.0", "--out", str(out)])
+                   "--engine", "fbp", flag, value, "--out", str(out)])
         assert rc == 1
-        assert "mbir" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "mbir" in err and setting in err
         assert not out.exists()
+
+    def test_prior_takes_the_library_name(self, workdir, capsys):
+        d = workdir
+        assert main(["reconstruct", "--in", str(d / "v.hsnct"), "--engine", "mbir",
+                     "--prior", "quadratic-difference", "--out", str(d / "xs_qd.hsnct")]) == 0
+        assert main(["reconstruct", "--in", str(d / "v.hsnct"), "--engine", "mbir",
+                     "--out", str(d / "xs_nqd.hsnct")]) == 0
+        assert (d / "xs_qd.hsnct").read_bytes() == (d / "xs_nqd.hsnct").read_bytes()
+        assert main(["reconstruct", "--in", str(d / "v.hsnct"), "--engine", "mbir",
+                     "--prior", "quadratic", "--out", str(d / "xs_q.hsnct")]) == 1
+        assert "usage" in capsys.readouterr().err
+        assert not (d / "xs_q.hsnct").exists()
 
     def test_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
         # every writer renames a finished temporary file onto its target, so
@@ -298,6 +336,9 @@ class TestStageCommands:
 
 
 class TestPipelineCommands:
+    def test_report_keys_are_the_run_report_fields(self):
+        assert REPORT_KEYS == {f.name for f in dataclasses.fields(RunReport)}
+
     def test_fhr_report_schema_and_determinism(self, workdir):
         d = workdir
         base = ["fhr", "--in", str(d / "p.hsnct"), "--rank", "3",
@@ -716,6 +757,9 @@ def _command_args(d, command, tag):
         "expand": ["--in", str(d / "xs.hsnct"), "--basis", str(d / "d.hsnct"), "--out", out],
         "dhr": ["--in", str(d / "p.hsnct"), "--engine", "fbp", "--out", out,
                 "--report", str(d / f"{tag}.r.out")],
+        "fhr": ["--in", str(d / "p.hsnct"), "--rank", "3", "--engine", "fbp", "--out", out,
+                "--report", str(d / f"{tag}.r.out")],
+        "bench": ["--out", out],
         "slice": ["--in", str(d / "xs.hsnct"), "--z", "0", "--bin", "0", "--out", out],
     }[command]
 
@@ -728,6 +772,19 @@ class TestSharedFlags:
         for name, p in sub.choices.items():
             flags = {opt for a in p._actions if not a.required for opt in a.option_strings}
             assert flags - {"-h", "--help"} == COMMAND_FLAGS[name], name
+
+    def test_engine_and_prior_choices_are_the_library_names(self):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        names = {"--engine": tomo._ENGINES, "--prior": tomo._PRIORS}
+        seen = set()
+        for name, p in sub.choices.items():
+            for a in p._actions:
+                for flag in set(a.option_strings) & set(names):
+                    assert a.choices == names[flag], (name, flag)
+                    seen.add((name, flag))
+        assert seen == {("reconstruct", "--engine"), ("reconstruct", "--prior"),
+                        ("fhr", "--engine"), ("dhr", "--engine")}
 
     @pytest.mark.parametrize("command, flag", [
         *((c, "--seed") for c in ("phantom", "normalize", "reconstruct", "expand",

@@ -1,5 +1,5 @@
 import inspect
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -116,11 +116,13 @@ class TestConfigValidation:
 
     def test_report_validation(self):
         with pytest.raises(ValidationError):
-            RunReport("fhr", "fbp", 4, -1.0, 0.0, 0.0, 1.0)
+            RunReport("fhr", "fbp", 16, 4, -1.0, 0.0, 0.0, 1.0)
+        with pytest.raises(ValidationError, match="n_s"):
+            RunReport("fhr", "fbp", 16, 0, 0.0, 0.0, 0.0, 1.0)
+        with pytest.raises(ValidationError, match="n_k"):
+            RunReport("fhr", "fbp", 0, 4, 0.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValidationError):
-            RunReport("fhr", "fbp", 0, 0.0, 0.0, 0.0, 1.0)
-        with pytest.raises(ValidationError):
-            RunReport("fhr", "fbp", 4, 0.0, 0.0, 0.0, 1.0, snr_db=np.nan)
+            RunReport("fhr", "fbp", 16, 4, 0.0, 0.0, 0.0, 1.0, snr_db=np.nan)
 
 
 class TestSnrDb:
@@ -171,7 +173,7 @@ class TestRunFhr:
         rel = np.sqrt((diff ** 2).mean()) / np.sqrt(
             (dhr_vol.voxels.astype(np.float64) ** 2).mean())
         assert rel <= 0.02
-        assert rep.channels == 3
+        assert rep.n_s == 3
         assert basis.rank == 3
 
     def test_full_rank_subspace_fits_exactly(self):
@@ -185,7 +187,7 @@ class TestRunFhr:
                              recon_engine="fbp")
         _, _, rep = run_fhr(p, cfg)
         assert rep.epsilon_frac <= 1e-6
-        assert rep.channels == 8
+        assert rep.n_s == 8
 
     def test_negative_input_rejected(self):
         geom = ScanGeometry(4, 1, 8, np.linspace(0, np.pi, 4, endpoint=False),
@@ -224,7 +226,7 @@ class TestRunDhr:
         vol, rep = run_dhr(p, PipelineConfig())
         direct = reconstruct_stack(p, p.geometry, "fbp")
         assert vol.voxels.tobytes() == direct.voxels.tobytes()
-        assert rep.channels == 1
+        assert rep.n_s == 1
         assert rep.extract_s == 0.0 and rep.expand_s == 0.0
 
     def test_duplicated_bin_gives_identical_channels(self):
@@ -237,7 +239,7 @@ class TestRunDhr:
     def test_channel_count_is_bin_count(self):
         _, p = noisy_sinogram(n_k=16)
         _, rep = run_dhr(p, PipelineConfig())
-        assert rep.channels == 16
+        assert rep.n_s == 16
         assert rep.algorithm == "dhr" and rep.epsilon_frac is None
 
     @pytest.mark.parametrize("route,engine", [("dhr", "mbir"), ("dhr", "fbp"),
@@ -258,7 +260,7 @@ class TestRunDhr:
             coeffs, basis, _ = nmf_factorize(p, nmf)
             staged = expand(reconstruct_stack(coeffs, p.geometry, engine, opts), basis)
         assert vol.voxels.tobytes() == staged.voxels.tobytes()
-        assert rep.engine == engine and rep.channels == (4 if route == "dhr" else 2)
+        assert rep.engine == engine and rep.n_s == (4 if route == "dhr" else 2)
 
 
 class TestFbpCommutation:
@@ -296,8 +298,12 @@ class TestRunBenchmark:
             assert len(line.split(",")) == len(CSV_COLUMNS)
 
     def test_row_contents(self, small_bench):
+        # a row is its route's RunReport plus the speedup, nothing restated
         _, axis, _, res = small_bench
         fhr_row, dhr_row = res.rows
+        fhr, dhr = res.fhr_report, res.dhr_report
+        assert fhr_row == {**asdict(fhr), "speedup": dhr.total_s / fhr.total_s}
+        assert dhr_row == {**asdict(dhr), "speedup": 1.0}
         assert fhr_row["algorithm"] == "fhr" and dhr_row["algorithm"] == "dhr"
         assert fhr_row["n_k"] == dhr_row["n_k"] == axis.num_bins
         assert fhr_row["n_s"] == 3 and dhr_row["n_s"] == axis.num_bins
