@@ -32,6 +32,7 @@ from hsnct.containers import (
     load_raw_scan,
     load_sinogram,
     load_volume,
+    require_count,
     spectral_from_header,
     spectral_header,
     write_container,
@@ -50,7 +51,7 @@ from hsnct.pipeline import (
 )
 from hsnct.preprocess import NormalizationOptions, normalize
 from hsnct.subspace import NmfOptions, expand, nmf_factorize
-from hsnct.tomo import _ENGINES, _PRIORS, MbirOptions, reconstruct_stack
+from hsnct.tomo import _ENGINES, _PRIORS, MbirOptions, reconstruct_stack, require_engine
 
 __all__ = ["main", "entry"]
 
@@ -237,12 +238,14 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    sinos, axis = load_container(args.infile, "subspace-sinogram", "sinogram")
-    extra = None if axis is None else {"spectral": spectral_header(axis)}
-    # MbirOptions fills in the flags left out; reconstruct_stack rejects it under fbp
+    # the settings are checked before any I/O; MbirOptions fills in the flags
+    # left out, and require_engine rejects it under fbp
     flags = {"prior": args.prior, "regularization_weight": args.beta}
     given = {key: value for key, value in flags.items() if value is not None}
-    opts = MbirOptions(**given) if given else None
+    opts = require_engine(args.engine, MbirOptions(**given) if given else None)
+    require_count(args.threads, "threads")
+    sinos, axis = load_container(args.infile, "subspace-sinogram", "sinogram")
+    extra = None if axis is None else {"spectral": spectral_header(axis)}
     vol = reconstruct_stack(sinos, sinos.geometry, args.engine, opts, threads=args.threads)
     write_container(args.out, vol, extra_header=extra)
     log.info("wrote volume %s [%d voxels x %d channels, %s]", args.out,

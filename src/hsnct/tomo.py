@@ -35,12 +35,15 @@ Reconstructors:
   |P|^T (2 delta kappa / max(|P x|, delta)).  The solver takes
   diagonally-majorized (separable quadratic surrogate) steps projected
   onto x >= 0, starting from the FBP image clamped at 0, and accelerates
-  them with per-channel momentum (Kim, Ramani & Fessler 2015) and two
-  restarts (O'Donoghue & Candes 2015): one when a step turns against the
-  momentum, one that discards a step that raised the objective.  A
-  discarded step counts as an iteration and repeats the objective in the
-  trace, so the trace does not increase.  Each iteration does one A and
-  one A^T product, and one L product or Huber's P products at x+ and z.
+  them with per-channel optimized-gradient (OGM) momentum (Kim & Fessler,
+  Math. Program. 2016), whose extrapolation adds a (t/t+)(x+ - z) term to
+  Nesterov's (t-1)/t+ one, and two adaptive restarts (Kim & Fessler,
+  J. Optim. Theory Appl. 2018): one when a step turns against the
+  momentum, one that discards a step that raised the objective; either
+  sets both momentum weights to 0.  A discarded step counts as an
+  iteration and repeats the objective in the trace, so the trace does not
+  increase.  Each iteration does one A and one A^T product, and two beta*L
+  products (at z and x+) or Huber's P products at x+ and z.
 
 Both run through one driver, ``_reconstruct_columns``, which reads slice
 sinograms in the container layout (angles, slices, bins, C) and writes
@@ -362,35 +365,38 @@ def _huber_step(Z: np.ndarray, n: int, delta: float):
 
 def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
                opts: MbirOptions, X0: np.ndarray):
-    """Majorized projected descent with momentum on a batch of independent
-    channels.
+    """Majorized projected descent with optimized-gradient momentum on a
+    batch of independent channels.
 
     AT is the length-scaled system matrix's transpose as CSR (n^2 x m) and
     A its CSC view AT.T; Y, W, X0 are float64 (m, C) / (n^2, C), and X0's
     memory is reused.  Every product with A or A^T, the curvature's too,
     runs in AT's precision and lands in float64; all else is float64.  Each
     channel keeps its iterate x, an extrapolated point z and a momentum
-    scalar t (z = x0 and t = 1 at the start), and one iteration is
+    scalar t (z = x0 and t = 1 at the start), and one iteration is the
+    optimized gradient method's (OGM; Kim & Fessler, Math. Program. 2016)
 
         x+ = max(z - grad f(z) / D(z), 0)
         t+ = (1 + sqrt(1 + 4 t^2)) / 2
-        z+ = x+ + ((t - 1) / t+) (x+ - x)
+        z+ = x+ + ((t - 1) / t+) (x+ - x) + (t / t+) (x+ - z)
 
-    with D(z) the separable majorizer's curvature at z.  Two restarts:
-    (a) when <z - x+, x+ - x> > 0 the step turned against the momentum,
-    and t = 1 before t+ is formed, so z+ = x+; (b) when a step from an
-    extrapolated z (t > 1) raised the objective, x+ is discarded: x stays,
-    the trace repeats f(x), the iteration still counts, and t = 1, z = x.
-    The next step is then a plain majorized one, which cannot raise the
-    objective beyond rounding, so the trace does not increase.  The
-    stopping rule (a zero objective, or a relative change <= rel_tol)
-    reads only kept steps that did not turn: at a turning point of the
-    momentum the objective stalls for a step while still far from its
-    minimum.
+    with D(z) the separable majorizer's curvature at z.  Two adaptive
+    restarts (Kim & Fessler, J. Optim. Theory Appl. 2018): (a) when
+    <z - x+, x+ - x> > 0 the step turned against the momentum, t = 1
+    before t+ is formed and both weights are 0, so z+ = x+; (b) when a step
+    from an extrapolated z (either weight > 0) raised the objective, x+ is
+    discarded: x stays, the trace repeats f(x), the iteration still counts,
+    and t = 1, both weights 0, z = x.  After either restart the next step is
+    a plain majorized one, which cannot raise the objective beyond
+    rounding, so the trace does not increase.  The stopping rule (a zero
+    objective, or a relative change <= rel_tol) reads only kept steps that
+    did not turn: at a turning point of the momentum the objective stalls
+    for a step while still far from its minimum.
 
-    A z - Y and the quadratic prior's gradient L z are carried as the same
-    combination of their values at x+ and x, so an iteration does one A
-    product, one A^T product and one L product; Huber instead takes its
+    W (A z - Y) is carried as the same three-point combination of its
+    values at x+, x and z, so an iteration does one A product, one A^T
+    product and, for the quadratic prior, two products with beta*L: at z
+    for the step and at x+ for the objective.  Huber instead takes its
     value at x+ and its gradient and curvature at z as products with P.
     Columns never mix, t is per channel and every per-channel sum goes
     through ``_column_dots``, so a channel's float sequence is the same
@@ -407,6 +413,7 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
     quadratic = use_prior and not huber
     delta = opts.huber_delta
     _, _, L, curv = _pairs(n)
+    bL = beta * L if quadratic else None
     A, dtype = AT.T, AT.dtype
     # the data term's curvature A^T W A 1, from the operator the steps use
     Dc = AT @ (W * (A @ np.ones(A.shape[1], dtype))[:, None]).astype(dtype, copy=False)
@@ -418,42 +425,38 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
             Dc += beta * curv[:, None]
         Dc[Dc <= 0] = np.inf
 
-    def evaluate(X, Yb, Wb, WR):
-        """A X - Y, L X (None unless the prior is quadratic) and the
-        objective at X; W*(A X - Y) goes into WR."""
+    def evaluate(X, Yb, Wb):
+        """W*(A X - Y) and the objective at X."""
         R = np.subtract(A @ X.astype(dtype, copy=False), Yb)
-        np.multiply(Wb, R, out=WR)
+        WR = Wb * R
         obj = 0.5 * _column_dots(WR, R)
-        LX = None
         if quadratic:
-            LX = L @ X
-            obj = obj + beta * (0.5 * _column_dots(X, LX))
+            obj = obj + 0.5 * _column_dots(X, bL @ X)
         elif huber:
             obj = obj + beta * _huber_value(X, n, delta)
-        return R, LX, obj
+        return WR, obj
 
     traces = [[] for _ in range(C)]
     conv = np.zeros(C, dtype=bool)
     out = np.empty_like(X0)
 
-    # per batch column: its channel, whether it still runs, t, and the
-    # momentum weight that formed z (0: z = x, a plain step)
+    # per batch column: its channel, whether it still runs, t, and the two
+    # momentum weights that formed z (both 0: z = x, a plain step)
     idx = np.arange(C)
     live = np.ones(C, dtype=bool)
     t = np.ones(C)
     coef = np.zeros(C)
-    Yb, Wb, WR = Y, W, np.empty_like(Y)
+    gam = np.zeros(C)
+    Yb, Wb = Y, W
     X = X0
-    RX, LX, fX = evaluate(X, Yb, Wb, WR)
-    Z, RZ = X.copy(), RX.copy()
-    LZ = None if LX is None else LX.copy()
+    WRX, fX = evaluate(X, Yb, Wb)
+    Z, WRZ = X.copy(), WRX.copy()
 
     for _ in range(opts.max_iters):
-        G = AT @ WR.astype(dtype, copy=False)
+        G = AT @ WRZ.astype(dtype, copy=False)
         D = Dc
         if quadratic:
-            LZ *= beta
-            G = np.add(G, LZ, out=LZ)
+            G = np.add(G, bL @ Z)
         elif huber:
             HG, D = _huber_step(Z, n, delta)
             HG *= beta
@@ -465,14 +468,12 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
         Xn = np.divide(G, D, out=G)
         np.subtract(Z, Xn, out=Xn)
         np.maximum(Xn, 0.0, out=Xn)
-        Rn, Ln, fn = evaluate(Xn, Yb, Wb, WR)
+        WRn, fn = evaluate(Xn, Yb, Wb)
 
-        back = (fn > fX) & (coef > 0)  # restart (b)
+        back = (fn > fX) & ((coef > 0) | (gam > 0))  # restart (b)
         if np.any(back):
             Xn[:, back] = X[:, back]
-            Rn[:, back] = RX[:, back]
-            if quadratic:
-                Ln[:, back] = LX[:, back]
+            WRn[:, back] = WRX[:, back]
             fn[back] = fX[back]
         dX = np.subtract(Xn, X, out=X)
         Z -= Xn
@@ -493,27 +494,30 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
         t[turned] = 1.0
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         coef = (t - 1.0) / t_next
+        gam = t / t_next
         t = t_next
         t[back] = 1.0
+        gam[turned | back] = 0.0
         coef[back] = 0.0
-        np.multiply(dX, coef, out=Z)
+        # z+ = x+ + coef (x+ - x) - gam (z - x+), and the same combination
+        # for W (A z - Y), in the buffers of x and z
+        dX *= coef
+        Z *= -gam
+        Z += dX
         Z += Xn
-        # the same combination for A z - Y and L z, in the buffers of x
-        RZ = np.subtract(Rn, RX, out=RX)
-        RZ *= coef
-        RZ += Rn
-        if quadratic:
-            LZ = np.subtract(Ln, LX, out=LX)
-            LZ *= coef
-            LZ += Ln
-        X, RX, LX, fX = Xn, Rn, Ln, fn
-        np.multiply(Wb, RZ, out=WR)
+        dR = np.subtract(WRn, WRX, out=WRX)
+        dR *= coef
+        np.subtract(WRn, WRZ, out=WRZ)
+        WRZ *= gam
+        WRZ += dR
+        WRZ += WRn
+        X, WRX, fX = Xn, WRn, fn
 
         if 4 * np.count_nonzero(~live) >= live.size:
             keep = live
-            Yb, Wb, WR, X, Z, RX, RZ, LX, LZ, Dc, fX, t, coef, idx, live = (
-                None if a is None else a[..., keep]
-                for a in (Yb, Wb, WR, X, Z, RX, RZ, LX, LZ, Dc, fX, t, coef, idx, live))
+            Yb, Wb, X, Z, WRX, WRZ, Dc, fX, t, coef, gam, idx, live = (
+                a[..., keep]
+                for a in (Yb, Wb, X, Z, WRX, WRZ, Dc, fX, t, coef, gam, idx, live))
 
     out[:, idx[live]] = X[:, live]
     info = [{"iterations": len(traces[c]), "converged": bool(conv[c]),

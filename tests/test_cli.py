@@ -260,13 +260,14 @@ class TestStageCommands:
         assert "threads" in capsys.readouterr().err
         assert not list(workdir.glob(f"{tag}*"))
 
-    @pytest.mark.parametrize("command", ["fhr", "dhr"])
+    @pytest.mark.parametrize("command", ["fhr", "dhr", "reconstruct"])
     def test_bad_threads_is_reported_before_the_input_is_read(self, tmp_path, capsys,
                                                                command):
-        rank = ["--rank", "3"] if command == "fhr" else []
-        assert main([command, "--in", str(tmp_path / "missing.hsnct"), *rank,
+        extra = {"fhr": ["--rank", "3", "--report", str(tmp_path / "r.json")],
+                 "dhr": ["--report", str(tmp_path / "r.json")], "reconstruct": []}[command]
+        assert main([command, "--in", str(tmp_path / "missing.hsnct"), *extra,
                      "--engine", "fbp", "--out", str(tmp_path / "x.hsnct"),
-                     "--report", str(tmp_path / "r.json"), "--threads", "0"]) == 1
+                     "--threads", "0"]) == 1
         assert "threads" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 

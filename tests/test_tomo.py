@@ -616,15 +616,19 @@ def reference_laplacian(n):
     return L, curv
 
 
-def reference_sqs(A, Y, W, n, opts, X0, momentum=True):
+def reference_sqs(A, Y, W, n, opts, X0, momentum="ogm"):
     """The accelerated SQS iteration written plainly, one channel at a time:
     the residual and the prior at z are recomputed from scratch wherever
-    they are needed, and both restarts are checked per channel.  With
-    ``momentum=False`` every step restarts, which is the plain SQS loop."""
+    they are needed, and both restarts are checked per channel.  Returns
+    (X, traces, discards): discards[c] lists the iterations of channel c
+    that restart (b) threw away.  ``momentum`` is "ogm", the solver's step
+    z+ = x+ + ((t-1)/t+)(x+ - x) + (t/t+)(x+ - z); "fista", Nesterov's step,
+    which drops the last term; or False, where every step restarts, which
+    is the plain SQS loop."""
     beta = opts.regularization_weight
     d_data = A.T @ (W * (A @ np.ones(A.shape[1]))[:, None])
     X = X0.copy()
-    traces = []
+    traces, discards = [], []
     for c in range(Y.shape[1]):
         y, w = Y[:, c:c + 1], W[:, c:c + 1]
 
@@ -636,10 +640,10 @@ def reference_sqs(A, Y, W, n, opts, X0, momentum=True):
             return float(obj[0])
 
         x = X0[:, c:c + 1].copy()
-        z, t, extrapolated = x.copy(), 1.0, False
+        z, t, coef, gam = x.copy(), 1.0, 0.0, 0.0
         f = objective(x)
-        trace = []
-        for _ in range(opts.max_iters):
+        trace, discarded = [], []
+        for it in range(opts.max_iters):
             g = A.T @ (w * (A @ z - y))
             d = d_data[:, c:c + 1]
             if beta > 0:
@@ -648,10 +652,11 @@ def reference_sqs(A, Y, W, n, opts, X0, momentum=True):
                 d = d + beta * pc
             x_new = np.maximum(z - np.divide(g, d, out=np.zeros_like(g), where=d > 0), 0.0)
             f_new = objective(x_new)
-            if extrapolated and f_new > f:
+            if (coef > 0 or gam > 0) and f_new > f:
                 # restart (b): discard the step, take a plain one from x next
                 trace.append(f)
-                z, t, extrapolated = x.copy(), 1.0, False
+                discarded.append(it)
+                z, t, coef, gam = x.copy(), 1.0, 0.0, 0.0
                 continue
             trace.append(f_new)
             turned = float(np.sum((z - x_new) * (x_new - x))) > 0.0
@@ -662,11 +667,14 @@ def reference_sqs(A, Y, W, n, opts, X0, momentum=True):
             if turned or not momentum:
                 t = 1.0  # restart (a)
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            z = x_new + ((t - 1.0) / t_next) * (x_new - x)
-            x, f, t, extrapolated = x_new, f_new, t_next, t > 1.0
+            coef = (t - 1.0) / t_next
+            gam = t / t_next if momentum == "ogm" and not turned else 0.0
+            z = x_new + coef * (x_new - x) + gam * (x_new - z)
+            x, f, t = x_new, f_new, t_next
         X[:, c] = x[:, 0]
         traces.append(np.asarray(trace))
-    return X, traces
+        discards.append(discarded)
+    return X, traces, discards
 
 
 def assert_rel_close(actual, expected, tol):
@@ -706,10 +714,11 @@ class TestPriorMatchesDirectionalDifferences:
 
 
 SOLVER_CASES = {
+    # no channel stops before the cap: 44 and 101 iterations at the least
     "quadratic": dict(prior="quadratic-difference", regularization_weight=2.0,
-                      max_iters=50, rel_tol=1e-12),
+                      max_iters=40, rel_tol=1e-12),
     "huber": dict(prior="huber", regularization_weight=2.0, huber_delta=0.004,
-                  max_iters=120, rel_tol=1e-12),
+                  max_iters=90, rel_tol=1e-12),
     "beta-0": dict(regularization_weight=0.0, max_iters=120, rel_tol=1e-12),
     "quadratic-freezing": dict(prior="quadratic-difference", regularization_weight=1.0,
                                max_iters=120, rel_tol=1e-4),
@@ -736,7 +745,7 @@ class TestSolverMatchesReferenceLoop:
     def test_batch_and_single_channel_runs(self, case):
         geom, sg, vals, A, X0 = solver_inputs(seed=3, noise_seed=9)
         opts = MbirOptions(**SOLVER_CASES[case])
-        ref_X, ref_traces = reference_sqs(A, vals, np.exp(-vals), sg.image_size, opts, X0)
+        ref_X, ref_traces, _ = reference_sqs(A, vals, np.exp(-vals), sg.image_size, opts, X0)
         lengths = [len(t) for t in ref_traces]
         if case.endswith("freezing"):
             assert len(set(lengths)) > 1 and max(lengths) < opts.max_iters
@@ -767,16 +776,21 @@ class TestSolverMatchesReferenceLoop:
         assert vol.voxels.tobytes() == X32.astype(np.float32).tobytes()
 
     def test_discarded_step_repeats_the_objective(self):
-        # channel 0's momentum overshoots once within 40 iterations; the
-        # step is discarded and the trace repeats f(x)
-        _, sg, vals, A, X0 = solver_inputs(seed=2, noise_seed=11)
+        # the momentum overshoots within 40 iterations: channel 0 at step 21,
+        # channel 2 at step 25; each step is discarded and the trace repeats
+        # f(x)
+        _, sg, vals, A, X0 = solver_inputs(seed=1, noise_seed=10)
         opts = MbirOptions(regularization_weight=2.0, max_iters=40, rel_tol=1e-12)
-        ref_X, ref_traces = reference_sqs(A, vals, np.exp(-vals), sg.image_size, opts, X0)
+        ref_X, ref_traces, discards = reference_sqs(A, vals, np.exp(-vals), sg.image_size,
+                                                    opts, X0)
+        assert discards == [[21], [], [25]]
         X, info = tomo._sqs_solve(A.T.tocsr(), vals, np.exp(-vals), sg.image_size, opts,
                                   X0.copy())
-        trace = info[0]["objective_trace"]
-        assert np.any(trace[1:] == trace[:-1])
-        assert np.all(trace[1:] <= trace[:-1])
+        for c in range(3):
+            trace = info[c]["objective_trace"]
+            # every repeat is a discarded step, not a converged plateau
+            assert list(np.flatnonzero(trace[1:] == trace[:-1]) + 1) == discards[c]
+            assert np.all(trace[1:] <= trace[:-1])
         assert_rel_close(X, ref_X, 1e-10)
         for c in range(3):
             assert_rel_close(info[c]["objective_trace"], ref_traces[c], 1e-10)
@@ -806,6 +820,24 @@ class TestSolverMatchesReferenceLoop:
         assert X32.dtype == np.float64
         assert_rel_close(X32, X64, 2e-3)
 
+    def test_ogm_beats_the_fista_loop(self):
+        # measured: 33 iterations against FISTA's 44 (0.75x); relative
+        # distance to a rel_tol 1e-12 solve 4.0e-3 against FISTA's 5.2e-3
+        _, geom, p = sparse_noisy_projection(seed=1)
+        opts = MbirOptions(regularization_weight=2.0, rel_tol=1e-5)
+        y = p.reshape(-1, 1)
+        A, AT32 = tomo._operators(geom)
+        X0 = np.maximum(tomo._fbp_batch(y, geom), 0.0).astype(np.float64)
+        X, (info,) = tomo._sqs_solve(AT32, y, np.exp(-y), geom.image_size, opts, X0.copy())
+        X_fista, (trace,), _ = reference_sqs(A, y, np.exp(-y), geom.image_size, opts, X0,
+                                             momentum="fista")
+        X_best, (best,) = tomo._sqs_solve(
+            A.T.tocsr(), y, np.exp(-y), geom.image_size,
+            MbirOptions(regularization_weight=2.0, max_iters=3000, rel_tol=1e-12), X0.copy())
+        assert info["converged"] and best["converged"]
+        assert info["iterations"] <= 0.85 * len(trace)
+        assert np.linalg.norm(X - X_best) <= np.linalg.norm(X_fista - X_best)
+
     # at seed 9, step 27 turns against the momentum and changes the
     # objective by less than rel_tol while 3.7e-4 above the optimum
     @pytest.mark.parametrize("seed", [1, 9])
@@ -816,7 +848,7 @@ class TestSolverMatchesReferenceLoop:
         y = p.reshape(-1, 1)
         A, _ = tomo._operators(geom)
         X0 = np.maximum(tomo._fbp_batch(y, geom), 0.0).astype(np.float64)
-        _, plain = reference_sqs(A, y, np.exp(-y), geom.image_size,
+        _, plain, _ = reference_sqs(A, y, np.exp(-y), geom.image_size,
                                  MbirOptions(regularization_weight=2.0, max_iters=300),
                                  X0, momentum=False)
         assert len(plain[0]) > 100
