@@ -234,6 +234,10 @@ def _cmd_extract(args) -> int:
     if not report.converged:
         log.warning("hsnct extract: warning: stopped at the pass cap after %d passes, "
                     "gap %.3g above --tol %g", report.iterations_run, report.gap, args.tol)
+    if report.dead_columns:
+        log.warning("hsnct extract: warning: columns %s collapsed to zero, so fewer than "
+                    "--rank %d channels carry signal",
+                    ", ".join(map(str, report.dead_columns)), args.rank)
     return 0
 
 

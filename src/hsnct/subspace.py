@@ -22,9 +22,11 @@ The objective needs no third read of X per pass, because
 
     ||X - V D^T||^2 = ||X||^2 - 2 <X^T V, D> + <V^T V, D^T D>
 
-with the D of the update just made.  A pass that revives a collapsed
-column changes V and D after X^T V was formed, so it takes the objective
-from a fresh pass over X instead.
+with the D of the update just made, in every pass.
+
+A column that collapses to zero stays zero: its partner's HALS update sees
+G_jj = 0 and sets it to zero too, and no pass re-seeds it.  The packaging
+reports it in ``dead_columns``.
 
 The passes stop on a certified gap.  With lambda_1 >= lambda_2 >= ... the
 eigenvalues of X's Gram matrix (X^T X or X X^T, whichever is smaller),
@@ -101,16 +103,15 @@ class FactorizationReport:
     (f - f_svd) / lambda_{r+1}, the quantity that ``rel_tol`` bounds, or 0
     when lambda_{r+1} = 0; a run that stopped on the exact-fit floor may
     read above ``rel_tol`` when lambda_{r+1} is itself at rounding level.
-    ``reseeded_columns`` lists columns revived once from the residual after
-    collapsing to zero; ``dead_columns`` lists columns that collapsed twice
-    and were packaged as an inert unit vector with zero coefficients.
+    ``dead_columns`` lists columns whose basis vector collapsed to zero;
+    each is packaged as an inert 1/sqrt(N_k) unit vector with zero
+    coefficients, and none is re-seeded.
     """
 
     objective_trace: np.ndarray
     residual_energy: float
     converged: bool
     gap: float
-    reseeded_columns: tuple = ()
     dead_columns: tuple = ()
 
     def __post_init__(self):
@@ -136,33 +137,6 @@ def _init_factors(X, rank, seed):
     V = (1.0 - rng.random((n_p, rank))) * scale
     D = (1.0 - rng.random((n_k, rank))) * scale
     return V, D
-
-
-def _revive_dead_columns(X, V, D, reseeded, dead):
-    """Re-seed columns of D that collapsed to zero from the largest-residual
-    spectrum; a column that collapses twice is retired to ``dead``.  The
-    re-seed uses the per-row least-squares optimal coefficient, so the
-    objective cannot increase.  Returns whether any column was changed."""
-    collapsed = [j for j in np.flatnonzero(D.max(axis=0) <= 0.0) if j not in dead]
-    R = None
-    for j in collapsed:
-        if j in reseeded:
-            dead.add(int(j))
-            V[:, j] = 0.0
-            continue
-        if R is None:
-            R = X - V @ D.T
-            row_energy = np.einsum("ij,ij->i", R, R)
-        d_new = np.abs(R[int(np.argmax(row_energy))])
-        if d_new.max() <= 0.0:
-            dead.add(int(j))
-            V[:, j] = 0.0
-            continue
-        d_new /= np.linalg.norm(d_new)
-        D[:, j] = d_new
-        V[:, j] = np.maximum(R @ d_new, 0.0)
-        reseeded.add(int(j))
-    return bool(collapsed)
 
 
 def _hals_update(W, A, G, max_inner):
@@ -200,15 +174,13 @@ def _hals_update(W, A, G, max_inner):
 def _accelerated_hals(X, X2, V, D, opts, f_stop):
     """Run the passes on V and D in place, two reads of X per pass; ``X2`` is
     ||X||_F^2.  Stops after the first pass whose objective is <= ``f_stop``,
-    or after ``opts.max_iters`` passes.  Returns (objective trace, converged,
-    reseeded columns, dead columns)."""
+    or after ``opts.max_iters`` passes.  Returns (objective trace, converged);
+    every objective comes from the pass's own X^T V."""
     n_p, n_k, r = *X.shape, opts.rank
     # inner-sweep caps floor(1 + alpha rho), rho being one plus the cost of a
     # factor's products with X and with itself in inner sweeps (Gillis & Glineur)
     cap_v = int(1 + _INNER_ALPHA * (1 + n_k * (n_p + r) / (n_p * (r + 1))))
     cap_d = int(1 + _INNER_ALPHA * (1 + n_p * (n_k + r) / (n_k * (r + 1))))
-    reseeded: set = set()
-    dead: set = set()
 
     trace = []
     converged = False
@@ -219,8 +191,6 @@ def _accelerated_hals(X, X2, V, D, opts, f_stop):
         XtV = (V.T @ X).T
         VtV = V.T @ V
         _hals_update(D, XtV, VtV, cap_d)
-        if _revive_dead_columns(X, V, D, reseeded, dead):
-            XtV, VtV = (V.T @ X).T, V.T @ V  # the ones above predate the revival
         # ||X - V D^T||_F^2 without forming the product, clamped at 0
         f = max(X2 - 2.0 * float(np.einsum("ij,ij->", XtV, D))
                 + float(np.einsum("ij,ij->", VtV, D.T @ D)), 0.0)
@@ -228,7 +198,7 @@ def _accelerated_hals(X, X2, V, D, opts, f_stop):
         if f <= f_stop:
             converged = True
             break
-    return trace, converged, reseeded, dead
+    return trace, converged
 
 
 def nmf_factorize(p: HyperspectralSinogram, opts: NmfOptions):
@@ -256,15 +226,14 @@ def nmf_factorize(p: HyperspectralSinogram, opts: NmfOptions):
     f_svd = max(X2 - float(lam[:opts.rank].sum()), 0.0)
     lam_next = max(float(lam[opts.rank]), 0.0) if opts.rank < lam.size else 0.0
     zero_floor = X2 * 1e-15  # a gap below this is rounding: the fit is exact
-    trace, converged, reseeded, dead = _accelerated_hals(
+    trace, converged = _accelerated_hals(
         X, X2, V, D, opts, f_svd + max(opts.rel_tol * lam_next, zero_floor))
 
     # package: inert unit columns for the dead ones, unit-norm basis columns
     # elsewhere, descending coefficient norm everywhere
     norms = np.linalg.norm(D, axis=0)
     for j in range(opts.rank):
-        if j in dead or norms[j] <= 0:
-            dead.add(j)
+        if norms[j] <= 0:
             D[:, j] = 1.0 / np.sqrt(n_k)
             V[:, j] = 0.0
         else:
@@ -272,15 +241,13 @@ def nmf_factorize(p: HyperspectralSinogram, opts: NmfOptions):
             D[:, j] /= norms[j]
     order = np.argsort(-np.linalg.norm(V, axis=0), kind="stable")
     V, D = V[:, order], D[:, order]
-    remap = {int(old): new for new, old in enumerate(order)}
 
     report = FactorizationReport(
         objective_trace=np.asarray(trace),
         residual_energy=(trace[-1] / X2) if X2 > 0 else 0.0,
         converged=converged,
         gap=max(trace[-1] - f_svd, 0.0) / lam_next if lam_next > 0 else 0.0,
-        reseeded_columns=tuple(sorted(remap[j] for j in reseeded)),
-        dead_columns=tuple(sorted(remap[j] for j in dead)),
+        dead_columns=tuple(int(j) for j in np.flatnonzero(norms[order] <= 0)),
     )
     return SubspaceSinogram(V, p.geometry), SpectralBasis(D, p.axis), report
 

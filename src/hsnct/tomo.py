@@ -403,7 +403,8 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
     alone or batched.  A channel that stops is saved and no longer
     recorded, so its iteration count is the length of its trace; stopped
     columns ride along until they make up a quarter of the batch, then are
-    dropped.  Returns (X, info list per channel).
+    dropped into C-ordered copies, the layout of a fresh batch.  Returns
+    (X, info list per channel).
     """
     C = Y.shape[1]
     beta = float(opts.regularization_weight)
@@ -515,8 +516,10 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
 
         if 4 * np.count_nonzero(~live) >= live.size:
             keep = live
+            # np.compress copies into C order (a[..., keep] gives Fortran
+            # order), the layout in which _column_dots sums as in a fresh batch
             Yb, Wb, X, Z, WRX, WRZ, Dc, fX, t, coef, gam, idx, live = (
-                a[..., keep]
+                np.compress(keep, a, axis=-1)
                 for a in (Yb, Wb, X, Z, WRX, WRZ, Dc, fX, t, coef, gam, idx, live))
 
     out[:, idx[live]] = X[:, live]

@@ -208,6 +208,22 @@ class TestStageCommands:
         assert main(args) == 0
         assert capsys.readouterr().err == ""
 
+    def test_extract_warns_when_a_column_collapses(self, tmp_path, capsys):
+        # values in only 3 of 8 bins leave one of 5 columns nothing to fit
+        X = np.zeros((40, 8))
+        X[:, 2:5] = np.random.default_rng(0).uniform(0.0, 1.0, (40, 3))
+        geom = ScanGeometry(40, 1, 1, np.linspace(0, np.pi, 40, endpoint=False),
+                            flight_path=10.0)
+        axis = SpectralAxis(np.linspace(1e-3, 2e-3, 9), ToFConverter(flight_path=10.0))
+        write_container(tmp_path / "p.hsnct", HyperspectralSinogram(X, geom, axis))
+        assert main(["extract", "--in", str(tmp_path / "p.hsnct"), "--rank", "5",
+                     "--seed", "2", "--max-iters", "50",
+                     "--out-v", str(tmp_path / "v.hsnct"),
+                     "--out-d", str(tmp_path / "d.hsnct")]) == 0
+        assert capsys.readouterr().err.endswith(
+            "hsnct extract: warning: columns 4 collapsed to zero, so fewer than "
+            "--rank 5 channels carry signal\n")
+
     def test_reconstruct_defaults_are_mbir_options_defaults(self, workdir):
         # without --beta and --prior, mbir runs what MbirOptions() sets
         d = workdir

@@ -15,7 +15,6 @@ from hsnct.subspace import (
     NmfOptions,
     _accelerated_hals,
     _init_factors,
-    _revive_dead_columns,
     expand,
     nmf_factorize,
     subspace_residual,
@@ -56,6 +55,19 @@ class TestNmfFactorize:
         # every column is inert: zero coefficients, unit-norm placeholder basis
         assert np.all(v.coeffs == 0.0)
         assert report.dead_columns == (0, 1)
+
+    def test_collapsed_column_is_reported_dead(self):
+        # values in only 3 of 8 bins: one of 5 columns collapses, and it is
+        # packaged inert instead of being re-seeded
+        X = np.zeros((40, 8))
+        X[:, 2:5] = np.random.default_rng(0).uniform(0.0, 1.0, (40, 3))
+        v, d, report = nmf_factorize(sino_from(X), NmfOptions(rank=5, seed=2, max_iters=50))
+        assert report.dead_columns == (4,)
+        assert np.all(v.coeffs[:, 4] == 0.0)
+        assert np.all(d.basis[:, 4] == np.float32(1.0 / np.sqrt(8)))
+        norms = np.linalg.norm(d.basis[:, :4].astype(np.float64), axis=0)
+        np.testing.assert_allclose(norms, 1.0, rtol=1e-6)
+        assert np.all(np.diff(report.objective_trace) <= 0.0)
 
     def test_noisy_rank_three(self):
         rng = np.random.default_rng(200)
@@ -316,15 +328,13 @@ def three_pass_sweeps(X, V, D, sweeps):
     cap_v = int(1 + 0.5 * (1 + n_k * (n_p + r) / (n_p * (r + 1))))
     cap_d = int(1 + 0.5 * (1 + n_p * (n_k + r) / (n_k * (r + 1))))
     X2 = float(np.sum(X * X))
-    reseeded, dead = set(), set()
     trace = []
     for _ in range(sweeps):
         hals_inner(V, X @ D, D.T @ D, cap_v)
         hals_inner(D, X.T @ V, V.T @ V, cap_d)
-        _revive_dead_columns(X, V, D, reseeded, dead)
         cross = float(np.sum((X @ D) * V))
         trace.append(max(X2 - 2.0 * cross + float(np.sum((V.T @ V) * (D.T @ D))), 0.0))
-    return np.array(trace), reseeded
+    return np.array(trace)
 
 
 def direct_objective(X, V, D):
@@ -347,8 +357,8 @@ class TestSinglePassSweep:
         opts = NmfOptions(rank=3, seed=5, max_iters=self.SWEEPS, rel_tol=1e-15)
         V, D = _init_factors(X, opts.rank, opts.seed)
         V_ref, D_ref = V.copy(), D.copy()
-        trace, converged, _, _ = _accelerated_hals(X, float(np.sum(X * X)), V, D, opts, 0.0)
-        ref_trace, _ = three_pass_sweeps(X, V_ref, D_ref, self.SWEEPS)
+        trace, converged = _accelerated_hals(X, float(np.sum(X * X)), V, D, opts, 0.0)
+        ref_trace = three_pass_sweeps(X, V_ref, D_ref, self.SWEEPS)
         assert not converged and len(trace) == self.SWEEPS
         np.testing.assert_allclose(trace, ref_trace, rtol=1e-10, atol=0)
         assert np.linalg.norm(V - V_ref) <= 1e-10 * np.linalg.norm(V_ref)
@@ -357,11 +367,11 @@ class TestSinglePassSweep:
         _, _, report = nmf_factorize(sino_from(X), opts)
         np.testing.assert_allclose(report.objective_trace, ref_trace, rtol=1e-10, atol=0)
 
-    def test_revived_column_takes_direct_objective(self):
+    def test_collapsed_column_stays_zero_and_takes_direct_objective(self):
         # basis column 1 lives only on bins where X is zero, so X d_1 = 0 and
         # the first V update clamps coefficient column 1 to zero in every
-        # row; basis column 1 then has nothing to fit, collapses, and is
-        # re-seeded from the residual after X^T V was formed
+        # row; basis column 1 then has nothing to fit and collapses.  No
+        # pass re-seeds it, and every pass takes its objective from X^T V
         rng = np.random.default_rng(8)
         X = rng.uniform(0.0, 1.0, (300, self.N_K))
         X[:, 12:] = 0.0
@@ -369,24 +379,22 @@ class TestSinglePassSweep:
         V, D = _init_factors(X, opts.rank, opts.seed)
         D[:12, 1] = 0.0
         X2 = float(np.sum(X * X))
-        V1, D1 = V.copy(), D.copy()
-        trace1, _, reseeded1, _ = _accelerated_hals(
-            X, X2, V1, D1, NmfOptions(rank=3, seed=2, max_iters=1), 0.0)
-        assert reseeded1 == {1}
-        assert trace1[0] == pytest.approx(direct_objective(X, V1, D1), rel=1e-10)
-        V_ref, D_ref = V.copy(), D.copy()
-        trace, _, reseeded, _ = _accelerated_hals(X, X2, V, D, opts, 0.0)
-        ref_trace, ref_reseeded = three_pass_sweeps(X, V_ref, D_ref, opts.max_iters)
-        assert reseeded == ref_reseeded == {1}
-        np.testing.assert_allclose(trace, ref_trace, rtol=1e-10, atol=0)
-        assert trace[-1] == pytest.approx(direct_objective(X, V, D), rel=1e-10)
+        V_all, D_all = V.copy(), D.copy()
+        trace, _ = _accelerated_hals(X, X2, V_all, D_all, opts, 0.0)
+        one_pass = NmfOptions(rank=3, seed=2, max_iters=1)
+        for f in trace:
+            (f_pass,), _ = _accelerated_hals(X, X2, V, D, one_pass, 0.0)
+            assert f_pass == f
+            assert np.all(V[:, 1] == 0.0) and np.all(D[:, 1] == 0.0)
+            assert f == pytest.approx(direct_objective(X, V, D), rel=1e-10)
+        assert len(trace) == opts.max_iters
+        assert np.all(np.diff(trace) <= 0.0)
 
     def test_all_zero_input_trace_is_direct_objective(self):
         X = np.zeros((6, 5))
         V, D = _init_factors(X, 2, 0)
-        trace, converged, _, dead = _accelerated_hals(
-            X, 0.0, V, D, NmfOptions(rank=2, seed=0), 0.0)
-        assert converged and dead == {0, 1}
+        trace, converged = _accelerated_hals(X, 0.0, V, D, NmfOptions(rank=2, seed=0), 0.0)
+        assert converged and np.all(D == 0.0)
         assert trace == [direct_objective(X, V, D)] == [0.0]
 
 

@@ -413,6 +413,34 @@ class TestReconstructStack:
                 assert got.tobytes() == img.ravel().astype(np.float32).tobytes()
         assert len(iterations) > 2
 
+    def test_compacted_batch_stays_c_ordered(self, monkeypatch):
+        # columns stop at different iterations and are dropped from the
+        # batch; every per-column sum still reads C-ordered arrays, the
+        # layout whose summation order a solo column reproduces
+        geom, vals = stack_inputs(n_r=1, C=8, seed=3)
+        vals = vals + (np.random.default_rng(9).uniform(0, 0.2, vals.shape)
+                       * np.linspace(0.2, 3.0, 8))
+        sg = slice_geometry_for(geom)
+        opts = MbirOptions(regularization_weight=1.0, max_iters=120, rel_tol=1e-4)
+        AT, W = tomo._operators(sg)[1], np.exp(-vals)
+        X0 = np.maximum(tomo._fbp_batch(vals, sg), 0.0).astype(np.float64)
+        dots, layouts = tomo._column_dots, []
+
+        def spy(U, V):
+            layouts.append(U.flags.c_contiguous and V.flags.c_contiguous)
+            return dots(U, V)
+
+        monkeypatch.setattr(tomo, "_column_dots", spy)
+        X, info = tomo._sqs_solve(AT, vals, W, sg.image_size, opts, X0.copy())
+        monkeypatch.undo()
+        assert layouts and all(layouts)
+        assert len({i["iterations"] for i in info}) > 2
+        for c in range(8):
+            Xc, (solo,) = tomo._sqs_solve(AT, vals[:, [c]], W[:, [c]], sg.image_size, opts,
+                                          X0[:, [c]])
+            assert Xc[:, 0].tobytes() == X[:, c].tobytes()
+            assert solo["objective_trace"].tobytes() == info[c]["objective_trace"].tobytes()
+
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_wide_batch_matches_per_channel_runs(self, monkeypatch, threads):
         # whole-slice blocks (C <= step), and channel blocks of one slice
