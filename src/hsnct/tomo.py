@@ -19,10 +19,11 @@ FBP and MBIR share.
 
 Reconstructors:
 
-* ``fbp_reconstruct``: frequency-domain ramp filtering per view (the bare
-  ramp, no window; rows zero-padded to the next power of two >= twice the
-  detector width), backprojection with the float32 A^T, and a
-  pi/(num_angles*pitch^2) scale so a density-1 disk comes back at value ~1.
+* ``fbp_reconstruct``: ramp filtering per view (the bare ramp, no window)
+  as a product with a cached float32 Toeplitz matrix, the kernel of the
+  FFT ramp on rows zero-padded to twice the detector width or more,
+  backprojection with the float32 A^T, and a pi/(num_angles*pitch^2) scale
+  so a density-1 disk comes back at value ~1.
 * ``mbir_reconstruct``: minimizes 0.5*||W^(1/2)(Ax - y)||^2 + beta*R(x)
   over x >= 0 with W = diag(exp(-y)), where R sums kappa*rho(x_a - x_b)
   over 8-neighbor pairs (each unordered pair once, kappa 1, or 1/sqrt(2)
@@ -52,15 +53,18 @@ input: float32 container blocks give float32 volumes, and float64 single
 slices give float64 images.  It alone decides how the independent (slice,
 channel) columns are grouped, the MBIR start, the one weight rule
 W = exp(-y), and the threading: workers = min(threads, CPUs) run blocks of
-step = min(_BATCH_COLUMNS, ceil(slices*C / workers)) columns, step // C whole
-slices when C <= step, else step channels of one slice.  Columns never mix.
+step = max(1, min(cap, ceil(slices*C / workers))) columns, step // C whole
+slices when C <= step, else step channels of one slice.  MBIR's cap is
+_BATCH_COLUMNS, FBP's max(C, _BATCH_COLUMNS), so FBP blocks hold whole
+slices.  Columns never mix.
 
 One precision rule: the sparse projector products run in float32, the
 precision of the container payloads, with the cached A^T and its CSC view
 as A; the solver state runs in float64.  FBP, one linear pass, is wholly
-float32.  MBIR's iterate, residual, curvature, objective sums and prior
-products stay float64, so rounding does not build up over its
-iterations.  Each step gives a column the same bits at any batch width.
+float32, its ramp filter included.  MBIR's iterate, residual, curvature,
+objective sums and prior products stay float64, so rounding does not build
+up over its iterations.  Each step gives a column the same bits at any
+batch width.
 """
 
 from __future__ import annotations
@@ -71,7 +75,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.fft
 import scipy.sparse as sp
 
 from hsnct.containers import (
@@ -101,9 +104,9 @@ __all__ = [
 
 _PRIORS = ("quadratic-difference", "huber")
 _ENGINES = ("fbp", "mbir")
-# columns per reconstruction part: the float32 sparse products cost ~2-4x
-# more per column at 4 columns than at 16-256, and the solver runs ~5-20 %
-# slower per column at 256 than at 64 (one desk slice)
+# columns per MBIR part: the float32 sparse products cost ~2-4x more per
+# column at 4 columns than at 16-256, and the solver runs ~5-20 % slower per
+# column at 256 than at 64 (one desk slice); FBP's parts hold whole slices
 _BATCH_COLUMNS = 64
 
 _ISQ2 = 1.0 / np.sqrt(2.0)
@@ -275,24 +278,42 @@ def back_project(sino: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     return img.reshape(geom.image_size, geom.image_size)
 
 
+# geometries are few per process, and F is nd^2 float32 values
+@functools.lru_cache(maxsize=8)
+def _ramp_matrix(nd: int, num_angles: int, pitch: float) -> np.ndarray:
+    """The float32 ramp filter of an nd-bin view as a read-only symmetric
+    Toeplitz matrix F[i, j] = h[|i - j|], cached per (nd, angle count,
+    pitch): y @ F filters a view y as the zero-padded FFT ramp does.
+
+    Padding to n_pad >= 2 nd makes the FFT's circular convolution a linear
+    one, and the real, even spectrum makes its kernel h symmetric.  Filtered
+    values are in cycles-per-sample units and A^T carries one pitch factor,
+    so the physical units fold into one 1/pitch^2 scale together with the
+    angular quadrature weight, riding on the ramp |f| (cycles per sample,
+    0 .. 0.5).
+    """
+    n_pad = 1 << max(int(np.ceil(np.log2(2 * nd))), 1)
+    h = np.fft.irfft(np.fft.rfftfreq(n_pad) * (np.pi / (num_angles * pitch ** 2)), n_pad)
+    i = np.arange(nd)
+    F = h[np.abs(i[:, None] - i)].astype(np.float32)
+    F.flags.writeable = False
+    return F
+
+
 def _fbp_batch(Y: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     """FBP over ray-major columns, in float32: Y (m, C) -> float32 images
-    (n^2, C); each view is ramp-filtered, then backprojected."""
+    (n^2, C).  Each column's views (views x bins) are ramp-filtered as one
+    product with ``_ramp_matrix``, then backprojected with the float32 A^T.
+    Every column's product has one shape, so its bits do not depend on the
+    batch width; one product over all (view, column) rows would, as BLAS
+    picks its kernel by size (OpenBLAS at detector widths 33, 65, 100)."""
     if geom.num_angles < 2:
         raise ValidationError("fbp needs at least 2 view angles")
-    nd = geom.num_detector_bins
-    n_pad = 1 << max(int(np.ceil(np.log2(2 * nd))), 1)
-    # filtered values are in cycles-per-sample units and A^T carries one
-    # pitch factor, so the physical units fold into one 1/pitch^2 scale
-    # together with the angular quadrature weight; it rides on the ramp |f|
-    # (cycles per sample, 0 .. 0.5)
-    scale = np.pi / (geom.num_angles * geom.pixel_pitch ** 2)
-    ramp = (np.fft.rfftfreq(n_pad) * scale).astype(np.float32)
-    y = np.asarray(Y, dtype=np.float32).reshape(geom.num_angles, nd, -1)
-    spec = scipy.fft.rfft(y, n=n_pad, axis=1)
-    spec *= ramp[:, None]
-    q = scipy.fft.irfft(spec, n=n_pad, axis=1)[:, :nd].reshape(Y.shape)
-    return _operators(geom)[1] @ q
+    n_a, nd = geom.num_angles, geom.num_detector_bins
+    y = np.asarray(Y).reshape(n_a, nd, -1).transpose(2, 0, 1)
+    q = np.matmul(np.ascontiguousarray(y, dtype=np.float32),
+                  _ramp_matrix(nd, n_a, geom.pixel_pitch))
+    return _operators(geom)[1] @ np.ascontiguousarray(q.transpose(1, 2, 0)).reshape(Y.shape)
 
 
 def fbp_reconstruct(sino: np.ndarray, geom: SliceGeometry) -> np.ndarray:
@@ -307,13 +328,14 @@ def fbp_reconstruct(sino: np.ndarray, geom: SliceGeometry) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _pairs(n: int):
-    """The 8-neighbor pair structure of an n x n grid: (P, kappa, L, curv).
+    """The 8-neighbor pairs of an n x n grid: (P, kappa, L, curv, |P|^T).
 
     Row p of the sparse P x is x_a - x_b for the p-th pair, a = b + (drow,
     dcol), each unordered pair once in ``_DIRS`` order; kappa holds the pair
     weights, L = P^T diag(kappa) P is the weighted graph Laplacian and
-    curv = 2*diag(L) the quadratic prior's constant surrogate curvature.
-    Cached per image size; L has about 9 nonzeros per row.
+    curv = 2*diag(L) the quadratic prior's constant surrogate curvature;
+    Huber's curvature is a product with |P|^T (CSR).  Cached per image
+    size; L has about 9 nonzeros per row.
     """
     idx = np.arange(n * n).reshape(n, n)
     a, b, kappa = [], [], []
@@ -328,7 +350,7 @@ def _pairs(n: int):
     L = (P.T @ (sp.diags(kappa) @ P)).tocsr()
     curv = 2.0 * L.diagonal()
     kappa.flags.writeable = curv.flags.writeable = False
-    return P, kappa, L, curv
+    return P, kappa, L, curv, abs(P).T.tocsr()
 
 
 def _column_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -353,14 +375,14 @@ def _huber_value(X: np.ndarray, n: int, delta: float) -> np.ndarray:
 def _huber_step(Z: np.ndarray, n: int, delta: float):
     """The Huber prior's gradient P^T (kappa clip(P z, +-delta)) and its
     majorizer's curvature |P|^T (2 delta kappa / max(|P z|, delta)) at Z."""
-    P, kappa = _pairs(n)[:2]
+    P, kappa, _, _, absPT = _pairs(n)
     D = P @ Z
     a = np.abs(D)
     np.clip(D, -delta, delta, out=D)
     D *= kappa[:, None]
     np.maximum(a, delta, out=a)
     np.divide((2.0 * delta) * kappa[:, None], a, out=a)
-    return P.T @ D, abs(P).T @ a
+    return P.T @ D, absPT @ a
 
 
 def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
@@ -413,7 +435,7 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
     huber = use_prior and opts.prior == "huber"
     quadratic = use_prior and not huber
     delta = opts.huber_delta
-    _, _, L, curv = _pairs(n)
+    _, _, L, curv, _ = _pairs(n)
     bL = beta * L if quadratic else None
     A, dtype = AT.T, AT.dtype
     # the data term's curvature A^T W A 1, from the operator the steps use
@@ -538,15 +560,15 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
     Otherwise MBIR starts from the float32 FBP image clamped at 0 and cast
     to float64 (zeros below 2 views), and weights each ray by exp(-y), the
     one weight rule.  Blocks (module docstring) are read and written with
-    basic slices and keep (slice, channel) order; workers = min(threads, CPUs)
-    and step = max(1, min(_BATCH_COLUMNS, ceil(slices*C / workers))), so a
-    budget at or above the CPU count plans what the CPU count plans.
+    basic slices and keep (slice, channel) order; workers = min(threads, CPUs),
+    so a budget at or above the CPU count plans what the CPU count plans.
     """
     n_r, C = Y.shape[1], Y.shape[3]
     n = geom.image_size
     _, AT = _operators(geom)
     workers = min(threads, os.cpu_count() or 1)
-    step = max(1, min(_BATCH_COLUMNS, -(-n_r * C // workers)))
+    cap = max(C, _BATCH_COLUMNS) if opts is None else _BATCH_COLUMNS
+    step = max(1, min(cap, -(-n_r * C // workers)))
     rows, chans = (step // C, C) if C <= step else (1, step)
     out = np.empty((n_r, n * n, C), dtype=Y.dtype)
 
@@ -597,9 +619,9 @@ def reconstruct_stack(sinos, geom: ScanGeometry, engine: str,
     HyperspectralSinogram (C = wavelength bins).  Detector row r maps to
     volume slice r.  ``require_engine`` gives the options.  One
     ``_reconstruct_columns`` call reads the stack in its container layout,
-    runs blocks of step = max(1, min(_BATCH_COLUMNS, ceil(slices*C / workers)))
-    columns on workers = min(threads, CPUs), weights MBIR's rays by exp(-y)
-    and writes voxels in the float32 of the container's values.
+    runs the blocks of the module docstring on workers = min(threads, CPUs),
+    weights MBIR's rays by exp(-y) and writes voxels in the float32 of the
+    container's values.
     """
     opts = require_engine(engine, opts)
     require_count(threads, "threads")

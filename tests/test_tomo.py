@@ -227,6 +227,56 @@ class TestFbp:
         assert rec.dtype == np.float64
         assert_rel_close(rec.ravel(), ref, 1e-5)
 
+    @pytest.mark.parametrize("nd", [5, 16, 33])
+    def test_ramp_matrix_is_the_zero_padded_fft_ramp(self, nd):
+        # the ramp that test_float32_fbp_matches_a_float64_fbp writes out,
+        # in float64, against the float32 product FBP runs
+        geom = SliceGeometry(np.linspace(0, np.pi, 7, endpoint=False), nd, 0.5)
+        y = np.random.default_rng(nd).normal(size=(7, nd)).astype(np.float32)
+        n_pad = 1 << int(np.ceil(np.log2(2 * nd)))
+        padded = np.zeros((7, n_pad))
+        padded[:, :nd] = y
+        scale = np.pi / (7 * 0.5 ** 2)
+        ref = np.fft.irfft(np.fft.rfft(padded, axis=1) * np.fft.rfftfreq(n_pad), n=n_pad,
+                           axis=1)[:, :nd] * scale
+        F = tomo._ramp_matrix(nd, 7, 0.5)
+        q = y @ F
+        assert q.dtype == np.float32
+        # float32 rounding: F's entries, then the nd-term sums
+        kernel = np.fft.irfft(np.fft.rfftfreq(n_pad) * scale, n_pad)[:nd]
+        bound = nd * np.finfo(np.float32).eps * (
+            np.abs(y).astype(np.float64) @ np.abs(kernel)[np.abs(np.subtract.outer(
+                np.arange(nd), np.arange(nd)))])
+        assert np.all(np.abs(q - ref) <= bound)
+        # FBP filters every view of every column with this product
+        Y = np.stack([y, 2.0 * y, -y], axis=-1).reshape(7 * nd, 3)
+        X = tomo._fbp_batch(Y, geom)
+        for c, s in enumerate((1.0, 2.0, -1.0)):
+            qc = (np.float32(s) * y) @ F
+            assert X[:, c].tobytes() == (tomo._operators(geom)[1] @ qc.ravel()).tobytes()
+
+    @pytest.mark.parametrize("nd, C", [(33, 120), (65, 40), (100, 20)])
+    def test_column_bits_do_not_depend_on_batch_width(self, nd, C):
+        # widths at which one BLAS product over all (view, column) rows
+        # takes another kernel for the wide batch than for one column
+        geom = SliceGeometry(np.linspace(0, np.pi, 8, endpoint=False), nd)
+        Y = np.random.default_rng(nd).normal(size=(8 * nd, C))
+        batch = tomo._fbp_batch(Y, geom)
+        for c in (0, 1, C // 2, C - 1):
+            assert batch[:, c].tobytes() == tomo._fbp_batch(Y[:, [c]], geom)[:, 0].tobytes()
+
+    def test_ramp_matrix_is_cached_symmetric_toeplitz(self):
+        F = tomo._ramp_matrix(16, 8, 0.5)
+        assert F.dtype == np.float32 and F.shape == (16, 16)
+        assert np.array_equal(F, F.T)
+        for k in range(-15, 16):
+            assert np.all(np.diagonal(F, k) == F[0, abs(k)])
+        assert not F.flags.writeable
+        with pytest.raises(ValueError):
+            F[0, 0] = 1.0
+        assert tomo._ramp_matrix(16, 8, 0.5) is F
+        assert tomo._ramp_matrix(16, 9, 0.5) is not F
+
     def test_fbp_backprojector_is_the_float32_transpose(self):
         geom = uniform_geom(12, 24)
         A, B = tomo._operators(geom)
@@ -535,6 +585,23 @@ class TestReconstructStack:
             assert (sizes, widths) == (pools, [6 // workers] * workers), threads
             assert v.voxels.tobytes() == v1.voxels.tobytes()
 
+    def test_fbp_blocks_hold_whole_slices(self, monkeypatch):
+        # FBP takes one whole slice per block, also past _BATCH_COLUMNS
+        # channels; MBIR's solver parts stay at _BATCH_COLUMNS
+        geom, vals = stack_inputs(n_r=2, n_c=8, n_v=4, C=100, seed=8)
+        sub = SubspaceSinogram(vals, geom)
+        fbp_batch, sqs_solve = tomo._fbp_batch, tomo._sqs_solve
+        monkeypatch.setattr(tomo, "_fbp_batch",
+                            lambda y, sg: fbp_widths.append(y.shape[1]) or fbp_batch(y, sg))
+        monkeypatch.setattr(tomo, "_sqs_solve",
+                            lambda AT, y, *a: sqs_widths.append(y.shape[1]) or sqs_solve(AT, y, *a))
+        fbp_widths, sqs_widths = [], []
+        reconstruct_stack(sub, geom, "fbp", threads=1)
+        assert fbp_widths == [100, 100]
+        reconstruct_stack(sub, geom, "mbir", MbirOptions(max_iters=2), threads=1)
+        assert sqs_widths == [64, 36, 64, 36]
+        assert max(sqs_widths) <= tomo._BATCH_COLUMNS
+
     def test_geometry_mismatch_rejected(self):
         geom, vals = stack_inputs()
         other = ScanGeometry(geom.num_views, geom.num_rows, geom.num_cols,
@@ -715,7 +782,7 @@ class TestPriorMatchesDirectionalDifferences:
     @pytest.mark.parametrize("C", [1, 5])
     def test_quadratic_value_gradient_curvature(self, n, C):
         X = np.random.default_rng(100 * n + C).uniform(0.0, 1.0, (n * n, C))
-        _, _, L, curv = tomo._pairs(n)
+        _, _, L, curv, _ = tomo._pairs(n)
         grad = L @ X
         ref_value, ref_grad, ref_curv = reference_prior(X, n, "quadratic-difference", 0.1)
         assert_rel_close(0.5 * tomo._column_dots(X, grad), ref_value, 1e-12)
@@ -739,6 +806,18 @@ class TestPriorMatchesDirectionalDifferences:
         assert_rel_close(value, ref_value, 1e-12)
         assert_rel_close(grad, ref_grad, 1e-12)
         assert_rel_close(curv, ref_curv, 1e-12)
+
+    @pytest.mark.parametrize("n", [2, 7, 16])
+    def test_huber_curvature_uses_the_cached_abs_pairs(self, n):
+        P, _, _, _, absPT = tomo._pairs(n)
+        assert absPT is tomo._pairs(n)[4]
+        a = np.random.default_rng(n).uniform(0.1, 2.0, (P.shape[0], 5))
+        assert (absPT @ a).tobytes() == (abs(P).T @ a).tobytes()
+        X = np.random.default_rng(n + 1).uniform(0.0, 1.0, (n * n, 5))
+        D = np.abs(P @ X)
+        kappa = tomo._pairs(n)[1][:, None]
+        ref = abs(P).T @ ((2.0 * 0.25) * kappa / np.maximum(D, 0.25))
+        assert tomo._huber_step(X, n, 0.25)[1].tobytes() == ref.tobytes()
 
 
 SOLVER_CASES = {
