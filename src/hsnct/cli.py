@@ -229,8 +229,9 @@ def _cmd_extract(args) -> int:
     coeffs, basis, report = nmf_factorize(sino, opts)
     write_container(args.out_v, coeffs)
     write_container(args.out_d, basis)
-    log.info("factorized rank %d in %d passes, residual fraction %.3g, gap %.3g",
-             args.rank, report.iterations_run, report.residual_energy, report.gap)
+    log.info("factorized rank %d on %d of %d rows in %d passes, residual fraction %.3g, "
+             "gap %.3g", args.rank, report.fit_rows, coeffs.coeffs.shape[0],
+             report.iterations_run, report.residual_energy, report.gap)
     if not report.converged:
         log.warning("hsnct extract: warning: stopped at the pass cap after %d passes, "
                     "gap %.3g above --tol %g", report.iterations_run, report.gap, args.tol)

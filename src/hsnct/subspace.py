@@ -7,15 +7,27 @@ few V channels instead of every wavelength bin, and ``expand`` maps
 reconstructed channel volumes back to the full spectral grid through the
 same basis.
 
-The factorization is Frobenius-norm NMF solved by accelerated HALS
-(hierarchical alternating least squares; Cichocki & Phan 2009, Gillis &
-Glineur 2012).  One pass, the "sweep" that ``max_iters``,
-``objective_trace`` and perfbench's ``subspace.nmf.sweeps`` count, forms
-X D and runs several inner HALS sweeps over the columns of V, then forms
-X^T V = (V^T X)^T and does the same for D (``_hals_update`` has the inner
-loop and its stopping rule).  Every column update solves its subproblem
-exactly, so each pass is monotone in the objective ||X - V D^T||_F^2.
-All iteration happens in float64.
+The factorization is Frobenius-norm NMF in two steps: passes that fit D on
+a sample of the rows, then V on every row with D fixed.  All iteration
+happens in float64.
+
+The sample is n = min(N_p, 8 N_k) distinct rows, drawn without replacement
+with probability ||x_i||^2 / ||X||^2, the rule of length-squared sampling
+(Frieze, Kannan & Vempala 2004), on the random stream
+``default_rng((seed, 1))``, apart from the factor start's
+``default_rng(seed)``.  The rows are not rescaled; D is N_k x r, and a few
+N_k energetic rows pin it down.  Every row is fitted when n >= N_p, when
+X = 0, when r = N_k, or when fewer than n rows carry energy.  Below, "X"
+in the passes and in the certificate is that sample.
+
+The passes are accelerated HALS (hierarchical alternating least squares;
+Cichocki & Phan 2009, Gillis & Glineur 2012).  One pass, the "sweep" that
+``max_iters``, ``objective_trace`` and perfbench's ``subspace.nmf.sweeps``
+count, forms X D and runs several inner HALS sweeps over the columns of V,
+then forms X^T V = (V^T X)^T and does the same for D (``_hals_update`` has
+the inner loop and its stopping rule).  Every column update solves its
+subproblem exactly, so each pass is monotone in the objective
+||X - V D^T||_F^2.
 
 The objective needs no third read of X per pass, because
 <X, V D^T> = <X^T V, D>:
@@ -39,7 +51,14 @@ could still gain.  A run stops once f - f_svd <= max(tau lambda_{r+1},
 1e-15 ||X||^2): the gap is at most tau times the energy of one noise
 direction, lambda_{r+1} (0 when r = min(N_p, N_k)), or the fit is exact to
 rounding.  tau is ``NmfOptions.rel_tol``.  The Gram matrix costs one read
-of X, the read that ||X||^2, its trace, needs anyway.
+of the sample.
+
+The V step then takes the basis as stored (unit-norm columns in float32)
+and solves min ||X - V D^T|| over V >= 0 on all N_p rows: one r-row product
+X D, a start max(X D (D^T D)^+, 0), and HALS sweeps with D fixed until one
+moves V by at most 1e-4 of the first sweep's move.  The residual energy of
+the returned factors follows from the same identity with ||X||^2 summed
+from the row energies of the draw, with no further read of X.
 """
 
 from __future__ import annotations
@@ -70,6 +89,9 @@ __all__ = [
 
 _INNER_ALPHA = 0.5  # inner sweeps per factor and pass <= floor(1 + alpha rho)
 _INNER_SHARE = 0.01  # stop once a sweep moves the factor <= this share of the first
+_FIT_ROWS_PER_BIN = 8  # the passes run on min(N_p, 8 N_k) rows drawn by energy
+_V_SHARE = 1e-4  # the V step stops once a sweep moves V <= this share of the first
+_V_SWEEPS = 500  # ... or after this many sweeps
 _EXPAND_ROWS = 4096  # voxels per block of expand: 8 MiB of float64 at 256 bins
 
 
@@ -95,14 +117,17 @@ class NmfOptions:
 class FactorizationReport:
     """Convergence record of one factorization run.
 
+    ``fit_rows`` is the number of rows the passes ran on (module
+    docstring); ``objective_trace``, ``converged`` and ``gap`` cover those
+    rows, and ``residual_energy`` covers every row.
     ``objective_trace[i]`` is ||X - V D^T||_F^2 after pass i+1, one HALS
     update of V then of D, each with its own inner sweeps; ``iterations_run``
-    is its length.  ``residual_energy`` is the final objective over
-    ||X||_F^2 (0 for an all-zero input).  ``converged`` says the run met
-    the stopping rule within ``max_iters`` passes.  ``gap`` is the final
-    (f - f_svd) / lambda_{r+1}, the quantity that ``rel_tol`` bounds, or 0
-    when lambda_{r+1} = 0; a run that stopped on the exact-fit floor may
-    read above ``rel_tol`` when lambda_{r+1} is itself at rounding level.
+    is its length.  ``residual_energy`` is ||p - V D^T||_F^2 / ||p||_F^2 of
+    the returned factors (0 for an all-zero input).  ``converged`` says the
+    run met the stopping rule within ``max_iters`` passes.  ``gap`` is the
+    final (f - f_svd) / lambda_{r+1}, the quantity that ``rel_tol`` bounds,
+    or 0 when lambda_{r+1} = 0; a run that stopped on the exact-fit floor
+    may read above ``rel_tol`` when lambda_{r+1} is itself at rounding level.
     ``dead_columns`` lists columns whose basis vector collapsed to zero;
     each is packaged as an inert 1/sqrt(N_k) unit vector with zero
     coefficients, and none is re-seeded.
@@ -112,6 +137,7 @@ class FactorizationReport:
     residual_energy: float
     converged: bool
     gap: float
+    fit_rows: int
     dead_columns: tuple = ()
 
     def __post_init__(self):
@@ -122,6 +148,7 @@ class FactorizationReport:
             raise ValidationError("objective_trace must be finite and >= 0")
         require_nonneg(self.residual_energy, "residual_energy")
         require_nonneg(self.gap, "gap")
+        require_count(self.fit_rows, "fit_rows")
 
     @property
     def iterations_run(self) -> int:
@@ -139,35 +166,36 @@ def _init_factors(X, rank, seed):
     return V, D
 
 
-def _hals_update(W, A, G, max_inner):
+def _hals_update(W, A, G, max_inner, share=_INNER_SHARE):
     """Inner HALS sweeps on W in place for min ||X - W H^T|| over W >= 0,
     given A = X H and G = H^T H: column j, in order, takes the step
     (a_j - W g_j) / G_jj, clamped at -w_j so that w_j stays >= 0.  Stops
-    after ``max_inner`` sweeps, or once a sweep moves W by at most
-    ``_INNER_SHARE`` of the first sweep's move (Frobenius norm).  A column
-    with G_jj = 0 (its partner column is all zero) has nothing to fit and
-    is set to zero."""
+    after ``max_inner`` sweeps, or once a sweep moves W by at most ``share``
+    of the first sweep's move (Frobenius norm).  A column with G_jj = 0 (its
+    partner column is all zero) has nothing to fit and is set to zero."""
     diag = np.diag(G).copy()
     live = diag > 0.0
     diag[~live] = 1.0
     A, G = A / diag, G / diag  # column j of both scaled by 1 / G_jj
-    step = np.empty(W.shape[0])
+    step, floor = np.empty(W.shape[0]), np.empty(W.shape[0])
+    # the column views and buffers are made once: at a few hundred rows the
+    # sweeps cost their numpy calls, not their arithmetic
+    cols = [(W[:, j], A[:, j] if live[j] else None, G[:, j]) for j in range(W.shape[1])]
     first = None
     for _ in range(max_inner):
         move = 0.0
-        for j in range(W.shape[1]):
-            col = W[:, j]
-            if live[j]:
-                np.dot(W, G[:, j], out=step)
-                np.subtract(A[:, j], step, out=step)
-                np.maximum(step, -col, out=step)
+        for col, a, g in cols:
+            if a is not None:
+                np.dot(W, g, out=step)
+                np.subtract(a, step, out=step)
+                np.maximum(step, np.negative(col, out=floor), out=step)
             else:
                 np.negative(col, out=step)
             move += float(step @ step)
             col += step
         if first is None:
             first = move
-        if move <= _INNER_SHARE * _INNER_SHARE * first:
+        if move <= share * share * first:
             break
 
 
@@ -201,53 +229,89 @@ def _accelerated_hals(X, X2, V, D, opts, f_stop):
     return trace, converged
 
 
+def _fit_rows(X, rank, seed):
+    """(sorted indices of the rows the passes run on, ||X||_F^2).
+
+    n = min(N_p, ``_FIT_ROWS_PER_BIN`` N_k) distinct rows, drawn without
+    replacement with probability e_i / ||X||^2, e_i = ||x_i||^2 (module
+    docstring), on the stream ``default_rng((seed, 1))``.  Every row when
+    n >= N_p, when X is zero, when rank = N_k (f_svd = 0, and a cone fitted
+    on a sample need not hold the other rows) or when fewer than n rows
+    carry energy."""
+    n_p, n_k = X.shape
+    energy = np.einsum("ij,ij->i", X, X)
+    X2 = float(energy.sum())
+    n = min(n_p, _FIT_ROWS_PER_BIN * n_k)
+    if n == n_p or X2 == 0.0 or rank == n_k or np.count_nonzero(energy) < n:
+        return np.arange(n_p), X2
+    rows = np.random.default_rng((seed, 1)).choice(n_p, n, replace=False, p=energy / X2)
+    return np.sort(rows), X2
+
+
+def _solve_coefficients(X, D):
+    """(V, X D, D^T D) for V >= 0 minimizing ||X - V D^T||_F on every row
+    with D fixed: HALS sweeps from max(X D (D^T D)^+, 0) until one moves V
+    by at most ``_V_SHARE`` of the first sweep's move, or ``_V_SWEEPS``."""
+    XD = (D.T @ X.T).T  # the r-row product, as in the passes
+    G = D.T @ D
+    V = np.asfortranarray(np.maximum(XD @ np.linalg.pinv(G), 0.0))
+    _hals_update(V, XD, G, _V_SWEEPS, _V_SHARE)
+    return V, XD, G
+
+
 def nmf_factorize(p: HyperspectralSinogram, opts: NmfOptions):
     """Factorize p ~= V D^T; returns (SubspaceSinogram, SpectralBasis,
     FactorizationReport).
 
-    Basis columns are normalized to unit L2 norm (coefficients absorb the
-    scale) and put in descending order of their coefficient column's L2
-    norm, equal norms keeping their factor order; the result is
-    bit-reproducible for a fixed seed.
+    The passes fit D on the rows of ``_fit_rows``; V then solves the
+    non-negative least squares of every row against the stored (unit-norm,
+    float32) D, and ``residual_energy`` is ||p - V D^T||^2 / ||p||^2 of the
+    returned factors on every row.  Basis columns have unit L2 norm and are
+    put in descending order of their coefficient column's L2 norm, equal
+    norms keeping their factor order; the result is bit-reproducible for a
+    fixed seed.
     """
-    X = p.values.astype(np.float64)
-    if X.size and float(X.min()) < 0:
+    if p.values.size and float(p.values.min()) < 0:
         raise ValidationError("factorization input must be non-negative; "
                               "normalize with clamping first")
+    X = p.values.astype(np.float64)
     n_p, n_k = X.shape
     if opts.rank > min(n_p, n_k):
         raise ValidationError(
             f"rank {opts.rank} exceeds min(N_p, N_k) = {min(n_p, n_k)}")
 
+    rows, X2 = _fit_rows(X, opts.rank, opts.seed)
+    S = X if rows.size == n_p else X[rows]
     # column-major factors: every HALS update reads and writes one column
-    V, D = (np.asfortranarray(f) for f in _init_factors(X, opts.rank, opts.seed))
-    gram = X.T @ X if n_p >= n_k else X @ X.T  # on X's shorter side
-    X2, lam = float(np.trace(gram)), np.linalg.eigvalsh(gram)[::-1]
-    f_svd = max(X2 - float(lam[:opts.rank].sum()), 0.0)
+    V, D = (np.asfortranarray(f) for f in _init_factors(S, opts.rank, opts.seed))
+    gram = S.T @ S if S.shape[0] >= n_k else S @ S.T  # on S's shorter side
+    S2, lam = float(np.trace(gram)), np.linalg.eigvalsh(gram)[::-1]
+    f_svd = max(S2 - float(lam[:opts.rank].sum()), 0.0)
     lam_next = max(float(lam[opts.rank]), 0.0) if opts.rank < lam.size else 0.0
-    zero_floor = X2 * 1e-15  # a gap below this is rounding: the fit is exact
+    zero_floor = S2 * 1e-15  # a gap below this is rounding: the fit is exact
     trace, converged = _accelerated_hals(
-        X, X2, V, D, opts, f_svd + max(opts.rel_tol * lam_next, zero_floor))
+        S, S2, V, D, opts, f_svd + max(opts.rel_tol * lam_next, zero_floor))
 
-    # package: inert unit columns for the dead ones, unit-norm basis columns
-    # elsewhere, descending coefficient norm everywhere
+    # the basis as stored: unit-norm float32 columns, the dead ones zero until
+    # V is solved against it, then inert unit columns with zero coefficients
     norms = np.linalg.norm(D, axis=0)
-    for j in range(opts.rank):
-        if norms[j] <= 0:
-            D[:, j] = 1.0 / np.sqrt(n_k)
-            V[:, j] = 0.0
-        else:
-            V[:, j] *= norms[j]
-            D[:, j] /= norms[j]
+    dead = norms <= 0
+    D = (D / np.where(dead, 1.0, norms)).astype(np.float32).astype(np.float64)
+    V, XD, G = _solve_coefficients(X, D)
+    V = V.astype(np.float32).astype(np.float64)  # the coefficients as stored
+    f = max(X2 - 2.0 * float(np.einsum("ij,ij->", XD, V))
+            + float(np.einsum("ij,ij->", V.T @ V, G)), 0.0)
+    D[:, dead] = 1.0 / np.sqrt(n_k)
     order = np.argsort(-np.linalg.norm(V, axis=0), kind="stable")
     V, D = V[:, order], D[:, order]
 
     report = FactorizationReport(
         objective_trace=np.asarray(trace),
-        residual_energy=(trace[-1] / X2) if X2 > 0 else 0.0,
+        residual_energy=f / X2 if X2 > 0 else 0.0,
         converged=converged,
         gap=max(trace[-1] - f_svd, 0.0) / lam_next if lam_next > 0 else 0.0,
-        dead_columns=tuple(int(j) for j in np.flatnonzero(norms[order] <= 0)),
+        fit_rows=rows.size,
+        dead_columns=tuple(int(j) for j in np.flatnonzero(dead[order])),
     )
     return SubspaceSinogram(V, p.geometry), SpectralBasis(D, p.axis), report
 

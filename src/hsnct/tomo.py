@@ -316,6 +316,15 @@ def _fbp_batch(Y: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     return _operators(geom)[1] @ np.ascontiguousarray(q.transpose(1, 2, 0)).reshape(Y.shape)
 
 
+def _fbp_input(block: np.ndarray) -> np.ndarray:
+    """A container block (angles, slices, bins, channels) as ``_fbp_batch``'s
+    ray-major (m, slices * channels) input: the transpose of one float32
+    C-ordered (column, angle, bin) copy, so ``_fbp_batch`` copies nothing
+    before its products."""
+    cols = np.ascontiguousarray(block.transpose(1, 3, 0, 2), dtype=np.float32)
+    return cols.reshape(-1, block.shape[0] * block.shape[2]).T
+
+
 def fbp_reconstruct(sino: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     """Filtered backprojection of one slice sinogram: a float64 image whose
     values carry float32 precision, as FBP computes in float32."""
@@ -574,21 +583,21 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
 
     def solve(block):
         r, c = block
-        # (angle, slice, bin, channel) -> rays x (slice, channel)
-        yb = Y[:, r:r + rows, :, c:c + chans].transpose(0, 2, 1, 3)
-        y = np.ascontiguousarray(yb, dtype=np.float32 if opts is None else np.float64)
-        y = y.reshape(AT.shape[1], -1)
+        yb = Y[:, r:r + rows, :, c:c + chans]  # (angle, slice, bin, channel)
         if opts is None:
-            X, info = _fbp_batch(y, geom), []
+            X, info = _fbp_batch(_fbp_input(yb), geom), []
         else:
+            # rays x (slice, channel)
+            y = np.ascontiguousarray(yb.transpose(0, 2, 1, 3), dtype=np.float64)
+            y = y.reshape(AT.shape[1], -1)
             if geom.num_angles >= 2:
-                x0 = np.maximum(_fbp_batch(y, geom), 0.0).astype(np.float64)
+                x0 = np.maximum(_fbp_batch(_fbp_input(yb), geom), 0.0).astype(np.float64)
             else:
                 x0 = np.zeros((n * n, y.shape[1]))
             # transmission-proportional statistical weights: high attenuation
             # means few counts and an unreliable ray
             X, info = _sqs_solve(AT, y, np.exp(-y), n, opts, x0)
-        out[r:r + rows, :, c:c + chans] = X.reshape(n * n, *yb.shape[2:]).transpose(1, 0, 2)
+        out[r:r + rows, :, c:c + chans] = X.reshape(n * n, *yb.shape[1:4:2]).transpose(1, 0, 2)
         return info
 
     blocks = [(r, c) for r in range(0, n_r, rows) for c in range(0, C, chans)]

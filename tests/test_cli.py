@@ -193,6 +193,16 @@ class TestStageCommands:
         assert f"in {report.iterations_run} passes" in log
         assert f"gap {report.gap:.3g}" in log
 
+    def test_extract_logs_the_rows_it_fitted(self, workdir, capsys):
+        # 16 views x 2 rows x 32 columns at 16 bins: the passes run on 8 N_k rows
+        d = workdir
+        assert main(["extract", "--in", str(d / "p.hsnct"), "--rank", "3", "--verbose",
+                     "--out-v", str(d / "v_rows.hsnct"), "--out-d", str(d / "d_rows.hsnct")]) == 0
+        report = nmf_factorize(load_sinogram(d / "p.hsnct"), NmfOptions(rank=3, seed=0))[2]
+        assert report.fit_rows == 128
+        assert (f"factorized rank 3 on 128 of 1024 rows in {report.iterations_run} passes"
+                in capsys.readouterr().err)
+
     def test_extract_warns_when_it_stops_at_the_pass_cap(self, workdir, capsys):
         # the warning shows without --verbose; a run that meets --tol prints nothing
         d = workdir

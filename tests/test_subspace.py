@@ -14,6 +14,7 @@ from hsnct.containers import (
 from hsnct.subspace import (
     NmfOptions,
     _accelerated_hals,
+    _fit_rows,
     _init_factors,
     expand,
     nmf_factorize,
@@ -122,8 +123,12 @@ class TestNmfFactorize:
         assert report.converged
         assert report.iterations_run <= opts.max_iters // 2
         assert np.all(np.diff(report.objective_trace) <= 0.0)
-        # the reported gap is (f - f_svd) / lambda_5, with both taken from an SVD here
-        sq = np.linalg.svd(p.values.astype(np.float64), compute_uv=False) ** 2
+        # the reported gap is (f - f_svd) / lambda_5 on the rows the passes
+        # ran on (512 of 3000), with both taken from an SVD here
+        X = p.values.astype(np.float64)
+        rows, _ = _fit_rows(X, opts.rank, opts.seed)
+        assert report.fit_rows == rows.size == 8 * 64
+        sq = np.linalg.svd(X[rows], compute_uv=False) ** 2
         gap = (report.objective_trace[-1] - sq[4:].sum()) / sq[4]
         assert report.gap == pytest.approx(gap, rel=1e-6)
         assert 0.0 < report.gap <= opts.rel_tol
@@ -189,6 +194,87 @@ class TestNmfFactorize:
                 NmfOptions(rank=1, seed=seed)
 
 
+def noisy_rank_three(n_p, n_k, seed):
+    """Noisy rank-3 data clamped at 0, as on the desk scan."""
+    rng = np.random.default_rng(seed)
+    clean = rng.uniform(0.2, 1.0, (n_p, 3)) @ rng.uniform(0.2, 1.0, (n_k, 3)).T
+    return np.maximum(clean + 0.3 * clean.mean() * rng.standard_normal(clean.shape), 0.0)
+
+
+class TestFitRows:
+    """The passes fit D on min(N_p, 8 N_k) rows drawn by energy; V is then
+    solved on every row with D fixed, and residual_energy covers every row."""
+
+    def test_coefficients_are_the_nnls_solution_on_every_row(self):
+        # 3000 x 64 at rank 4: the passes run on 512 rows.  Optimality of
+        # min ||X - V D^T|| over V >= 0 for the returned D: the gradient
+        # V D^T D - X D is 0 where V > 0 and >= 0 where V = 0, to 3e-5 of
+        # max |X D| (the V step's stop and V's float32 rounding)
+        p = sino_from(noisy_rank_three(3000, 64, 700))
+        v, d, report = nmf_factorize(p, NmfOptions(rank=4, seed=0))
+        assert report.fit_rows == 512
+        X = p.values.astype(np.float64)
+        V, D = v.coeffs.astype(np.float64), d.basis.astype(np.float64)
+        XD = X @ D
+        grad = V @ (D.T @ D) - XD
+        tol = 3e-5 * np.abs(XD).max()
+        assert np.all(np.abs(grad[V > 0]) <= tol)
+        assert np.all(grad[V == 0] >= -tol)
+
+    def test_residual_energy_is_the_returned_factors_residual_on_every_row(self):
+        p = sino_from(noisy_rank_three(3000, 64, 701))
+        v, d, report = nmf_factorize(p, NmfOptions(rank=4, seed=0))
+        assert report.fit_rows < 3000
+        _, eps = subspace_residual(p, v, d)
+        assert report.residual_energy == pytest.approx(eps, rel=1e-10)
+
+    def test_seed_fixes_the_sample_and_the_bytes(self):
+        X = noisy_rank_three(3000, 64, 702)
+        p = sino_from(X)
+        runs = [nmf_factorize(p, NmfOptions(rank=4, seed=s)) for s in (3, 3, 4)]
+        (v1, d1, r1), (v2, d2, r2), (v3, d3, _) = runs
+        assert v1.coeffs.tobytes() == v2.coeffs.tobytes()
+        assert d1.basis.tobytes() == d2.basis.tobytes()
+        assert r1.objective_trace.tobytes() == r2.objective_trace.tobytes()
+        rows3, rows4 = _fit_rows(X, 4, 3)[0], _fit_rows(X, 4, 4)[0]
+        assert not np.array_equal(rows3, rows4)
+        assert d1.basis.tobytes() != d3.basis.tobytes()
+
+    def test_draw_is_sorted_distinct_and_skips_empty_rows(self):
+        X = noisy_rank_three(3000, 16, 703)
+        X[::3] = 0.0
+        rows, X2 = _fit_rows(X, 2, 0)
+        assert rows.size == 8 * 16
+        assert np.all(np.diff(rows) > 0)
+        assert np.all(rows % 3 != 0)
+        assert X2 == pytest.approx(float(np.sum(X * X)), rel=1e-12)
+
+    @pytest.mark.parametrize("shape, rank, live_rows", [
+        ((40, 8), 3, 40),       # n = 64 >= N_p
+        ((300, 6), 6, 300),     # rank = N_k
+        ((3000, 16), 2, 100),   # fewer than n = 128 rows carry energy
+    ])
+    def test_all_rows_cases_run_the_passes_on_every_row(self, shape, rank, live_rows):
+        # float32-exact, so the sinogram container holds the same X
+        X = np.zeros(shape)
+        X[:live_rows] = np.random.default_rng(shape[0]).uniform(
+            0.0, 1.0, (live_rows, shape[1])).astype(np.float32)
+        rows, _ = _fit_rows(X, rank, 0)
+        np.testing.assert_array_equal(rows, np.arange(shape[0]))
+        opts = NmfOptions(rank=rank, seed=0, max_iters=20, rel_tol=1e-15)
+        V, D = _init_factors(X, rank, 0)
+        trace, _ = _accelerated_hals(X, float(np.trace(X.T @ X)), np.asfortranarray(V),
+                                     np.asfortranarray(D), opts, 0.0)
+        _, _, report = nmf_factorize(sino_from(X), opts)
+        assert report.fit_rows == shape[0]
+        assert report.objective_trace.tobytes() == np.asarray(trace).tobytes()
+
+    def test_zero_input_fits_every_row(self):
+        rows, X2 = _fit_rows(np.zeros((3000, 8)), 2, 0)
+        assert X2 == 0.0
+        np.testing.assert_array_equal(rows, np.arange(3000))
+
+
 class TestCertificate:
     """The stopping rule's lower bound f_svd (the best rank-r fit's
     objective, from an SVD here) and the runs it stops."""
@@ -198,8 +284,10 @@ class TestCertificate:
         rng = np.random.default_rng(shape[0] * 1000 + shape[1])
         for seed in range(5):
             p = sino_from(rng.uniform(0.0, 2.0, shape))
-            X = p.values.astype(np.float64)
             rank = 1 + seed % 3
+            # the passes run on the fitted rows (128 of 300 for the tall shape)
+            X = p.values.astype(np.float64)
+            X = X[_fit_rows(X, rank, seed)[0]]
             f_svd = float(np.sum(np.linalg.svd(X, compute_uv=False)[rank:] ** 2))
             _, _, report = nmf_factorize(
                 p, NmfOptions(rank=rank, seed=seed, max_iters=60, rel_tol=1e-12))
@@ -363,9 +451,14 @@ class TestSinglePassSweep:
         np.testing.assert_allclose(trace, ref_trace, rtol=1e-10, atol=0)
         assert np.linalg.norm(V - V_ref) <= 1e-10 * np.linalg.norm(V_ref)
         assert np.linalg.norm(D - D_ref) <= 1e-10 * np.linalg.norm(D_ref)
-        # the public entry point runs the same passes from the same init
+        # the public entry point runs the same passes from the same init on
+        # the rows it fits: all of them up to 8 N_k = 128, a sample above
+        rows, _ = _fit_rows(X, opts.rank, opts.seed)
+        S = X[rows]
+        fit_trace = three_pass_sweeps(S, *_init_factors(S, opts.rank, opts.seed), self.SWEEPS)
         _, _, report = nmf_factorize(sino_from(X), opts)
-        np.testing.assert_allclose(report.objective_trace, ref_trace, rtol=1e-10, atol=0)
+        assert report.fit_rows == rows.size == min(n_p, 8 * self.N_K)
+        np.testing.assert_allclose(report.objective_trace, fit_trace, rtol=1e-10, atol=0)
 
     def test_collapsed_column_stays_zero_and_takes_direct_objective(self):
         # basis column 1 lives only on bins where X is zero, so X d_1 = 0 and

@@ -265,6 +265,20 @@ class TestFbp:
         for c in (0, 1, C // 2, C - 1):
             assert batch[:, c].tobytes() == tomo._fbp_batch(Y[:, [c]], geom)[:, 0].tobytes()
 
+    def test_fbp_input_is_the_ray_major_block_copied_once(self):
+        # a container block (angles, slices, bins, channels) becomes the
+        # float32 ray-major columns in (slice, channel) order, and the
+        # (column, angle, bin) layout _fbp_batch filters is that same memory
+        block = np.random.default_rng(3).normal(size=(8, 3, 20, 5))
+        y = tomo._fbp_input(block[:, 1:3, :, 2:5])
+        ref = np.ascontiguousarray(block[:, 1:3, :, 2:5].transpose(0, 2, 1, 3),
+                                   dtype=np.float32).reshape(8 * 20, 6)
+        assert y.dtype == np.float32 and y.tobytes() == ref.tobytes()
+        cols = np.ascontiguousarray(y.reshape(8, 20, -1).transpose(2, 0, 1), dtype=np.float32)
+        assert np.shares_memory(cols, y)
+        geom = SliceGeometry(np.linspace(0, np.pi, 8, endpoint=False), 20)
+        assert tomo._fbp_batch(y, geom).tobytes() == tomo._fbp_batch(ref, geom).tobytes()
+
     def test_ramp_matrix_is_cached_symmetric_toeplitz(self):
         F = tomo._ramp_matrix(16, 8, 0.5)
         assert F.dtype == np.float32 and F.shape == (16, 16)
