@@ -92,7 +92,6 @@ _INNER_SHARE = 0.01  # stop once a sweep moves the factor <= this share of the f
 _FIT_ROWS_PER_BIN = 8  # the passes run on min(N_p, 8 N_k) rows drawn by energy
 _V_SHARE = 1e-4  # the V step stops once a sweep moves V <= this share of the first
 _V_SWEEPS = 500  # ... or after this many sweeps
-_EXPAND_ROWS = 4096  # voxels per block of expand: 8 MiB of float64 at 256 bins
 
 
 @dataclass(frozen=True)
@@ -340,14 +339,12 @@ def subspace_residual(p: HyperspectralSinogram, v: SubspaceSinogram, d: Spectral
 def expand(x_s: VolumeStack, d: SpectralBasis) -> VolumeStack:
     """Per-voxel channel-to-spectrum map x_h = x_s D^T; pure linear, no clamp.
 
-    Computed in float64 over blocks of ``_EXPAND_ROWS`` voxels, each written
-    straight into the float32 result."""
+    One float32 product, written straight into the result.  A 1-voxel
+    volume goes through BLAS's matrix-vector kernel, whose bits may differ
+    from the same row's in a larger product."""
     if x_s.num_channels != d.rank:
         raise ValidationError(
             f"volume has {x_s.num_channels} channels, basis rank is {d.rank}")
-    dt = d.basis.astype(np.float64).T
-    voxels = np.empty((x_s.voxels.shape[0], dt.shape[1]), dtype=np.float32)
-    for start in range(0, voxels.shape[0], _EXPAND_ROWS):
-        rows = slice(start, start + _EXPAND_ROWS)
-        voxels[rows] = x_s.voxels[rows].astype(np.float64) @ dt
+    voxels = np.empty((x_s.voxels.shape[0], d.basis.shape[0]), dtype=np.float32)
+    np.matmul(x_s.voxels, d.basis.T, out=voxels)
     return VolumeStack(voxels, x_s.num_rows, x_s.num_cols, x_s.voxel_pitch)

@@ -35,7 +35,9 @@ Reconstructors:
   P^T (kappa clip(P x, +-delta)) and its surrogate curvature
   |P|^T (2 delta kappa / max(|P x|, delta)).  The solver takes
   diagonally-majorized (separable quadratic surrogate) steps projected
-  onto x >= 0, starting from the FBP image clamped at 0, and accelerates
+  onto x >= 0, starting from the FBP image with its ramp times the Hann
+  window (1 + cos(2 pi f)) / 2, clamped at 0 (a smoother start than the
+  bare ramp's, so fewer iterations to the same minimizer), and accelerates
   them with per-channel optimized-gradient (OGM) momentum (Kim & Fessler,
   Math. Program. 2016), whose extrapolation adds a (t/t+)(x+ - z) term to
   Nesterov's (t-1)/t+ one, and two adaptive restarts (Kim & Fessler,
@@ -278,32 +280,38 @@ def back_project(sino: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     return img.reshape(geom.image_size, geom.image_size)
 
 
-# geometries are few per process, and F is nd^2 float32 values
-@functools.lru_cache(maxsize=8)
-def _ramp_matrix(nd: int, num_angles: int, pitch: float) -> np.ndarray:
+# geometries are few per process, each holds two matrices (the bare ramp and
+# the Hann-windowed one), and F is nd^2 float32 values
+@functools.lru_cache(maxsize=16)
+def _ramp_matrix(nd: int, num_angles: int, pitch: float, hann: bool = False) -> np.ndarray:
     """The float32 ramp filter of an nd-bin view as a read-only symmetric
     Toeplitz matrix F[i, j] = h[|i - j|], cached per (nd, angle count,
-    pitch): y @ F filters a view y as the zero-padded FFT ramp does.
+    pitch, window): y @ F filters a view y as the zero-padded FFT ramp does.
 
     Padding to n_pad >= 2 nd makes the FFT's circular convolution a linear
     one, and the real, even spectrum makes its kernel h symmetric.  Filtered
     values are in cycles-per-sample units and A^T carries one pitch factor,
     so the physical units fold into one 1/pitch^2 scale together with the
     angular quadrature weight, riding on the ramp |f| (cycles per sample,
-    0 .. 0.5).
+    0 .. 0.5).  ``hann`` multiplies the ramp by the Hann window
+    (1 + cos(2 pi f)) / 2, which is 1 at f = 0, so densities keep their
+    scale, and 0 at Nyquist: MBIR's start.
     """
     n_pad = 1 << max(int(np.ceil(np.log2(2 * nd))), 1)
-    h = np.fft.irfft(np.fft.rfftfreq(n_pad) * (np.pi / (num_angles * pitch ** 2)), n_pad)
+    f = np.fft.rfftfreq(n_pad)
+    ramp = f * (0.5 * (1.0 + np.cos(2.0 * np.pi * f))) if hann else f
+    h = np.fft.irfft(ramp * (np.pi / (num_angles * pitch ** 2)), n_pad)
     i = np.arange(nd)
     F = h[np.abs(i[:, None] - i)].astype(np.float32)
     F.flags.writeable = False
     return F
 
 
-def _fbp_batch(Y: np.ndarray, geom: SliceGeometry) -> np.ndarray:
+def _fbp_batch(Y: np.ndarray, geom: SliceGeometry, hann: bool = False) -> np.ndarray:
     """FBP over ray-major columns, in float32: Y (m, C) -> float32 images
     (n^2, C).  Each column's views (views x bins) are ramp-filtered as one
-    product with ``_ramp_matrix``, then backprojected with the float32 A^T.
+    product with ``_ramp_matrix`` (Hann-windowed if ``hann``), then
+    backprojected with the float32 A^T.
     Every column's product has one shape, so its bits do not depend on the
     batch width; one product over all (view, column) rows would, as BLAS
     picks its kernel by size (OpenBLAS at detector widths 33, 65, 100)."""
@@ -312,8 +320,18 @@ def _fbp_batch(Y: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     n_a, nd = geom.num_angles, geom.num_detector_bins
     y = np.asarray(Y).reshape(n_a, nd, -1).transpose(2, 0, 1)
     q = np.matmul(np.ascontiguousarray(y, dtype=np.float32),
-                  _ramp_matrix(nd, n_a, geom.pixel_pitch))
+                  _ramp_matrix(nd, n_a, geom.pixel_pitch, hann))
     return _operators(geom)[1] @ np.ascontiguousarray(q.transpose(1, 2, 0)).reshape(Y.shape)
+
+
+def _mbir_start(Y: np.ndarray, geom: SliceGeometry) -> np.ndarray:
+    """MBIR's start for ray-major columns Y (m, C): the float32 Hann-windowed
+    FBP clamped at 0, cast to float64; zeros below 2 views.  The window damps
+    the noise the bare ramp passes at high frequencies, so the solver starts
+    nearer its minimizer and stops in fewer iterations."""
+    if geom.num_angles < 2:
+        return np.zeros((geom.image_size ** 2, Y.shape[1]))
+    return np.maximum(_fbp_batch(Y, geom, hann=True), 0.0).astype(np.float64)
 
 
 def _fbp_input(block: np.ndarray) -> np.ndarray:
@@ -565,10 +583,10 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
     """Reconstruct slice sinograms Y (angles, slices, bins, C) -> (images
     (slices, n^2, C) in Y's precision, MBIR info per (slice, channel) column).
 
-    ``opts`` None runs FBP on the float32 block, and there is no info.
-    Otherwise MBIR starts from the float32 FBP image clamped at 0 and cast
-    to float64 (zeros below 2 views), and weights each ray by exp(-y), the
-    one weight rule.  Blocks (module docstring) are read and written with
+    ``opts`` None runs FBP (the bare ramp) on the float32 block, and there
+    is no info.  Otherwise MBIR starts from ``_mbir_start``, the
+    Hann-windowed FBP clamped at 0, and weights each ray by exp(-y), the one
+    weight rule.  Blocks (module docstring) are read and written with
     basic slices and keep (slice, channel) order; workers = min(threads, CPUs),
     so a budget at or above the CPU count plans what the CPU count plans.
     """
@@ -590,10 +608,7 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
             # rays x (slice, channel)
             y = np.ascontiguousarray(yb.transpose(0, 2, 1, 3), dtype=np.float64)
             y = y.reshape(AT.shape[1], -1)
-            if geom.num_angles >= 2:
-                x0 = np.maximum(_fbp_batch(_fbp_input(yb), geom), 0.0).astype(np.float64)
-            else:
-                x0 = np.zeros((n * n, y.shape[1]))
+            x0 = _mbir_start(_fbp_input(yb), geom)
             # transmission-proportional statistical weights: high attenuation
             # means few counts and an unreliable ray
             X, info = _sqs_solve(AT, y, np.exp(-y), n, opts, x0)
@@ -611,7 +626,8 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
 
 def mbir_reconstruct(sino: np.ndarray, geom: SliceGeometry,
                      opts: MbirOptions | None = None, return_info: bool = False):
-    """Regularized weighted-least-squares reconstruction of one slice."""
+    """Regularized weighted-least-squares reconstruction of one slice,
+    started from the Hann-windowed FBP image clamped at 0."""
     opts = require_engine("mbir", opts)
     sino = _slice_input(sino, geom)
     X, info = _reconstruct_columns(sino[:, None, :, None], geom, opts)
