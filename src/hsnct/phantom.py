@@ -12,10 +12,10 @@ generator is counter-based (Philox keyed by seed, stream and the (view, row)
 chunk), so the draw for any chunk is independent of evaluation order and the
 simulation stays reproducible under parallel execution.
 
-Neither makes a whole-volume float64 copy; both write straight into their
-float32 outputs.  ``build_ground_truth`` indexes a float32 material table
-with the voxel labels, and ``simulate_scan`` works one slice at a time,
-holding only that slice's line integrals in float64.
+Neither makes a float64 copy of the volume or a slice; both write straight
+into their float32 outputs.  ``build_ground_truth`` indexes a float32
+material table with the voxel labels, and ``simulate_scan`` works one slice
+at a time, casting its float32 line integrals to float64 for ``exp``.
 """
 
 from __future__ import annotations

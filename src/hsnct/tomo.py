@@ -11,11 +11,11 @@ interpolation weights.  At angle 0 the rays run along the image column
 axis, so the detector coordinate equals the row coordinate.  The system
 matrix A holds these weights times the pixel pitch, so A x is a line
 integral (value * length), matching the chord length of a shape rather
-than a bare pixel count.  It is assembled sparse once per geometry and
-reused; the backprojector is its exact transpose, which makes the adjoint
-test exact up to float rounding.  One accessor, ``_operators``, returns A
-together with a float32 CSR copy of A^T, built and cached with it, which
-FBP and MBIR share.
+than a bare pixel count.  One matrix is kept per geometry: A^T as float32
+CSR, its weights formed in float64 and rounded once.  ``_operators``
+returns it, and every product uses it or its CSC view as A: FBP, MBIR,
+``project_volume``, and the public ``forward_project`` / ``back_project``
+pair, which computes in float64 on those weights, an exact adjoint pair.
 
 Reconstructors:
 
@@ -65,8 +65,8 @@ precision of the container payloads, with the cached A^T and its CSC view
 as A; the solver state runs in float64.  FBP, one linear pass, is wholly
 float32, its ramp filter included.  MBIR's iterate, residual, curvature,
 objective sums and prior products stay float64, so rounding does not build
-up over its iterations.  Each step gives a column the same bits at any
-batch width.
+up over its iterations; ``project_volume`` casts its float32 products to
+float64.  Each step gives a column the same bits at any batch width.
 """
 
 from __future__ import annotations
@@ -182,8 +182,8 @@ def project_volume(volume: VolumeStack, geom: ScanGeometry) -> np.ndarray:
 
     Returns float64 coefficients shaped [N_p, C] in the sinogram layout
     (view, row, col row-major), so the result aligns bin-for-bin with
-    HyperspectralSinogram/SubspaceSinogram values.  Works one slice at a
-    time: only one slice of the volume is held in float64.
+    HyperspectralSinogram/SubspaceSinogram values.  Each slice's product
+    runs in float32, as every projector product does.
     """
     slices = _slice_projections(volume, geom)
     n_v, n_r, n_c = geom.num_views, geom.num_rows, geom.num_cols
@@ -194,8 +194,9 @@ def project_volume(volume: VolumeStack, geom: ScanGeometry) -> np.ndarray:
 
 
 def _slice_projections(volume: VolumeStack, geom: ScanGeometry):
-    """Check ``volume`` against ``geom`` now, then lazily yield the float64
-    line integrals of each slice r, shaped (N_v, N_c, C): detector row r."""
+    """Check ``volume`` against ``geom`` now, then lazily yield the line
+    integrals of each slice r, shaped (N_v, N_c, C): detector row r, the
+    float32 product of A with the float32 slice, cast to float64."""
     if not isinstance(volume, VolumeStack):
         raise ValidationError(f"expected a VolumeStack, got {type(volume).__name__}")
     if volume.num_rows != geom.num_rows or volume.num_cols != geom.num_cols:
@@ -203,28 +204,27 @@ def _slice_projections(volume: VolumeStack, geom: ScanGeometry):
             f"volume grid ({volume.num_rows} slices of {volume.num_cols}^2) does "
             f"not match geometry ({geom.num_rows} rows, {geom.num_cols} cols)")
     n_v, n_c, n2 = geom.num_views, geom.num_cols, geom.num_cols ** 2
-    A, _ = _operators(slice_geometry_for(geom))
-    return ((A @ volume.voxels[r * n2:(r + 1) * n2].astype(np.float64)).reshape(n_v, n_c, -1)
+    A = _operators(slice_geometry_for(geom)).T
+    return ((A @ volume.voxels[r * n2:(r + 1) * n2]).astype(np.float64).reshape(n_v, n_c, -1)
             for r in range(geom.num_rows))
 
 
-def _operators(geom: SliceGeometry) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """(A, A^T in float32).  A is the length-scaled system matrix,
-    (num_angles*num_detector_bins) x num_detector_bins^2: splat weights
-    times the pixel pitch, in float64 for the simulator and the exact
-    adjoint.  A^T is a float32 CSR matrix: FBP's backprojector, and MBIR's
-    operator both ways (its CSC view is A).
+def _operators(geom: SliceGeometry) -> sp.csr_matrix:
+    """A^T, the transpose of the length-scaled system matrix A
+    ((num_angles*num_detector_bins) x num_detector_bins^2: splat weights
+    times the pixel pitch), as one float32 CSR matrix: FBP's backprojector,
+    and the operator of MBIR, the simulator and the public pair both ways
+    (its CSC view is A).
 
-    Both are cached per geometry (the angles enter the key as bytes, since
-    an ndarray does not hash).
+    Cached per geometry (the angles enter the key as bytes, since an
+    ndarray does not hash).
     """
     return _splat_matrix(geom.angles.tobytes(), geom.num_detector_bins, geom.pixel_pitch)
 
 
 # geometries are tiny and few per process
 @functools.lru_cache(maxsize=8)
-def _splat_matrix(angle_bytes: bytes, nd: int,
-                  pitch: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def _splat_matrix(angle_bytes: bytes, nd: int, pitch: float) -> sp.csr_matrix:
     angles = np.frombuffer(angle_bytes)
     n = nd  # the image is as wide as the detector
     half = 0.5 * (n - 1)
@@ -243,13 +243,10 @@ def _splat_matrix(angle_bytes: bytes, nd: int,
             rows.append(i * nd + bins[ok])
             cols.append(pix[ok])
             vals.append(w[ok] * pitch)
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(angles.size * nd, n * n), dtype=np.float64).tocsr()
-    # the float32 A^T is built here with A, not on the first FBP: allocated
-    # later, it lands among the solver's buffers (peak RSS of MBIR on one
-    # desk row rose ~7 %)
-    return A, A.T.tocsr().astype(np.float32)
+    # the weights are formed in float64 and rounded once to float32
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(cols), np.concatenate(rows))),
+        shape=(n * n, angles.size * nd), dtype=np.float64).tocsr().astype(np.float32)
 
 
 def _slice_input(values, geom: SliceGeometry, image: bool = False) -> np.ndarray:
@@ -269,14 +266,14 @@ def _slice_input(values, geom: SliceGeometry, image: bool = False) -> np.ndarray
 def forward_project(image: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     """Line integrals of a square slice: (num_angles, num_detector_bins)."""
     image = _slice_input(image, geom, image=True)
-    sino = _operators(geom)[0] @ image.ravel()
+    sino = _operators(geom).T @ image.ravel()
     return sino.reshape(geom.num_angles, geom.num_detector_bins)
 
 
 def back_project(sino: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     """Exact transpose of forward_project."""
     sino = _slice_input(sino, geom)
-    img = _operators(geom)[0].T @ sino.ravel()
+    img = _operators(geom) @ sino.ravel()
     return img.reshape(geom.image_size, geom.image_size)
 
 
@@ -321,7 +318,7 @@ def _fbp_batch(Y: np.ndarray, geom: SliceGeometry, hann: bool = False) -> np.nda
     y = np.asarray(Y).reshape(n_a, nd, -1).transpose(2, 0, 1)
     q = np.matmul(np.ascontiguousarray(y, dtype=np.float32),
                   _ramp_matrix(nd, n_a, geom.pixel_pitch, hann))
-    return _operators(geom)[1] @ np.ascontiguousarray(q.transpose(1, 2, 0)).reshape(Y.shape)
+    return _operators(geom) @ np.ascontiguousarray(q.transpose(1, 2, 0)).reshape(Y.shape)
 
 
 def _mbir_start(Y: np.ndarray, geom: SliceGeometry) -> np.ndarray:
@@ -592,7 +589,7 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
     """
     n_r, C = Y.shape[1], Y.shape[3]
     n = geom.image_size
-    _, AT = _operators(geom)
+    AT = _operators(geom)
     workers = min(threads, os.cpu_count() or 1)
     cap = max(C, _BATCH_COLUMNS) if opts is None else _BATCH_COLUMNS
     step = max(1, min(cap, -(-n_r * C // workers)))

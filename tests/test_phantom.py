@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hsnct import tomo
 from hsnct.containers import (
     HyperspectralSinogram,
     ScanGeometry,
@@ -24,7 +25,7 @@ from hsnct.phantom import (
 )
 from hsnct.preprocess import NormalizationOptions, normalize
 from hsnct.subspace import NmfOptions, nmf_factorize
-from hsnct.tomo import project_volume
+from hsnct.tomo import project_volume, slice_geometry_for
 
 ANG = 1e-10
 
@@ -284,6 +285,32 @@ class TestSimulateScan:
         rel = np.abs(p.values.astype(np.float64) - ell).max() / ell.max()
         assert rel <= 1e-6
         np.testing.assert_array_equal(scan.open_beam, np.float32(spec.flux))
+
+    def test_line_integrals_within_the_float32_rounding_bound(self):
+        # the simulator's products run in float32 on the cached A^T's
+        # weights; against the same weights in float64 a ray of k nonzero
+        # weights is off by at most k * eps32 * (|A| |x|): k roundings of
+        # its products and running sum, each at most eps32 / 2 relative
+        spec, axis, geom = small_setup()
+        truth = build_ground_truth(spec, axis)
+        n_v, n_r, n_c, n2 = geom.num_views, geom.num_rows, geom.num_cols, geom.num_cols ** 2
+        A = tomo._operators(slice_geometry_for(geom)).T.astype(np.float64)
+        k = np.diff(A.tocsr().indptr)[:, None]
+        ell = project_volume(truth, geom).reshape(n_v, n_r, n_c, -1)
+        for r in range(n_r):
+            x = truth.voxels[r * n2:(r + 1) * n2].astype(np.float64)
+            err = np.abs(ell[:, r].reshape(n_v * n_c, -1) - A @ x)
+            assert np.all(err <= k * np.finfo(np.float32).eps * (abs(A) @ np.abs(x)))
+            assert err.max() > 0  # the product is float32's, not float64's
+
+    def test_float32_overflow_of_a_line_integral_rejected(self):
+        # 2e37 is a finite float32, but 32 pixels of it on one ray sum past
+        # float32's largest value (3.4e38)
+        _, axis, geom = small_setup()
+        huge = VolumeStack(np.full((2 * 32 * 32, axis.num_bins), 2e37, dtype=np.float32),
+                           2, 32)
+        with pytest.raises(ValidationError, match="line integrals are not finite"):
+            simulate_scan(huge, geom, axis, 200.0, 0)
 
     def test_bin_count_mismatch_rejected(self):
         spec, axis, geom = small_setup()

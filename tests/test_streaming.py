@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hsnct import pipeline, tomo
 from hsnct.containers import (
@@ -84,14 +85,12 @@ def reference_ground_truth(spec, axis):
 
 
 def reference_project_volume(volume, geom):
+    # one float32 product of the whole volume with the block-diagonal A (one
+    # CSC block per slice), cast to float64
     n_v, n_r, n_c = geom.num_views, geom.num_rows, geom.num_cols
-    C = volume.num_channels
-    A, _ = tomo._operators(slice_geometry_for(geom))
-    vox = volume.voxels.astype(np.float64)
-    out = np.empty((n_v, n_r, n_c, C))
-    for r in range(n_r):
-        out[:, r] = (A @ vox[r * n_c * n_c:(r + 1) * n_c * n_c]).reshape(n_v, n_c, C)
-    return out.reshape(n_v * n_r * n_c, C)
+    A = tomo._operators(slice_geometry_for(geom)).T
+    ell = (sp.block_diag([A] * n_r, format="csc") @ volume.voxels).astype(np.float64)
+    return ell.reshape(n_r, n_v, n_c, -1).transpose(1, 0, 2, 3).reshape(n_v * n_r * n_c, -1)
 
 
 def reference_scan(truth, geom, axis, flux, seed, noise):
