@@ -198,6 +198,13 @@ def _hals_update(W, A, G, max_inner, share=_INNER_SHARE):
             break
 
 
+def _objective(X2, XH, W, G1, G2):
+    """||X - W H^T||_F^2 = max(X2 - 2 <X H, W> + <W^T W, H^T H>, 0) (module
+    docstring): X2 = ||X||_F^2, XH = X H, and the two Grams in either order."""
+    return max(X2 - 2.0 * float(np.einsum("ij,ij->", XH, W))
+               + float(np.einsum("ij,ij->", G1, G2)), 0.0)
+
+
 def _accelerated_hals(X, X2, V, D, opts, f_stop):
     """Run the passes on V and D in place, two reads of X per pass; ``X2`` is
     ||X||_F^2.  Stops after the first pass whose objective is <= ``f_stop``,
@@ -218,9 +225,7 @@ def _accelerated_hals(X, X2, V, D, opts, f_stop):
         XtV = (V.T @ X).T
         VtV = V.T @ V
         _hals_update(D, XtV, VtV, cap_d)
-        # ||X - V D^T||_F^2 without forming the product, clamped at 0
-        f = max(X2 - 2.0 * float(np.einsum("ij,ij->", XtV, D))
-                + float(np.einsum("ij,ij->", VtV, D.T @ D)), 0.0)
+        f = _objective(X2, XtV, D, VtV, D.T @ D)
         trace.append(f)
         if f <= f_stop:
             converged = True
@@ -298,8 +303,7 @@ def nmf_factorize(p: HyperspectralSinogram, opts: NmfOptions):
     D = (D / np.where(dead, 1.0, norms)).astype(np.float32).astype(np.float64)
     V, XD, G = _solve_coefficients(X, D)
     V = V.astype(np.float32).astype(np.float64)  # the coefficients as stored
-    f = max(X2 - 2.0 * float(np.einsum("ij,ij->", XD, V))
-            + float(np.einsum("ij,ij->", V.T @ V, G)), 0.0)
+    f = _objective(X2, XD, V, V.T @ V, G)
     D[:, dead] = 1.0 / np.sqrt(n_k)
     order = np.argsort(-np.linalg.norm(V, axis=0), kind="stable")
     V, D = V[:, order], D[:, order]

@@ -46,7 +46,9 @@ Reconstructors:
   sets both momentum weights to 0.  A discarded step counts as an
   iteration and repeats the objective in the trace, so the trace does not
   increase.  Each iteration does one A and one A^T product, and two beta*L
-  products (at z and x+) or Huber's P products at x+ and z.
+  products (at z and x+) or Huber's P products at x+ and z.  There are two
+  prior paths: beta = 0 and a one-pixel image (no pairs) run the quadratic
+  one with an empty beta*L.
 
 Both run through one driver, ``_reconstruct_columns``, which reads slice
 sinograms in the container layout (angles, slices, bins, C) and writes
@@ -444,6 +446,8 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
     product and, for the quadratic prior, two products with beta*L: at z
     for the step and at x+ for the objective.  Huber instead takes its
     value at x+ and its gradient and curvature at z as products with P.
+    beta = 0 and a one-pixel image take the quadratic path, where beta*L
+    stores no entry, so they do no sparse prior work.
     Columns never mix, t is per channel and every per-channel sum goes
     through ``_column_dots``, so a channel's float sequence is the same
     alone or batched.  A channel that stops is saved and no longer
@@ -454,22 +458,18 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
     """
     C = Y.shape[1]
     beta = float(opts.regularization_weight)
-    # a 1-pixel image has no neighbor pairs, so its prior is zero
-    use_prior = beta > 0 and n > 1
-    huber = use_prior and opts.prior == "huber"
-    quadratic = use_prior and not huber
-    delta = opts.huber_delta
+    huber = beta > 0 and n > 1 and opts.prior == "huber"
     _, _, L, curv, _ = _pairs(n)
-    bL = beta * L if quadratic else None
     A, dtype = AT.T, AT.dtype
     # the data term's curvature A^T W A 1, from the operator the steps use
     Dc = AT @ (W * (A @ np.ones(A.shape[1], dtype))[:, None]).astype(dtype, copy=False)
     Dc = Dc.astype(np.float64, copy=False)
     if not huber:
-        # constant denominator; pixels that no weighted ray and no prior
-        # pair touch have a zero gradient and stay put (0/inf = 0)
-        if use_prior:
-            Dc += beta * curv[:, None]
+        # constant denominator; pixels that no weighted ray and no prior pair
+        # touch stay put (0/inf = 0); at beta = 0, beta*L keeps no stored zero
+        bL = beta * L
+        bL.eliminate_zeros()
+        Dc += beta * curv[:, None]
         Dc[Dc <= 0] = np.inf
 
     def evaluate(X, Yb, Wb):
@@ -477,11 +477,9 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
         R = np.subtract(A @ X.astype(dtype, copy=False), Yb)
         WR = Wb * R
         obj = 0.5 * _column_dots(WR, R)
-        if quadratic:
-            obj = obj + 0.5 * _column_dots(X, bL @ X)
-        elif huber:
-            obj = obj + beta * _huber_value(X, n, delta)
-        return WR, obj
+        if huber:
+            return WR, obj + beta * _huber_value(X, n, opts.huber_delta)
+        return WR, obj + 0.5 * _column_dots(X, bL @ X)
 
     traces = [[] for _ in range(C)]
     conv = np.zeros(C, dtype=bool)
@@ -501,17 +499,14 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
 
     for _ in range(opts.max_iters):
         G = AT @ WRZ.astype(dtype, copy=False)
-        D = Dc
-        if quadratic:
-            G = np.add(G, bL @ Z)
-        elif huber:
-            HG, D = _huber_step(Z, n, delta)
+        if huber:
+            HG, D = _huber_step(Z, n, opts.huber_delta)
             HG *= beta
             G = np.add(G, HG, out=HG)
             D *= beta
             D += Dc
         else:
-            G = G.astype(np.float64, copy=False)
+            G, D = np.add(G, bL @ Z), Dc
         Xn = np.divide(G, D, out=G)
         np.subtract(Z, Xn, out=Xn)
         np.maximum(Xn, 0.0, out=Xn)

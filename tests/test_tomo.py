@@ -1084,3 +1084,56 @@ class TestSolverMatchesReferenceLoop:
         _, long = mbir_reconstruct(p, geom, MbirOptions(
             regularization_weight=2.0, max_iters=3000, rel_tol=1e-10), return_info=True)
         assert info["objective"] - long["objective"] <= 1e-4 * long["objective"]
+
+
+def assert_same_solve(got, want):
+    """Two ``_reconstruct_columns`` results with equal image bytes and info."""
+    (X, info), (X_ref, info_ref) = got, want
+    assert X.tobytes() == X_ref.tobytes()
+    assert len(info) == len(info_ref)
+    for i, i_ref in zip(info, info_ref):
+        assert (i["iterations"], i["converged"]) == (i_ref["iterations"], i_ref["converged"])
+        assert i["objective_trace"].tobytes() == i_ref["objective_trace"].tobytes()
+
+
+class TestPriorFreeSolves:
+    """beta = 0 under either prior, and a one-pixel image (no neighbor
+    pairs) under any beta, solve the unregularized problem on the solver's
+    quadratic path."""
+
+    PRIORS = ("quadratic-difference", "huber")
+
+    def test_one_pixel_image_has_no_prior(self):
+        # a 1-bin detector sees its one pixel in every view with weight 1, so
+        # the weighted fit is the exp(-y)-weighted mean of each column's views
+        sg = uniform_geom(7, 1)
+        y = np.random.default_rng(4).uniform(0.1, 2.0, (7, 1, 1, 4))
+        plain = tomo._reconstruct_columns(y, sg, MbirOptions(regularization_weight=0.0))
+        assert all(i["converged"] for i in plain[1])
+        w = np.exp(-y[:, 0, 0])
+        np.testing.assert_allclose(plain[0][0, 0], (w * y[:, 0, 0]).sum(0) / w.sum(0),
+                                   rtol=1e-6)
+        for prior in self.PRIORS:
+            for beta in (0.0, 2.0):
+                opts = MbirOptions(prior=prior, regularization_weight=beta)
+                assert_same_solve(tomo._reconstruct_columns(y, sg, opts), plain)
+
+    def test_beta_zero_is_the_same_solve_under_either_prior(self, monkeypatch):
+        # three channels that stop at 43, 42 and 69 iterations, so stopped
+        # columns are carried and then dropped from the batch
+        _, sg, vals, _, _ = solver_inputs(seed=3, noise_seed=9)
+        opts = MbirOptions(regularization_weight=0.0, max_iters=120, rel_tol=1e-3)
+        quadratic = tomo._reconstruct_columns(one_slice(vals, sg), sg, opts)
+        info = quadratic[1]
+        assert all(i["converged"] for i in info)
+        assert len({i["iterations"] for i in info}) == 3
+
+        def unused(*args):
+            raise AssertionError("beta = 0 runs no Huber product")
+
+        monkeypatch.setattr(tomo, "_huber_value", unused)
+        monkeypatch.setattr(tomo, "_huber_step", unused)
+        huber = tomo._reconstruct_columns(one_slice(vals, sg), sg,
+                                          MbirOptions(prior="huber", regularization_weight=0.0,
+                                                      max_iters=120, rel_tol=1e-3))
+        assert_same_solve(huber, quadratic)
