@@ -337,12 +337,9 @@ def main(argv=None) -> int:
                         format="%(message)s", stream=sys.stderr, force=True)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:  # ValidationError and malformed JSON/flags
+    except (ValueError, OSError) as exc:  # bad input exits 1, a file or container fault 2
         sys.stderr.write(f"hsnct {args.command}: error: {exc}\n")
-        return 1
-    except OSError as exc:  # missing files and ContainerError
-        sys.stderr.write(f"hsnct {args.command}: error: {exc}\n")
-        return 2
+        return 1 if isinstance(exc, ValueError) else 2  # io.UnsupportedOperation is both: 1
 
 
 def entry() -> None:

@@ -13,9 +13,10 @@ chunk), so the draw for any chunk is independent of evaluation order and the
 simulation stays reproducible under parallel execution.
 
 Neither makes a float64 copy of the volume or a slice; both write straight
-into their float32 outputs.  ``build_ground_truth`` indexes a float32
-material table with the voxel labels, and ``simulate_scan`` works one slice
-at a time, casting its float32 line integrals to float64 for ``exp``.
+into their float32 outputs.  ``build_ground_truth`` labels each shape's
+whole slice range in one assignment and indexes a float32 material table
+with the voxel labels, and ``simulate_scan`` works one slice at a time,
+casting its float32 line integrals to float64 for ``exp``.
 """
 
 from __future__ import annotations
@@ -150,9 +151,6 @@ class ShapeSpec:
             return (fr / hr) ** 2 + (fc / hc) ** 2 <= 1.0
         return (np.abs(fr) <= hr) & (np.abs(fc) <= hc)
 
-    def covers_slice(self, z: int) -> bool:
-        return self.slices is None or self.slices[0] <= z < self.slices[1]
-
 
 @dataclass(frozen=True)
 class PhantomSpec:
@@ -227,9 +225,8 @@ def build_ground_truth(spec: PhantomSpec, axis: SpectralAxis) -> VolumeStack:
     labels = np.full((spec.num_slices, n, n), -1, dtype=np.int64)
     for shape in spec.shapes:
         m = shape.mask(n)
-        for z in range(spec.num_slices):
-            if shape.covers_slice(z):
-                labels[z][m] = shape.material
+        start, stop = shape.slices or (0, spec.num_slices)
+        labels[start:stop, m] = shape.material
     return VolumeStack(table[labels.reshape(-1)], spec.num_slices, n)
 
 

@@ -9,7 +9,8 @@ same basis.
 
 The factorization is Frobenius-norm NMF in two steps: passes that fit D on
 a sample of the rows, then V on every row with D fixed.  All iteration
-happens in float64.
+happens in float64, on the sample cast once, while the draw's row energies
+and the V step's X D read p cast to float64 one block of rows at a time.
 
 The sample is n = min(N_p, 8 N_k) distinct rows, drawn without replacement
 with probability ||x_i||^2 / ||X||^2, the rule of length-squared sampling
@@ -92,6 +93,7 @@ _INNER_SHARE = 0.01  # stop once a sweep moves the factor <= this share of the f
 _FIT_ROWS_PER_BIN = 8  # the passes run on min(N_p, 8 N_k) rows drawn by energy
 _V_SHARE = 1e-4  # the V step stops once a sweep moves V <= this share of the first
 _V_SWEEPS = 500  # ... or after this many sweeps
+_BLOCK_ROWS = 4096  # rows of p per float64 block read: 8 MiB at 256 bins
 
 
 @dataclass(frozen=True)
@@ -233,6 +235,11 @@ def _accelerated_hals(X, X2, V, D, opts, f_stop):
     return trace, converged
 
 
+def _blocks(X):
+    """X's rows, ``_BLOCK_ROWS`` at a time, each block a float64 copy."""
+    return (X[i:i + _BLOCK_ROWS].astype(np.float64) for i in range(0, X.shape[0], _BLOCK_ROWS))
+
+
 def _fit_rows(X, rank, seed):
     """(sorted indices of the rows the passes run on, ||X||_F^2).
 
@@ -243,7 +250,7 @@ def _fit_rows(X, rank, seed):
     on a sample need not hold the other rows) or when fewer than n rows
     carry energy."""
     n_p, n_k = X.shape
-    energy = np.einsum("ij,ij->i", X, X)
+    energy = np.concatenate([np.einsum("ij,ij->i", B, B) for B in _blocks(X)])
     X2 = float(energy.sum())
     n = min(n_p, _FIT_ROWS_PER_BIN * n_k)
     if n == n_p or X2 == 0.0 or rank == n_k or np.count_nonzero(energy) < n:
@@ -256,7 +263,8 @@ def _solve_coefficients(X, D):
     """(V, X D, D^T D) for V >= 0 minimizing ||X - V D^T||_F on every row
     with D fixed: HALS sweeps from max(X D (D^T D)^+, 0) until one moves V
     by at most ``_V_SHARE`` of the first sweep's move, or ``_V_SWEEPS``."""
-    XD = (D.T @ X.T).T  # the r-row product, as in the passes
+    # the r-row products, as in the passes, kept column-major
+    XD = np.asfortranarray(np.vstack([(D.T @ B.T).T for B in _blocks(X)]))
     G = D.T @ D
     V = np.asfortranarray(np.maximum(XD @ np.linalg.pinv(G), 0.0))
     _hals_update(V, XD, G, _V_SWEEPS, _V_SHARE)
@@ -278,14 +286,13 @@ def nmf_factorize(p: HyperspectralSinogram, opts: NmfOptions):
     if p.values.size and float(p.values.min()) < 0:
         raise ValidationError("factorization input must be non-negative; "
                               "normalize with clamping first")
-    X = p.values.astype(np.float64)
-    n_p, n_k = X.shape
+    n_p, n_k = p.values.shape
     if opts.rank > min(n_p, n_k):
         raise ValidationError(
             f"rank {opts.rank} exceeds min(N_p, N_k) = {min(n_p, n_k)}")
 
-    rows, X2 = _fit_rows(X, opts.rank, opts.seed)
-    S = X if rows.size == n_p else X[rows]
+    rows, X2 = _fit_rows(p.values, opts.rank, opts.seed)
+    S = (p.values if rows.size == n_p else p.values[rows]).astype(np.float64)
     # column-major factors: every HALS update reads and writes one column
     V, D = (np.asfortranarray(f) for f in _init_factors(S, opts.rank, opts.seed))
     gram = S.T @ S if S.shape[0] >= n_k else S @ S.T  # on S's shorter side
@@ -301,7 +308,7 @@ def nmf_factorize(p: HyperspectralSinogram, opts: NmfOptions):
     norms = np.linalg.norm(D, axis=0)
     dead = norms <= 0
     D = (D / np.where(dead, 1.0, norms)).astype(np.float32).astype(np.float64)
-    V, XD, G = _solve_coefficients(X, D)
+    V, XD, G = _solve_coefficients(p.values, D)
     V = V.astype(np.float32).astype(np.float64)  # the coefficients as stored
     f = _objective(X2, XD, V, V.T @ V, G)
     D[:, dead] = 1.0 / np.sqrt(n_k)

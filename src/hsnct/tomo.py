@@ -45,7 +45,8 @@ Reconstructors:
   momentum, one that discards a step that raised the objective; either
   sets both momentum weights to 0.  A discarded step counts as an
   iteration and repeats the objective in the trace, so the trace does not
-  increase.  Each iteration does one A and one A^T product, and two beta*L
+  increase.  One loop extrapolates the iterate and its weighted residual
+  alike, so each iteration does one A and one A^T product, and two beta*L
   products (at z and x+) or Huber's P products at x+ and z.  There are two
   prior paths: beta = 0 and a one-pixel image (no pairs) run the quadratic
   one with an empty beta*L.
@@ -441,10 +442,11 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
     did not turn: at a turning point of the momentum the objective stalls
     for a step while still far from its minimum.
 
-    W (A z - Y) is carried as the same three-point combination of its
-    values at x+, x and z, so an iteration does one A product, one A^T
-    product and, for the quadratic prior, two products with beta*L: at z
-    for the step and at x+ for the objective.  Huber instead takes its
+    W (A x - Y) and W (A z - Y) are carried beside x and z: one loop
+    extrapolates both pairs, and one restores a discarded step's x, W (A x
+    - Y) and f, so an iteration does one A product, one A^T product and,
+    for the quadratic prior, two products with beta*L: at z for the step
+    and at x+ for the objective.  Huber instead takes its
     value at x+ and its gradient and curvature at z as products with P.
     beta = 0 and a one-pixel image take the quadratic path, where beta*L
     stores no entry, so they do no sparse prior work.
@@ -513,12 +515,13 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
         WRn, fn = evaluate(Xn, Yb, Wb)
 
         back = (fn > fX) & ((coef > 0) | (gam > 0))  # restart (b)
-        if np.any(back):
-            Xn[:, back] = X[:, back]
-            WRn[:, back] = WRX[:, back]
-            fn[back] = fX[back]
-        dX = np.subtract(Xn, X, out=X)
+        if np.any(back):  # the carried state of a discarded step is x's
+            for new, old in ((Xn, X), (WRn, WRX), (fn, fX)):
+                new[..., back] = old[..., back]
+        # x+ - x and z - x+ of both pairs, in the buffers of x and z
+        dX, dR = np.subtract(Xn, X, out=X), np.subtract(WRn, WRX, out=WRX)
         Z -= Xn
+        WRZ -= WRn
         turned = _column_dots(Z, dX) > 0.0  # restart (a)
         # a discarded step, or one that turned against the momentum, is no
         # measure of convergence
@@ -541,18 +544,12 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
         t[back] = 1.0
         gam[turned | back] = 0.0
         coef[back] = 0.0
-        # z+ = x+ + coef (x+ - x) - gam (z - x+), and the same combination
-        # for W (A z - Y), in the buffers of x and z
-        dX *= coef
-        Z *= -gam
-        Z += dX
-        Z += Xn
-        dR = np.subtract(WRn, WRX, out=WRX)
-        dR *= coef
-        np.subtract(WRn, WRZ, out=WRZ)
-        WRZ *= gam
-        WRZ += dR
-        WRZ += WRn
+        # z+ = x+ + coef (x+ - x) - gam (z - x+), for z and for W (A z - Y)
+        for d, zd, new in ((dX, Z, Xn), (dR, WRZ, WRn)):
+            d *= coef
+            zd *= -gam
+            zd += d
+            zd += new
         X, WRX, fX = Xn, WRn, fn
 
         if 4 * np.count_nonzero(~live) >= live.size:

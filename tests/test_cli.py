@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -455,6 +456,20 @@ class TestSliceCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("exc,code", [
+        (containers.ValidationError("bad value"), 1),
+        (json.JSONDecodeError("bad json", "{", 0), 1),
+        (ContainerError("bad header"), 2),
+        (FileNotFoundError("no file"), 2),
+        (io.UnsupportedOperation("both a ValueError and an OSError"), 1),
+    ])
+    def test_error_kind_sets_the_exit_code(self, monkeypatch, capsys, exc, code):
+        def fail(args):
+            raise exc
+        monkeypatch.setitem(cli._COMMANDS, "slice", fail)
+        assert main(["slice", "--in", "x", "--z", "0", "--bin", "0", "--out", "y"]) == code
+        assert capsys.readouterr().err == f"hsnct slice: error: {exc}\n"
+
     def test_missing_file_is_io_error(self, workdir):
         assert main(["normalize", "--scan", str(workdir / "ghost.hsnct"),
                      "--out", str(workdir / "o.hsnct")]) == 2

@@ -132,11 +132,6 @@ class TestShapeSpec:
         area = s.mask(n).sum() / (n * n)
         assert area == pytest.approx(np.pi * 0.3 * 0.2, rel=0.02)
 
-    def test_slice_coverage(self):
-        s = ShapeSpec("ellipse", (0.5, 0.5), (0.1, 0.1), 0, slices=(1, 3))
-        assert [s.covers_slice(z) for z in range(4)] == [False, True, True, False]
-        assert ShapeSpec("ellipse", (0.5, 0.5), (0.1, 0.1), 0).covers_slice(99)
-
 
 class TestPhantomSpec:
     def test_validation(self):
@@ -232,6 +227,20 @@ class TestBuildGroundTruth:
         per_slice = vol.voxels.reshape(2, 16 * 16, 4)
         assert per_slice[0].max() > 0
         assert np.all(per_slice[1] == 0.0)
+
+    def test_slice_range_labels_exactly_its_slices(self):
+        # material 1 on the half-open range [1, 3), material 0 on every slice
+        mats = (MaterialSpectrum("all", 0.01), MaterialSpectrum("ranged", 0.03))
+        shapes = (ShapeSpec("rectangle", (0.25, 0.25), (0.2, 0.2), 0),
+                  ShapeSpec("rectangle", (0.75, 0.75), (0.2, 0.2), 1, slices=(1, 3)))
+        spec = PhantomSpec(8, 4, shapes, mats, 100.0, 0)
+        img = build_ground_truth(spec, small_axis(4)).voxels[:, 0].reshape(4, 8, 8)
+        for shape, level, covered in ((shapes[0], 0.01, [0, 1, 2, 3]),
+                                      (shapes[1], 0.03, [1, 2])):
+            inside = img[:, shape.mask(8)]
+            assert [z for z in range(4) if np.all(inside[z] == np.float32(level))] == covered
+            assert [z for z in range(4) if np.all(inside[z] == 0.0)] == sorted(
+                set(range(4)) - set(covered))
 
     def test_edge_outside_axis_rejected(self):
         mats = (MaterialSpectrum("m", 0.01,

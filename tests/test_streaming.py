@@ -75,7 +75,7 @@ def reference_ground_truth(spec, axis):
     for shape in spec.shapes:
         m = shape.mask(n)
         for z in range(spec.num_slices):
-            if shape.covers_slice(z):
+            if shape.slices is None or shape.slices[0] <= z < shape.slices[1]:
                 labels[z][m] = shape.material
     flat = labels.reshape(-1)
     voxels = np.zeros((flat.size, axis.num_bins), dtype=np.float32)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hsnct import subspace
 from hsnct.containers import (
     HyperspectralSinogram,
     ScanGeometry,
@@ -268,6 +269,20 @@ class TestFitRows:
         _, _, report = nmf_factorize(sino_from(X), opts)
         assert report.fit_rows == shape[0]
         assert report.objective_trace.tobytes() == np.asarray(trace).tobytes()
+
+    @pytest.mark.parametrize("n_p", [3000, 60])  # a drawn sample; every row
+    def test_outputs_do_not_depend_on_the_block_size(self, monkeypatch, n_p):
+        # the energies and X D are read in row blocks: blocks of 7 rows (a
+        # partial last one) and one block of every row give the same bytes
+        p = sino_from(noisy_rank_three(n_p, 16, 5))
+        outs = []
+        for block_rows in (7, 4096):
+            monkeypatch.setattr(subspace, "_BLOCK_ROWS", block_rows)
+            v, d, report = nmf_factorize(p, NmfOptions(rank=3, seed=0))
+            outs.append((v.coeffs.tobytes(), d.basis.tobytes(),
+                         report.objective_trace.tobytes(), report.residual_energy,
+                         report.fit_rows))
+        assert outs[0] == outs[1]
 
     def test_zero_input_fits_every_row(self):
         rows, X2 = _fit_rows(np.zeros((3000, 8)), 2, 0)
