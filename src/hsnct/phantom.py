@@ -10,17 +10,22 @@ crystallographic modeling.
 draws Poisson counts for both the sample exposure and the open beam.  The
 generator is counter-based (Philox keyed by seed, stream and the (view, row)
 chunk), so the draw for any chunk is independent of evaluation order and the
-simulation stays reproducible under parallel execution.
+simulation gives the same bytes under parallel execution.  It runs one task
+per detector row, on min(rows, CPUs) threads (in the caller's thread when
+that is 1): the task projects its slice, checks the float32 line integrals
+for finiteness, then for each view casts them to float64, forms
+flux * exp(-line integral) and draws that (view, row) chunk, and finally
+draws the row's open beam.
 
 Neither makes a float64 copy of the volume or a slice; both write straight
 into their float32 outputs.  ``build_ground_truth`` labels each shape's
 whole slice range in one assignment and indexes a float32 material table
-with the voxel labels, and ``simulate_scan`` works one slice at a time,
-casting its float32 line integrals to float64 for ``exp``.
+with the voxel labels.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -43,7 +48,7 @@ from hsnct.containers import (
     require_positive,
     tof_to_wavelength,
 )
-from hsnct.tomo import _slice_projections
+from hsnct.tomo import _map, _slice_projections
 
 __all__ = [
     "EdgeFeature",
@@ -249,27 +254,23 @@ def simulate_scan(truth: VolumeStack, geom: ScanGeometry, axis: SpectralAxis,
     _require(truth.num_channels == axis.num_bins,
              f"truth has {truth.num_channels} channels but the axis has "
              f"{axis.num_bins} bins")
-    slices = _slice_projections(truth, geom)
+    project = _slice_projections(truth, geom)
     n_v, n_r, n_c, n_k = geom.num_views, geom.num_rows, geom.num_cols, axis.num_bins
     counts = np.empty((n_v, n_r, n_c, n_k), dtype=np.float32)
-    for r, expected in enumerate(slices):
-        if not np.all(np.isfinite(expected)):
+    # the noiseless open beam; with noise each row draws its own
+    open_beam = np.full((n_r, n_c, n_k), flux, dtype=np.float32)
+
+    def simulate_row(r):
+        ell = project(r)
+        if not np.all(np.isfinite(ell)):
             raise ValidationError("line integrals are not finite")
-        # flux * exp(-ell), in place
-        np.negative(expected, out=expected)
-        np.exp(expected, out=expected)
-        expected *= flux
+        for v in range(n_v):
+            expected = np.exp(-ell[v].astype(np.float64)) * flux
+            counts[v, r] = _chunk_rng(seed, 0, v, r).poisson(expected) if noise else expected
         if noise:
-            for v in range(n_v):
-                counts[v, r] = _chunk_rng(seed, 0, v, r).poisson(expected[v])
-        else:
-            counts[:, r] = expected
-    if noise:
-        open_beam = np.empty((n_r, n_c, n_k), dtype=np.float32)
-        for r in range(n_r):
             open_beam[r] = _chunk_rng(seed, 1, r).poisson(flux, size=(n_c, n_k))
-    else:
-        open_beam = np.full((n_r, n_c, n_k), flux, dtype=np.float32)
+
+    _map(simulate_row, range(n_r), min(n_r, os.cpu_count() or 1))
     return RawScan(counts, open_beam, geom, axis)
 
 

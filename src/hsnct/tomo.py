@@ -61,7 +61,8 @@ W = exp(-y), and the threading: workers = min(threads, CPUs) run blocks of
 step = max(1, min(cap, ceil(slices*C / workers))) columns, step // C whole
 slices when C <= step, else step channels of one slice.  MBIR's cap is
 _BATCH_COLUMNS, FBP's max(C, _BATCH_COLUMNS), so FBP blocks hold whole
-slices.  Columns never mix.
+slices.  Columns never mix.  ``_map`` runs the blocks, and the simulator's
+row tasks: in the caller's thread at one worker, else on a thread pool.
 
 One precision rule: the sparse projector products run in float32, the
 precision of the container payloads, with the cached A^T and its CSC view
@@ -186,20 +187,22 @@ def project_volume(volume: VolumeStack, geom: ScanGeometry) -> np.ndarray:
     Returns float64 coefficients shaped [N_p, C] in the sinogram layout
     (view, row, col row-major), so the result aligns bin-for-bin with
     HyperspectralSinogram/SubspaceSinogram values.  Each slice's product
-    runs in float32, as every projector product does.
+    runs in float32, as every projector product does, and is cast as it is
+    assigned into the float64 output.
     """
-    slices = _slice_projections(volume, geom)
+    project = _slice_projections(volume, geom)
     n_v, n_r, n_c = geom.num_views, geom.num_rows, geom.num_cols
     out = np.empty((n_v, n_r, n_c, volume.num_channels))
-    for r, ell in enumerate(slices):
-        out[:, r] = ell
+    for r in range(n_r):
+        out[:, r] = project(r)
     return out.reshape(n_v * n_r * n_c, -1)
 
 
 def _slice_projections(volume: VolumeStack, geom: ScanGeometry):
-    """Check ``volume`` against ``geom`` now, then lazily yield the line
-    integrals of each slice r, shaped (N_v, N_c, C): detector row r, the
-    float32 product of A with the float32 slice, cast to float64."""
+    """Check ``volume`` against ``geom`` now, then return ``project(r)``, the
+    line integrals of slice r shaped (N_v, N_c, C): detector row r, the
+    float32 product of A with the float32 slice.  A function, not a
+    generator, so that threads can share it."""
     if not isinstance(volume, VolumeStack):
         raise ValidationError(f"expected a VolumeStack, got {type(volume).__name__}")
     if volume.num_rows != geom.num_rows or volume.num_cols != geom.num_cols:
@@ -208,8 +211,7 @@ def _slice_projections(volume: VolumeStack, geom: ScanGeometry):
             f"not match geometry ({geom.num_rows} rows, {geom.num_cols} cols)")
     n_v, n_c, n2 = geom.num_views, geom.num_cols, geom.num_cols ** 2
     A = _operators(slice_geometry_for(geom)).T
-    return ((A @ volume.voxels[r * n2:(r + 1) * n2]).astype(np.float64).reshape(n_v, n_c, -1)
-            for r in range(geom.num_rows))
+    return lambda r: (A @ volume.voxels[r * n2:(r + 1) * n2]).reshape(n_v, n_c, -1)
 
 
 def _operators(geom: SliceGeometry) -> sp.csr_matrix:
@@ -605,12 +607,18 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
         return info
 
     blocks = [(r, c) for r in range(0, n_r, rows) for c in range(0, C, chans)]
-    if workers == 1:
-        infos = list(map(solve, blocks))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            infos = list(pool.map(solve, blocks))
+    infos = _map(solve, blocks, workers)
     return out, [i for info in infos for i in info]
+
+
+def _map(task, items, workers: int) -> list:
+    """``[task(i) for i in items]``, run in the caller's thread when
+    ``workers`` is 1, else on a pool of that many threads (each pool thread
+    costs a glibc malloc arena); the first exception reaches the caller."""
+    if workers == 1:
+        return list(map(task, items))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, items))
 
 
 def mbir_reconstruct(sino: np.ndarray, geom: SliceGeometry,

@@ -1,4 +1,6 @@
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -340,6 +342,52 @@ class TestSimulateScan:
         truth = build_ground_truth(spec, axis)
         with pytest.raises(ValidationError):
             simulate_scan(truth, geom, axis, 0.0, 0)
+
+
+class TestSimulateScanWorkers:
+    """One task per detector row on min(rows, CPUs) threads, in the caller's
+    thread when that is 1; the bytes do not depend on the count."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(tomo, "ThreadPoolExecutor", RecordingPool)
+        return sizes
+
+    @staticmethod
+    def four_rows():
+        spec, axis, _ = small_setup()
+        spec = PhantomSpec(32, 4, spec.shapes, spec.materials, spec.flux, spec.seed)
+        geom = ScanGeometry(8, 4, 32, np.linspace(0, np.pi, 8, endpoint=False),
+                            flight_path=10.0)
+        return build_ground_truth(spec, axis), geom, axis
+
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_bytes_equal_at_1_2_and_5_cpus(self, monkeypatch, pools, noise):
+        truth, geom, axis = self.four_rows()
+        scans = {}
+        for cpus in (1, 2, 5):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            scan = simulate_scan(truth, geom, axis, 200.0, 9, noise=noise)
+            scans[cpus] = (scan.counts.tobytes(), scan.open_beam.tobytes())
+        assert pools == [2, 4]  # none at 1 CPU; 5 CPUs capped at the 4 rows
+        assert scans[1] == scans[2] == scans[5]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_non_finite_line_integrals_reach_the_caller(self, monkeypatch, pools, cpus):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        _, axis, geom = small_setup()
+        huge = VolumeStack(np.full((2 * 32 * 32, axis.num_bins), 2e37, dtype=np.float32),
+                           2, 32)
+        with pytest.raises(ValidationError, match="line integrals are not finite"):
+            simulate_scan(huge, geom, axis, 200.0, 0)
+        assert pools == ([] if cpus == 1 else [2])
 
 
 class TestNoiselessLowRank:
