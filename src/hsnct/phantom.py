@@ -10,12 +10,13 @@ crystallographic modeling.
 draws Poisson counts for both the sample exposure and the open beam.  The
 generator is counter-based (Philox keyed by seed, stream and the (view, row)
 chunk), so the draw for any chunk is independent of evaluation order and the
-simulation gives the same bytes under parallel execution.  It runs one task
-per detector row, on min(rows, CPUs) threads (in the caller's thread when
-that is 1): the task projects its slice, checks the float32 line integrals
-for finiteness, then for each view casts them to float64, forms
-flux * exp(-line integral) and draws that (view, row) chunk, and finally
-draws the row's open beam.
+simulation gives the same bytes under parallel execution.  The caller's
+thread projects each slice into the float32 counts, checking it is finite;
+then one task per detector row casts each view's chunk to float64, draws
+Poisson(flux * exp(-line integral)) over it and draws the row's open beam,
+on min(rows, usable CPUs, max(1, draws // 2**18)) threads whatever
+``--threads`` is.  A task holds one chunk at a time, so memory does not
+grow with the thread count.
 
 Neither makes a float64 copy of the volume or a slice; both write straight
 into their float32 outputs.  ``build_ground_truth`` labels each shape's
@@ -63,6 +64,9 @@ __all__ = [
 ]
 
 _SHAPE_KINDS = ("ellipse", "rectangle")
+# simulate_scan's Poisson draws per worker (~15 ms): on 2 cores a 2-thread
+# pool broke even at 2**18 draws and saved 27-35 % at 2**19
+_DRAWS_PER_WORKER = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -239,6 +243,13 @@ def _chunk_rng(seed: int, stream: int, *counters: int) -> Generator:
     return Generator(Philox(SeedSequence((int(seed), int(stream)) + counters)))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (a cgroup CPU quota is not read)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate_scan(truth: VolumeStack, geom: ScanGeometry, axis: SpectralAxis,
                   flux: float, seed: int, *, noise: bool = True) -> RawScan:
     """Simulate a hyperspectral scan of ``truth``.
@@ -254,23 +265,30 @@ def simulate_scan(truth: VolumeStack, geom: ScanGeometry, axis: SpectralAxis,
     _require(truth.num_channels == axis.num_bins,
              f"truth has {truth.num_channels} channels but the axis has "
              f"{axis.num_bins} bins")
-    project = _slice_projections(truth, geom)
+    slices = _slice_projections(truth, geom)
     n_v, n_r, n_c, n_k = geom.num_views, geom.num_rows, geom.num_cols, axis.num_bins
+    # the float32 line integrals, which the row tasks turn into counts in place
     counts = np.empty((n_v, n_r, n_c, n_k), dtype=np.float32)
+    for r, ell in enumerate(slices):
+        if not np.all(np.isfinite(ell)):
+            raise ValidationError("line integrals are not finite")
+        counts[:, r] = ell
     # the noiseless open beam; with noise each row draws its own
     open_beam = np.full((n_r, n_c, n_k), flux, dtype=np.float32)
 
-    def simulate_row(r):
-        ell = project(r)
-        if not np.all(np.isfinite(ell)):
-            raise ValidationError("line integrals are not finite")
+    def draw_row(r):
         for v in range(n_v):
-            expected = np.exp(-ell[v].astype(np.float64)) * flux
+            # flux * exp(-ell) in float64, in place
+            expected = counts[v, r].astype(np.float64)
+            np.negative(expected, out=expected)
+            np.exp(expected, out=expected)
+            expected *= flux
             counts[v, r] = _chunk_rng(seed, 0, v, r).poisson(expected) if noise else expected
         if noise:
             open_beam[r] = _chunk_rng(seed, 1, r).poisson(flux, size=(n_c, n_k))
 
-    _map(simulate_row, range(n_r), min(n_r, os.cpu_count() or 1))
+    draws = n_v * n_r * n_c * n_k
+    _map(draw_row, range(n_r), min(n_r, _usable_cpus(), max(1, draws // _DRAWS_PER_WORKER)))
     return RawScan(counts, open_beam, geom, axis)
 
 

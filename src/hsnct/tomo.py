@@ -62,7 +62,7 @@ step = max(1, min(cap, ceil(slices*C / workers))) columns, step // C whole
 slices when C <= step, else step channels of one slice.  MBIR's cap is
 _BATCH_COLUMNS, FBP's max(C, _BATCH_COLUMNS), so FBP blocks hold whole
 slices.  Columns never mix.  ``_map`` runs the blocks, and the simulator's
-row tasks: in the caller's thread at one worker, else on a thread pool.
+row draws: in the caller's thread at one worker, else on a thread pool.
 
 One precision rule: the sparse projector products run in float32, the
 precision of the container payloads, with the cached A^T and its CSC view
@@ -190,19 +190,18 @@ def project_volume(volume: VolumeStack, geom: ScanGeometry) -> np.ndarray:
     runs in float32, as every projector product does, and is cast as it is
     assigned into the float64 output.
     """
-    project = _slice_projections(volume, geom)
+    slices = _slice_projections(volume, geom)
     n_v, n_r, n_c = geom.num_views, geom.num_rows, geom.num_cols
     out = np.empty((n_v, n_r, n_c, volume.num_channels))
-    for r in range(n_r):
-        out[:, r] = project(r)
+    for r, ell in enumerate(slices):
+        out[:, r] = ell
     return out.reshape(n_v * n_r * n_c, -1)
 
 
 def _slice_projections(volume: VolumeStack, geom: ScanGeometry):
-    """Check ``volume`` against ``geom`` now, then return ``project(r)``, the
-    line integrals of slice r shaped (N_v, N_c, C): detector row r, the
-    float32 product of A with the float32 slice.  A function, not a
-    generator, so that threads can share it."""
+    """Check ``volume`` against ``geom`` now, then lazily yield the line
+    integrals of each slice r, shaped (N_v, N_c, C): detector row r, the
+    float32 product of A with the float32 slice."""
     if not isinstance(volume, VolumeStack):
         raise ValidationError(f"expected a VolumeStack, got {type(volume).__name__}")
     if volume.num_rows != geom.num_rows or volume.num_cols != geom.num_cols:
@@ -211,7 +210,8 @@ def _slice_projections(volume: VolumeStack, geom: ScanGeometry):
             f"not match geometry ({geom.num_rows} rows, {geom.num_cols} cols)")
     n_v, n_c, n2 = geom.num_views, geom.num_cols, geom.num_cols ** 2
     A = _operators(slice_geometry_for(geom)).T
-    return lambda r: (A @ volume.voxels[r * n2:(r + 1) * n2]).reshape(n_v, n_c, -1)
+    return ((A @ volume.voxels[r * n2:(r + 1) * n2]).reshape(n_v, n_c, -1)
+            for r in range(geom.num_rows))
 
 
 def _operators(geom: SliceGeometry) -> sp.csr_matrix:
@@ -612,9 +612,10 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
 
 
 def _map(task, items, workers: int) -> list:
-    """``[task(i) for i in items]``, run in the caller's thread when
-    ``workers`` is 1, else on a pool of that many threads (each pool thread
-    costs a glibc malloc arena); the first exception reaches the caller."""
+    """``[task(i) for i in items]``: in the caller's thread when ``workers``
+    is 1, else on a pool of that many threads, each with a glibc malloc
+    arena.  The first failure in ``items`` order is raised once the running
+    tasks end; those not yet started are cancelled."""
     if workers == 1:
         return list(map(task, items))
     with ThreadPoolExecutor(max_workers=workers) as pool:

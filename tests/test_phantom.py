@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from hsnct import tomo
+from hsnct import phantom, tomo
 from hsnct.containers import (
     HyperspectralSinogram,
     ScanGeometry,
@@ -345,8 +345,10 @@ class TestSimulateScan:
 
 
 class TestSimulateScanWorkers:
-    """One task per detector row on min(rows, CPUs) threads, in the caller's
-    thread when that is 1; the bytes do not depend on the count."""
+    """The line integrals are projected in the caller's thread; the draws
+    run one task per detector row on min(rows, CPUs, draws // 2**18)
+    threads, in the caller's thread when that is 1; the bytes do not depend
+    on the count."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -371,23 +373,40 @@ class TestSimulateScanWorkers:
     @pytest.mark.parametrize("noise", [True, False])
     def test_bytes_equal_at_1_2_and_5_cpus(self, monkeypatch, pools, noise):
         truth, geom, axis = self.four_rows()
+        monkeypatch.setattr(phantom, "_DRAWS_PER_WORKER", 1)
         scans = {}
         for cpus in (1, 2, 5):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(phantom, "_usable_cpus", lambda: cpus)
             scan = simulate_scan(truth, geom, axis, 200.0, 9, noise=noise)
             scans[cpus] = (scan.counts.tobytes(), scan.open_beam.tobytes())
         assert pools == [2, 4]  # none at 1 CPU; 5 CPUs capped at the 4 rows
         assert scans[1] == scans[2] == scans[5]
 
+    def test_a_small_scan_runs_in_the_callers_thread(self, monkeypatch, pools):
+        truth, geom, axis = self.four_rows()  # 32,768 draws
+        monkeypatch.setattr(phantom, "_usable_cpus", lambda: 64)
+        simulate_scan(truth, geom, axis, 200.0, 9)
+        monkeypatch.setattr(phantom, "_DRAWS_PER_WORKER", 32768 // 3)
+        simulate_scan(truth, geom, axis, 200.0, 9)
+        assert pools == [3]
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_non_finite_line_integrals_reach_the_caller(self, monkeypatch, pools, cpus):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(phantom, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(phantom, "_DRAWS_PER_WORKER", 1)
         _, axis, geom = small_setup()
         huge = VolumeStack(np.full((2 * 32 * 32, axis.num_bins), 2e37, dtype=np.float32),
                            2, 32)
         with pytest.raises(ValidationError, match="line integrals are not finite"):
             simulate_scan(huge, geom, axis, 200.0, 0)
-        assert pools == ([] if cpus == 1 else [2])
+        assert pools == []  # raised while projecting, before any draw
+
+    def test_cpus_are_those_the_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert phantom._usable_cpus() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert phantom._usable_cpus() == 64
 
 
 class TestNoiselessLowRank:

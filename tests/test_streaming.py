@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hsnct import pipeline, tomo
+from hsnct import phantom, pipeline, tomo
 from hsnct.containers import (
     HyperspectralSinogram,
     RawScan,
@@ -215,6 +215,17 @@ class TestMemoryIsBounded:
         truth = random_volume(np.random.default_rng(0), 16, 32, 128, scale=0.02)
         assert truth.voxels.nbytes >= 8 * MIB
         # the cached system matrix is built once per geometry, not per call
+        project_volume(VolumeStack(truth.voxels[:, :1], 16, 32), geom)
+        scan, added = added_bytes(simulate_scan, truth, geom, axis, 200.0, 1)
+        assert added <= 2 * (scan.counts.nbytes + scan.open_beam.nbytes)
+
+    def test_simulate_scan_on_16_workers(self, monkeypatch):
+        # the draw tasks hold (view, row) chunks, never a slice's line
+        # integrals, so the bound holds whatever the worker count
+        monkeypatch.setattr(phantom, "_usable_cpus", lambda: 16)
+        monkeypatch.setattr(phantom, "_DRAWS_PER_WORKER", 1)
+        axis, geom = axis_for(128), geometry(32, 16, 32)
+        truth = random_volume(np.random.default_rng(0), 16, 32, 128, scale=0.02)
         project_volume(VolumeStack(truth.voxels[:, :1], 16, 32), geom)
         scan, added = added_bytes(simulate_scan, truth, geom, axis, 200.0, 1)
         assert added <= 2 * (scan.counts.nbytes + scan.open_beam.nbytes)

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
@@ -67,18 +66,11 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_cmd(name: str, seed, seconds: float, size: str) -> list[str]:
-    return ["perfbench/run.py", "--workload", name, "--seed", str(seed),
-            "--seconds", f"{seconds:g}", "--trace", "0", "--size", size]
-
-
 def run_side(side: Path, name: str, seed: int, seconds: float, size: str) -> dict:
     """One perfbench run in ``side``: its metrics, operation counts and
     voxel sha256, and the seconds of its run record; ``metrics`` None on a
     run that gave none."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run([sys.executable, *run_cmd(name, seed, seconds, size)], cwd=side,
-                          env=env, text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = same_bytes.run_perfbench(side, name, seed, seconds, size)
     try:
         line = json.loads(proc.stdout.strip().splitlines()[-1])
     except (IndexError, json.JSONDecodeError):
@@ -157,7 +149,8 @@ def main(argv=None) -> int:
     result = {
         "base": args.base, "base_commit": _commit(args.base),
         "change": args.change or "working tree", "change_commit": _commit(args.change),
-        "command": " ".join(["python3", *run_cmd("<workload>", "<seed>", seconds, args.size)]),
+        "command": " ".join(["python3", *same_bytes.perfbench_cmd("<workload>", "<seed>",
+                                                                  seconds, args.size)]),
         "ab_command": " ".join(["python3", "tools/ab.py", *(argv or sys.argv[1:])]),
         "method": "Each side is src/ at its revision beside the working tree's perfbench/ "
                   "and BENCHMARK.json. Per workload, one pair per seed; pair i (from 0) "

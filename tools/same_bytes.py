@@ -72,6 +72,22 @@ def make_side(root: Path, rev: str | None) -> Path:
     return root
 
 
+def perfbench_cmd(name: str, seed, seconds: float, size: str) -> list[str]:
+    """The untraced ``perfbench/run.py`` command line, relative to a side."""
+    return ["perfbench/run.py", "--workload", name, "--seed", str(seed),
+            "--seconds", f"{seconds:g}", "--trace", "0", "--size", size]
+
+
+def run_perfbench(side: Path, name: str, seed: int, seconds: float,
+                  size: str) -> subprocess.CompletedProcess:
+    """One untraced perfbench run in ``side``, which imports hsnct from
+    ``side``/src (PYTHONPATH is dropped); stdout and stderr captured."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run([sys.executable, *perfbench_cmd(name, seed, seconds, size)],
+                          cwd=side, env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
 def commands(size: str, threads: int) -> list[list[str]]:
     """The CLI rows, in order, run in one directory that holds ``INPUTS``."""
     t = ["--threads", str(threads)]
@@ -139,14 +155,13 @@ def side_hashes(side: Path, size: str) -> dict[str, str | None]:
     """Output name -> sha256 for one side: every CLI output at each of
     ``THREADS`` (named ``output @ threads N``), then each perfbench workload;
     None marks a failure."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     hashes = {}
     for threads in THREADS:
         with tempfile.TemporaryDirectory(prefix="same-bytes-", dir=side) as work:
             code = (f"import sys; sys.path.insert(0, {str(HERE)!r}); import same_bytes; "
                     f"sys.exit(same_bytes.run_table({str(side)!r}, {size!r}, {threads}))")
             proc = subprocess.run([sys.executable, "-c", code], cwd=work, text=True,
-                                  env={**env, "PYTHONPATH": str(side / "src")},
+                                  env={**os.environ, "PYTHONPATH": str(side / "src")},
                                   stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
             if proc.returncode:  # a row that fails on both sides writes no output
                 hashes[f"every CLI row ran @ threads {threads}"] = None
@@ -156,10 +171,7 @@ def side_hashes(side: Path, size: str) -> dict[str, str | None]:
                 if path.name not in INPUTS:
                     hashes[f"{path.name} @ threads {threads}"] = _digest(path)
     for name in WORKLOADS:
-        proc = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", name, "--seed", "1",
-             "--seconds", "0", "--trace", "0", "--size", size],
-            cwd=side, env=env, text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc = run_perfbench(side, name, 1, 0, size)
         ops = [line.split("sha256 ")[-1] for line in proc.stdout.splitlines()
                if line.startswith("op:") and "sha256 " in line]
         hashes[f"perfbench {name} voxels"] = ops[0] if ops else None
