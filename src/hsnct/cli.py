@@ -123,7 +123,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--beta", type=float, default=None,
                    help="mbir regularization weight")
     p.add_argument("--prior", choices=_PRIORS, default=None,
-                   help="mbir prior")
+                   help="mbir prior (huber takes its threshold from the data)")
 
     p = command("expand", "expand a coefficient volume through a basis")
     p.add_argument("--in", dest="infile", required=True)

@@ -26,7 +26,6 @@ with the voxel labels.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -49,7 +48,7 @@ from hsnct.containers import (
     require_positive,
     tof_to_wavelength,
 )
-from hsnct.tomo import _map, _slice_projections
+from hsnct.tomo import _map, _slice_projections, _usable_cpus
 
 __all__ = [
     "EdgeFeature",
@@ -241,13 +240,6 @@ def build_ground_truth(spec: PhantomSpec, axis: SpectralAxis) -> VolumeStack:
 
 def _chunk_rng(seed: int, stream: int, *counters: int) -> Generator:
     return Generator(Philox(SeedSequence((int(seed), int(stream)) + counters)))
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (a cgroup CPU quota is not read)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def simulate_scan(truth: VolumeStack, geom: ScanGeometry, axis: SpectralAxis,

@@ -33,7 +33,10 @@ Reconstructors:
   gradient is one product L x and its surrogate curvature the constant
   2*diag(L).  Huber's value is kappa . rho(P x), its gradient
   P^T (kappa clip(P x, +-delta)) and its surrogate curvature
-  |P|^T (2 delta kappa / max(|P x|, delta)).  The solver takes
+  |P|^T (2 kappa / max(|P x| / delta, 1)), with delta taken per column from
+  its start x0: 1.345 (Huber's 95 %-efficiency constant) times 1.4826
+  median |P x0| (the MAD scale of the start's neighbor differences), or
+  inf, the quadratic prior, where that median is 0.  The solver takes
   diagonally-majorized (separable quadratic surrogate) steps projected
   onto x >= 0, starting from the FBP image with its ramp times the Hann
   window (1 + cos(2 pi f)) / 2, clamped at 0 (a smoother start than the
@@ -47,19 +50,18 @@ Reconstructors:
   iteration and repeats the objective in the trace, so the trace does not
   increase.  One loop extrapolates the iterate and its weighted residual
   alike, so each iteration does one A and one A^T product, and two beta*L
-  products (at z and x+) or Huber's P products at x+ and z.  There are two
-  prior paths: beta = 0 and a one-pixel image (no pairs) run the quadratic
-  one with an empty beta*L.
+  products (at z and x+) or Huber's P products at x+ and z.  beta = 0 and a
+  one-pixel image (no pairs) run the quadratic path with an empty beta*L.
 
 Both run through one driver, ``_reconstruct_columns``, which reads slice
 sinograms in the container layout (angles, slices, bins, C) and writes
 images in the volume layout (slices, n^2, C), in the precision of its
 input: float32 container blocks give float32 volumes, and float64 single
 slices give float64 images.  It alone decides how the independent (slice,
-channel) columns are grouped, the MBIR start, the one weight rule
-W = exp(-y), and the threading: workers = min(threads, CPUs) run blocks of
-step = max(1, min(cap, ceil(slices*C / workers))) columns, step // C whole
-slices when C <= step, else step channels of one slice.  MBIR's cap is
+channel) columns are grouped, the MBIR start, the one weight rule W =
+exp(-y), and the threading: workers = min(threads, usable CPUs) run blocks
+of step = max(1, min(cap, ceil(slices*C / workers))) columns, step // C
+whole slices when C <= step, else step channels of one slice.  MBIR's cap is
 _BATCH_COLUMNS, FBP's max(C, _BATCH_COLUMNS), so FBP blocks hold whole
 slices.  Columns never mix.  ``_map`` runs the blocks, and the simulator's
 row draws: in the caller's thread at one worker, else on a thread pool.
@@ -147,9 +149,11 @@ class SliceGeometry:
 
 @dataclass(frozen=True)
 class MbirOptions:
+    """MBIR settings.  Huber's delta is no setting: each column takes 1.345 x
+    1.4826 median |P x0| of its start x0, or inf (quadratic) where that is 0."""
+
     prior: str = "quadratic-difference"
     regularization_weight: float = 1.0
-    huber_delta: float = 0.1
     max_iters: int = 100
     rel_tol: float = 1e-5
 
@@ -157,7 +161,6 @@ class MbirOptions:
         if self.prior not in _PRIORS:
             raise ValidationError(f"prior must be one of {_PRIORS}, got {self.prior!r}")
         require_nonneg(self.regularization_weight, "regularization_weight")
-        require_positive(self.huber_delta, "huber_delta")
         require_count(self.max_iters, "max_iters")
         require_positive(self.rel_tol, "rel_tol")
 
@@ -391,7 +394,7 @@ def _column_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", U, V)
 
 
-def _huber_value(X: np.ndarray, n: int, delta: float) -> np.ndarray:
+def _huber_value(X: np.ndarray, n: int, delta: np.ndarray | float) -> np.ndarray:
     """The Huber prior kappa . rho(P x) per column of X (n^2, C)."""
     P, kappa = _pairs(n)[:2]
     a = np.abs(P @ X)
@@ -401,17 +404,23 @@ def _huber_value(X: np.ndarray, n: int, delta: float) -> np.ndarray:
     return _column_dots(a, kappa[:, None])
 
 
-def _huber_step(Z: np.ndarray, n: int, delta: float):
+def _huber_step(Z: np.ndarray, n: int, delta: np.ndarray | float):
     """The Huber prior's gradient P^T (kappa clip(P z, +-delta)) and its
-    majorizer's curvature |P|^T (2 delta kappa / max(|P z|, delta)) at Z."""
+    majorizer's curvature |P|^T (2 kappa / max(|P z| / delta, 1)) at Z."""
     P, kappa, _, _, absPT = _pairs(n)
     D = P @ Z
     a = np.abs(D)
     np.clip(D, -delta, delta, out=D)
     D *= kappa[:, None]
-    np.maximum(a, delta, out=a)
-    np.divide((2.0 * delta) * kappa[:, None], a, out=a)
+    np.maximum(np.divide(a, delta, out=a), 1.0, out=a)
+    np.divide(2.0 * kappa[:, None], a, out=a)
     return P.T @ D, absPT @ a
+
+
+def _huber_delta(X0: np.ndarray, n: int) -> np.ndarray:
+    """Huber's delta per column of the start X0 (n^2, C) (module docstring)."""
+    delta = 1.345 * 1.4826 * np.median(np.abs(_pairs(n)[0] @ X0), axis=0)
+    return np.where(delta > 0, delta, np.inf)
 
 
 def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
@@ -421,10 +430,10 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
 
     AT is the length-scaled system matrix's transpose as CSR (n^2 x m) and
     A its CSC view AT.T; Y, W, X0 are float64 (m, C) / (n^2, C), and X0's
-    memory is reused.  Every product with A or A^T, the curvature's too,
-    runs in AT's precision and lands in float64; all else is float64.  Each
-    channel keeps its iterate x, an extrapolated point z and a momentum
-    scalar t (z = x0 and t = 1 at the start), and one iteration is the
+    memory is reused after delta is read.  Products with A or A^T, the
+    curvature's too, run in AT's precision into float64; all else is
+    float64.  Each channel keeps its iterate x, an extrapolated point z and
+    a momentum scalar t (z = x0, t = 1 at the start); an iteration is the
     optimized gradient method's (OGM; Kim & Fessler, Math. Program. 2016)
 
         x+ = max(z - grad f(z) / D(z), 0)
@@ -448,21 +457,21 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
     extrapolates both pairs, and one restores a discarded step's x, W (A x
     - Y) and f, so an iteration does one A product, one A^T product and,
     for the quadratic prior, two products with beta*L: at z for the step
-    and at x+ for the objective.  Huber instead takes its
-    value at x+ and its gradient and curvature at z as products with P.
-    beta = 0 and a one-pixel image take the quadratic path, where beta*L
-    stores no entry, so they do no sparse prior work.
-    Columns never mix, t is per channel and every per-channel sum goes
-    through ``_column_dots``, so a channel's float sequence is the same
-    alone or batched.  A channel that stops is saved and no longer
-    recorded, so its iteration count is the length of its trace; stopped
-    columns ride along until they make up a quarter of the batch, then are
-    dropped into C-ordered copies, the layout of a fresh batch.  Returns
-    (X, info list per channel).
+    and at x+ for the objective.  Huber instead takes its value at x+ and
+    its gradient and curvature at z as products with P.  beta = 0 and a
+    one-pixel image take the quadratic path, where beta*L stores no entry,
+    so they do no sparse prior work.  Columns never mix, t and delta are
+    per channel and every per-channel sum goes through ``_column_dots``, so
+    a channel's float sequence is the same alone or batched.  A channel
+    that stops is saved and no longer recorded, so its iteration count is
+    the length of its trace; stopped columns ride along until they make up
+    a quarter of the batch, then are dropped into C-ordered copies, the
+    layout of a fresh batch.  Returns (X, info list per channel).
     """
     C = Y.shape[1]
     beta = float(opts.regularization_weight)
     huber = beta > 0 and n > 1 and opts.prior == "huber"
+    delta = _huber_delta(X0, n) if huber else np.full(C, np.inf)
     _, _, L, curv, _ = _pairs(n)
     A, dtype = AT.T, AT.dtype
     # the data term's curvature A^T W A 1, from the operator the steps use
@@ -476,13 +485,13 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
         Dc += beta * curv[:, None]
         Dc[Dc <= 0] = np.inf
 
-    def evaluate(X, Yb, Wb):
+    def evaluate(X, Yb, Wb, delta):
         """W*(A X - Y) and the objective at X."""
         R = np.subtract(A @ X.astype(dtype, copy=False), Yb)
         WR = Wb * R
         obj = 0.5 * _column_dots(WR, R)
         if huber:
-            return WR, obj + beta * _huber_value(X, n, opts.huber_delta)
+            return WR, obj + beta * _huber_value(X, n, delta)
         return WR, obj + 0.5 * _column_dots(X, bL @ X)
 
     traces = [[] for _ in range(C)]
@@ -498,13 +507,13 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
     gam = np.zeros(C)
     Yb, Wb = Y, W
     X = X0
-    WRX, fX = evaluate(X, Yb, Wb)
+    WRX, fX = evaluate(X, Yb, Wb, delta)
     Z, WRZ = X.copy(), WRX.copy()
 
     for _ in range(opts.max_iters):
         G = AT @ WRZ.astype(dtype, copy=False)
         if huber:
-            HG, D = _huber_step(Z, n, opts.huber_delta)
+            HG, D = _huber_step(Z, n, delta)
             HG *= beta
             G = np.add(G, HG, out=HG)
             D *= beta
@@ -514,7 +523,7 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
         Xn = np.divide(G, D, out=G)
         np.subtract(Z, Xn, out=Xn)
         np.maximum(Xn, 0.0, out=Xn)
-        WRn, fn = evaluate(Xn, Yb, Wb)
+        WRn, fn = evaluate(Xn, Yb, Wb, delta)
 
         back = (fn > fX) & ((coef > 0) | (gam > 0))  # restart (b)
         if np.any(back):  # the carried state of a discarded step is x's
@@ -558,9 +567,9 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
             keep = live
             # np.compress copies into C order (a[..., keep] gives Fortran
             # order), the layout in which _column_dots sums as in a fresh batch
-            Yb, Wb, X, Z, WRX, WRZ, Dc, fX, t, coef, gam, idx, live = (
+            Yb, Wb, X, Z, WRX, WRZ, Dc, fX, t, coef, gam, delta, idx, live = (
                 np.compress(keep, a, axis=-1)
-                for a in (Yb, Wb, X, Z, WRX, WRZ, Dc, fX, t, coef, gam, idx, live))
+                for a in (Yb, Wb, X, Z, WRX, WRZ, Dc, fX, t, coef, gam, delta, idx, live))
 
     out[:, idx[live]] = X[:, live]
     info = [{"iterations": len(traces[c]), "converged": bool(conv[c]),
@@ -578,13 +587,13 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
     is no info.  Otherwise MBIR starts from ``_mbir_start``, the
     Hann-windowed FBP clamped at 0, and weights each ray by exp(-y), the one
     weight rule.  Blocks (module docstring) are read and written with
-    basic slices and keep (slice, channel) order; workers = min(threads, CPUs),
-    so a budget at or above the CPU count plans what the CPU count plans.
+    basic slices and keep (slice, channel) order; workers = min(threads,
+    ``_usable_cpus()``), so a budget at or above that count plans what it plans.
     """
     n_r, C = Y.shape[1], Y.shape[3]
     n = geom.image_size
     AT = _operators(geom)
-    workers = min(threads, os.cpu_count() or 1)
+    workers = min(threads, _usable_cpus())
     cap = max(C, _BATCH_COLUMNS) if opts is None else _BATCH_COLUMNS
     step = max(1, min(cap, -(-n_r * C // workers)))
     rows, chans = (step // C, C) if C <= step else (1, step)
@@ -609,6 +618,13 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
     blocks = [(r, c) for r in range(0, n_r, rows) for c in range(0, C, chans)]
     infos = _map(solve, blocks, workers)
     return out, [i for info in infos for i in info]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (a cgroup CPU quota is not read)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _map(task, items, workers: int) -> list:
@@ -642,9 +658,9 @@ def reconstruct_stack(sinos, geom: ScanGeometry, engine: str,
     HyperspectralSinogram (C = wavelength bins).  Detector row r maps to
     volume slice r.  ``require_engine`` gives the options.  One
     ``_reconstruct_columns`` call reads the stack in its container layout,
-    runs the blocks of the module docstring on workers = min(threads, CPUs),
-    weights MBIR's rays by exp(-y) and writes voxels in the float32 of the
-    container's values.
+    runs the blocks of the module docstring on workers = min(threads, usable
+    CPUs), weights MBIR's rays by exp(-y) and writes voxels in the float32 of
+    the container's values.
     """
     opts = require_engine(engine, opts)
     require_count(threads, "threads")

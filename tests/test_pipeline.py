@@ -37,7 +37,7 @@ ANG = 1e-10
 
 # every value a caller can set, by type: a new knob is a deliberate edit here
 OPTION_FIELDS = {
-    MbirOptions: ("prior", "regularization_weight", "huber_delta", "max_iters", "rel_tol"),
+    MbirOptions: ("prior", "regularization_weight", "max_iters", "rel_tol"),
     NmfOptions: ("rank", "seed", "max_iters", "rel_tol"),
     NormalizationOptions: ("count_floor", "clamp_negative"),
     PipelineConfig: ("subspace", "recon_engine", "recon", "threads"),

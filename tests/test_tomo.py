@@ -372,6 +372,36 @@ class TestMbir:
         floor = 1e-12 * t[0]
         assert np.all(t[1:] <= t[:-1] + 1e-10 * np.maximum(t[:-1], floor))
 
+    def test_huber_delta_comes_from_the_start(self):
+        # the threshold scales with the start's neighbor differences, so
+        # Huber is no second name for the quadratic prior: its voxels differ
+        # and some pairs of its solution exceed delta
+        _, geom, p = sparse_noisy_projection(seed=1)
+        n = geom.image_size
+        delta = tomo._huber_delta(tomo._mbir_start(p.reshape(-1, 1), geom), n)
+        assert delta.shape == (1,) and 0.0 < delta[0] < np.inf
+        rec = {prior: mbir_reconstruct(p, geom, MbirOptions(prior, regularization_weight=2.0))
+               for prior in ("quadratic-difference", "huber")}
+        assert not np.allclose(rec["huber"], rec["quadratic-difference"], rtol=0.05, atol=0.0)
+        assert np.any(np.abs(tomo._pairs(n)[0] @ rec["huber"].ravel()) > delta[0])
+
+    def test_a_zero_start_keeps_the_quadratic_step(self):
+        # below 2 views MBIR starts from zero, and so does a zero sinogram: the
+        # start's median difference is 0, delta inf, and Huber the quadratic
+        # prior, with no 0/0 or inf/inf on the way
+        assert np.all(tomo._huber_delta(np.zeros((64, 3)), 8) == np.inf)
+        y = np.random.default_rng(5).uniform(0.1, 2.0, (1, 8))
+        for sino, geom in ((y, uniform_geom(1, 8)), (np.zeros((16, 8)), uniform_geom(16, 8))):
+            got = {}
+            for prior in ("quadratic-difference", "huber"):
+                opts = MbirOptions(prior=prior, regularization_weight=2.0, max_iters=30,
+                                   rel_tol=1e-12)
+                got[prior] = mbir_reconstruct(sino, geom, opts, return_info=True)
+            (quad, qi), (huber, hi) = got.values()
+            assert hi["iterations"] == qi["iterations"]
+            assert_rel_close(huber, quad, 1e-10)
+            assert_rel_close(hi["objective_trace"], qi["objective_trace"], 1e-10)
+
     def test_beats_fbp_on_sparse_noisy_data(self):
         truth, geom, p = sparse_noisy_projection(seed=1)
         rec_fbp = fbp_reconstruct(p, geom)
@@ -400,10 +430,8 @@ class TestMbir:
         with pytest.raises(ValidationError):
             MbirOptions(regularization_weight=-1.0)
         with pytest.raises(ValidationError):
-            MbirOptions(huber_delta=0.0)
-        with pytest.raises(ValidationError):
             MbirOptions(max_iters=0)
-        for field in ("regularization_weight", "huber_delta", "rel_tol"):
+        for field in ("regularization_weight", "rel_tol"):
             for value in (np.inf, None, "1", True):
                 with pytest.raises(ValidationError, match=field):
                     MbirOptions(**{field: value})
@@ -559,7 +587,7 @@ class TestReconstructStack:
         # when C exceeds a solver part or the per-worker share, all give
         # each (slice, channel) the bytes of its solo run; 4 CPUs split the
         # same way on any host
-        monkeypatch.setattr(tomo.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(tomo, "_usable_cpus", lambda: 4)
         opts = MbirOptions(regularization_weight=1.0, max_iters=30, rel_tol=1e-4)
         for C in (3, tomo._BATCH_COLUMNS, 100):
             geom, vals = stack_inputs(n_r=2, n_c=12, n_v=8, C=C, seed=6)
@@ -584,7 +612,7 @@ class TestReconstructStack:
         geom, vals = stack_inputs(n_r=1, C=5, seed=5)
         vals = vals + np.random.default_rng(12).uniform(0, 0.2, vals.shape)
         sg = slice_geometry_for(geom)
-        opts = MbirOptions(prior=prior, huber_delta=0.004, max_iters=20, rel_tol=1e-12)
+        opts = MbirOptions(prior=prior, max_iters=20, rel_tol=1e-12)
         _, batch = tomo._reconstruct_columns(one_slice(vals, sg), sg, opts)
         _, solo = mbir_reconstruct(vals[:, 2].reshape(geom.num_views, geom.num_cols), sg,
                                    opts, return_info=True)
@@ -598,7 +626,7 @@ class TestReconstructStack:
         assert vol.num_channels == 2
 
     def test_threads_do_not_change_fbp_result(self, monkeypatch):
-        monkeypatch.setattr(tomo.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(tomo, "_usable_cpus", lambda: 4)
         geom, vals = stack_inputs(n_r=4, C=2)
         sub = SubspaceSinogram(vals, geom)
         v1 = reconstruct_stack(sub, geom, "fbp", threads=1)
@@ -606,7 +634,7 @@ class TestReconstructStack:
         np.testing.assert_array_equal(v1.voxels, v2.voxels)
 
     def test_threads_do_not_change_mbir_result(self, monkeypatch):
-        monkeypatch.setattr(tomo.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(tomo, "_usable_cpus", lambda: 4)
         geom, vals = stack_inputs(n_r=3, C=2, seed=4)
         sub = SubspaceSinogram(vals, geom)
         opts = MbirOptions(regularization_weight=1.0, max_iters=8)
@@ -616,9 +644,11 @@ class TestReconstructStack:
 
     @pytest.mark.parametrize("cpus, pools", [(2, [2]), (1, []), (None, [])])
     def test_pool_holds_at_most_one_worker_per_cpu(self, monkeypatch, cpus, pools):
-        # a budget above the CPU count plans what the CPU count plans: the 6
-        # columns split into one block per worker (the columns of each FBP
-        # call), a pool holds one worker per CPU, and one worker runs serially
+        # a budget above the usable CPU count plans what that count plans: the
+        # 6 columns split into one block per worker (the columns of each FBP
+        # call), a pool holds one worker per CPU of the affinity set, and one
+        # worker runs serially; without an affinity call the CPU count rules,
+        # and an unknown one counts as 1
         class RecordingPool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
@@ -637,7 +667,13 @@ class TestReconstructStack:
         v1 = reconstruct_stack(sub, geom, "fbp", threads=1)
         fbp_batch = tomo._fbp_batch
         monkeypatch.setattr(tomo, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(tomo.os, "cpu_count", lambda: cpus)
+        if cpus is None:
+            monkeypatch.delattr(tomo.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(tomo.os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(tomo.os, "cpu_count", lambda: 64)
+            monkeypatch.setattr(tomo.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
         monkeypatch.setattr(tomo, "_fbp_batch",
                             lambda y, sg: widths.append(y.shape[1]) or fbp_batch(y, sg))
         workers = cpus or 1
@@ -646,6 +682,23 @@ class TestReconstructStack:
             v = reconstruct_stack(sub, geom, "fbp", threads=threads)
             assert (sizes, widths) == (pools, [6 // workers] * workers), threads
             assert v.voxels.tobytes() == v1.voxels.tobytes()
+
+    def test_threads_beyond_a_one_cpu_affinity_set_run_one_worker(self, monkeypatch):
+        # --threads 8 inside a 1-CPU affinity set of a 64-CPU host runs one
+        # worker in the caller's thread, with the bytes of --threads 1
+        geom, vals = stack_inputs(n_r=4, C=2, seed=4)
+        sub = SubspaceSinogram(vals, geom)
+        runs = (("fbp", None), ("mbir", MbirOptions(regularization_weight=1.0, max_iters=8)))
+        want = [reconstruct_stack(sub, geom, e, o, threads=1).voxels.tobytes() for e, o in runs]
+
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} on one usable CPU")
+
+        monkeypatch.setattr(tomo.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(tomo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(tomo, "ThreadPoolExecutor", no_pool)
+        got = [reconstruct_stack(sub, geom, e, o, threads=8).voxels.tobytes() for e, o in runs]
+        assert got == want
 
     def test_fbp_blocks_hold_whole_slices(self, monkeypatch):
         # FBP takes one whole slice per block, also past _BATCH_COLUMNS
@@ -785,16 +838,17 @@ def reference_sqs(A, Y, W, n, opts, X0, momentum="ogm"):
     is the plain SQS loop."""
     beta = opts.regularization_weight
     d_data = A.T @ (W * (A @ np.ones(A.shape[1]))[:, None])
+    deltas = tomo._huber_delta(X0, n)
     X = X0.copy()
     traces, discards = [], []
     for c in range(Y.shape[1]):
-        y, w = Y[:, c:c + 1], W[:, c:c + 1]
+        y, w, delta = Y[:, c:c + 1], W[:, c:c + 1], deltas[c]
 
         def objective(x):
             r = A @ x - y
             obj = 0.5 * np.einsum("ij,ij->j", w * r, r)
             if beta > 0:
-                obj = obj + beta * reference_prior(x, n, opts.prior, opts.huber_delta)[0]
+                obj = obj + beta * reference_prior(x, n, opts.prior, delta)[0]
             return float(obj[0])
 
         x = X0[:, c:c + 1].copy()
@@ -805,7 +859,7 @@ def reference_sqs(A, Y, W, n, opts, X0, momentum="ogm"):
             g = A.T @ (w * (A @ z - y))
             d = d_data[:, c:c + 1]
             if beta > 0:
-                _, pg, pc = reference_prior(z, n, opts.prior, opts.huber_delta)
+                _, pg, pc = reference_prior(z, n, opts.prior, delta)
                 g = g + beta * pg
                 d = d + beta * pc
             x_new = np.maximum(z - np.divide(g, d, out=np.zeros_like(g), where=d > 0), 0.0)
@@ -870,6 +924,24 @@ class TestPriorMatchesDirectionalDifferences:
         assert_rel_close(grad, ref_grad, 1e-12)
         assert_rel_close(curv, ref_curv, 1e-12)
 
+    def test_huber_takes_a_delta_per_column(self):
+        # each column meets its own delta; delta = inf is the quadratic prior
+        n = 7
+        X = np.random.default_rng(77).uniform(0.0, 1.0, (n * n, 3))
+        delta = np.array([0.25, 0.5, np.inf])
+        value = tomo._huber_value(X, n, delta)
+        grad, curv = tomo._huber_step(X, n, delta)
+        for c in range(2):
+            ref_value, ref_grad, ref_curv = reference_prior(X[:, [c]], n, "huber", delta[c])
+            assert_rel_close(value[c], ref_value, 1e-12)
+            assert_rel_close(grad[:, [c]], ref_grad, 1e-12)
+            assert_rel_close(curv[:, [c]], ref_curv, 1e-12)
+        ref_value, ref_grad, ref_curv = reference_prior(X[:, [2]], n, "quadratic-difference",
+                                                        None)
+        assert_rel_close(value[2], ref_value, 1e-12)
+        assert_rel_close(grad[:, [2]], ref_grad, 1e-12)
+        assert_rel_close(curv[:, [2]], ref_curv, 1e-12)
+
     @pytest.mark.parametrize("n", [2, 7, 16])
     def test_huber_curvature_uses_the_cached_abs_pairs(self, n):
         P, _, _, _, absPT = tomo._pairs(n)
@@ -879,21 +951,20 @@ class TestPriorMatchesDirectionalDifferences:
         X = np.random.default_rng(n + 1).uniform(0.0, 1.0, (n * n, 5))
         D = np.abs(P @ X)
         kappa = tomo._pairs(n)[1][:, None]
-        ref = abs(P).T @ ((2.0 * 0.25) * kappa / np.maximum(D, 0.25))
+        ref = abs(P).T @ (2.0 * kappa / np.maximum(D / 0.25, 1.0))
         assert tomo._huber_step(X, n, 0.25)[1].tobytes() == ref.tobytes()
 
 
 SOLVER_CASES = {
-    # no channel stops before the cap: 44 and 101 iterations at the least
+    # no channel stops before the cap: 44 and 49 iterations at the least
     "quadratic": dict(prior="quadratic-difference", regularization_weight=2.0,
                       max_iters=40, rel_tol=1e-12),
-    "huber": dict(prior="huber", regularization_weight=2.0, huber_delta=0.004,
-                  max_iters=90, rel_tol=1e-12),
+    "huber": dict(prior="huber", regularization_weight=2.0, max_iters=45, rel_tol=1e-12),
     "beta-0": dict(regularization_weight=0.0, max_iters=120, rel_tol=1e-12),
     "quadratic-freezing": dict(prior="quadratic-difference", regularization_weight=1.0,
                                max_iters=120, rel_tol=1e-4),
-    "huber-freezing": dict(prior="huber", regularization_weight=1.0, huber_delta=0.004,
-                           max_iters=120, rel_tol=1e-3),
+    "huber-freezing": dict(prior="huber", regularization_weight=1.0, max_iters=120,
+                           rel_tol=1e-3),
 }
 
 

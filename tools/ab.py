@@ -25,7 +25,10 @@ The output file records:
   (``statistics.quantiles(method='inclusive')``), the median of the
   change/parent ratios, the change's median minus the parent's, and the
   number of pairs in which the change reads better (BENCHMARK.json's
-  ``better``; ties count for neither side); whether every pair's sha256
+  ``better``; ties count for neither side), and ``gain``: whether the
+  change read better in at least ceil(0.9 x pairs) pairs and moved the
+  median in the better direction by more than the parent's interquartile
+  range, the rule a claimed gain must meet; whether every pair's sha256
   matched; and the failed operations per side;
 * ``envinfo``'s environment record, the commands, and an empty ``notes``
   list: prose goes there, and the rest of the file is left as written.
@@ -95,8 +98,9 @@ def _spread(values: list[float]) -> dict:
 
 def summarize(pairs: list[dict], better: dict) -> dict:
     """Per metric: each side's spread, the median change/parent ratio and
-    gap, and the pairs the change wins; then the sha256 match and failures.
-    Pairs where either side gave no metrics are left out of the metrics."""
+    gap, the pairs the change wins, and whether that is a gain (module
+    docstring); then the sha256 match and failures.  Pairs where either
+    side gave no metrics are left out of the metrics."""
     good = [p for p in pairs if p["parent"]["metrics"] and p["change"]["metrics"]]
     out = {"pairs": len(pairs), "pairs_with_metrics": len(good)}
     for key, direction in better.items():
@@ -105,13 +109,17 @@ def summarize(pairs: list[dict], better: dict) -> dict:
         parent = [p["parent"]["metrics"][key] for p in good]
         change = [p["change"]["metrics"][key] for p in good]
         sign = 1 if direction == "lower" else -1
+        spread = _spread(parent)
+        gap = statistics.median(change) - statistics.median(parent)
+        wins = sum(sign * (b - c) > 0 for b, c in zip(parent, change))
         out[key] = {
             "better": direction,
-            "parent": _spread(parent),
+            "parent": spread,
             "change": _spread(change),
             "ratio_median": statistics.median(c / b for b, c in zip(parent, change)),
-            "median_gap": statistics.median(change) - statistics.median(parent),
-            "change_better": sum(sign * (b - c) > 0 for b, c in zip(parent, change)),
+            "median_gap": gap,
+            "change_better": wins,
+            "gain": wins >= -(-9 * len(good) // 10) and -sign * gap > spread["iqr"],
         }
     out["sha256_match"] = all(p["parent"].get("voxel_sha256")
                               and p["parent"].get("voxel_sha256") == p["change"].get("voxel_sha256")
@@ -188,7 +196,7 @@ def main(argv=None) -> int:
                       f"{m['change']['median']:.4g} (ratio {m['ratio_median']:.3f}, "
                       f"change better in {m['change_better']} of "
                       f"{summary['pairs_with_metrics']}, parent IQR "
-                      f"{m['parent']['iqr']:.3g})")
+                      f"{m['parent']['iqr']:.3g}): gain {'yes' if m['gain'] else 'no'}")
         print(f"{name:14s} sha256 match in every pair: {summary['sha256_match']}")
     return 1 if missing else 0
 

@@ -31,9 +31,11 @@ def test_two_tiny_pairs_alternate_and_record_every_key(tmp_path, capsys):
     assert summary["failed_ops"] == {"parent": 0, "change": 0}
     for key in METRICS:
         assert set(summary[key]) == {"better", "parent", "change", "ratio_median",
-                                     "median_gap", "change_better"}
+                                     "median_gap", "change_better", "gain"}
         assert 0 <= summary[key]["change_better"] <= 2
-    assert "sha256 match in every pair: True" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "sha256 match in every pair: True" in out
+    assert all(f"{key} " in out and "gain " in out for key in METRICS)
 
 
 def pair(parent, change, sha=("a", "a")):
@@ -67,3 +69,28 @@ def test_seed_ranges():
     assert ab.parse_seeds("7") == [7]
     with pytest.raises(Exception):
         ab.parse_seeds("6-3")
+
+
+def verdict(parent, change, direction):
+    return ab.summarize([pair(b, c) for b, c in zip(parent, change)],
+                        {"wall_s": direction})["wall_s"]["gain"]
+
+
+def test_a_gain_needs_nine_of_ten_pairs_and_a_gap_beyond_the_parent_iqr():
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # IQR 0.45
+    faster = [b - 0.5 for b in parent]
+    assert verdict(parent, faster, "lower") is True
+    # the same runs read as a loss when higher is better
+    assert verdict(parent, faster, "higher") is False
+    assert verdict(faster, parent, "higher") is True
+    # 8 of 10 pairs is short of ceil(0.9 x 10) = 9
+    assert verdict(parent, faster[:8] + parent[8:], "lower") is False
+    assert verdict(parent, faster[:9] + parent[9:], "lower") is True
+    # every pair better, but the median moves by less than the parent's IQR
+    assert verdict(parent, [b - 0.4 for b in parent], "lower") is False
+
+
+def test_a_gain_in_few_pairs_needs_every_pair():
+    # ceil(0.9 x 3) = 3
+    assert verdict([1.0, 2.0, 3.0], [0.0, 0.5, 1.0], "lower") is True  # IQR 1, gap 1.5
+    assert verdict([1.0, 2.0, 3.0], [0.0, 0.5, 3.0], "lower") is False
