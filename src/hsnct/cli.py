@@ -101,8 +101,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--no-clamp", action="store_true",
                    help="keep negative attenuation values")
-    p.add_argument("--floor", type=float, default=NormalizationOptions.count_floor,
-                   help="count floor applied before the log (default %(default)s)")
 
     p = command("extract", "factorize projections into coefficients and basis", "seed")
     p.add_argument("--in", dest="infile", required=True)
@@ -213,9 +211,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_normalize(args) -> int:
     scan = load_raw_scan(args.scan)
-    opts = NormalizationOptions(count_floor=args.floor,
-                                clamp_negative=not args.no_clamp)
-    sino = normalize(scan, opts)
+    sino = normalize(scan, NormalizationOptions(clamp_negative=not args.no_clamp))
     write_container(args.out, sino)
     log.info("wrote projections %s [%d rays x %d bins]", args.out,
              sino.values.shape[0], sino.values.shape[1])

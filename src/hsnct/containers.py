@@ -102,16 +102,29 @@ class ContainerError(OSError):
     """A ``.hsnct`` file is malformed: bad magic, bad header, short payload."""
 
 
+_BLOCK_ROWS = 4096  # rows per float64 block of an [N, C] array: 8 MiB at 256 bins
+
+
+def _row_blocks(X):
+    """X's rows, ``_BLOCK_ROWS`` at a time, each block a float64 copy."""
+    return (X[i:i + _BLOCK_ROWS].astype(np.float64) for i in range(0, X.shape[0], _BLOCK_ROWS))
+
+
+def _require_finite(arr: np.ndarray, msg: str):
+    """``arr``'s min (inf if empty), or ValidationError(msg) if an entry is NaN
+    or +-inf: then the min or the max is, a test with no array-sized mask."""
+    if not arr.size:
+        return np.inf
+    lo = arr.min()
+    _require(bool(np.isfinite(lo) and np.isfinite(arr.max())), msg)
+    return lo
+
+
 def _as_f32(values, name: str, nonneg: bool = False) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=np.float32)
     arr.flags.writeable = False
-    if arr.size:
-        # the min and the max are NaN or +-inf exactly when some entry is, and
-        # unlike an isfinite mask they need no array-sized temporary
-        lo = arr.min()
-        if not (np.isfinite(lo) and np.isfinite(arr.max())):
-            raise ValidationError(f"{name} contains non-finite entries")
-        _require(not nonneg or lo >= 0.0, f"{name} must be >= 0")
+    lo = _require_finite(arr, f"{name} contains non-finite entries")
+    _require(not nonneg or lo >= 0.0, f"{name} must be >= 0")
     return arr
 
 
@@ -290,6 +303,12 @@ class SpectralAxis:
         return self.tof_edges.size - 1
 
 
+def _require_one_flight_path(g: ScanGeometry, axis: SpectralAxis):
+    # wavelengths come from the axis's flight path, so the geometry's must agree
+    _require(g.flight_path == axis.converter.flight_path, f"geometry flight_path "
+             f"{g.flight_path!r} != spectral flight_path {axis.converter.flight_path!r}")
+
+
 @dataclass(frozen=True)
 class RawScan:
     """Measured counts: sample radiographs [N_v,N_r,N_c,N_k] plus one
@@ -311,6 +330,7 @@ class RawScan:
                  f"counts shape {counts.shape} does not match geometry/axis {expect}")
         _require(open_beam.shape == expect[1:],
                  f"open_beam shape {open_beam.shape} does not match geometry/axis {expect[1:]}")
+        _require_one_flight_path(g, ax)
 
 
 @dataclass(frozen=True)
@@ -329,6 +349,7 @@ class HyperspectralSinogram:
         _require(values.shape == (n_p, self.axis.num_bins),
                  f"values shape {values.shape} does not match "
                  f"(N_p={n_p}, N_k={self.axis.num_bins})")
+        _require_one_flight_path(self.geometry, self.axis)
 
     @property
     def num_bins(self) -> int:

@@ -11,12 +11,12 @@ draws Poisson counts for both the sample exposure and the open beam.  The
 generator is counter-based (Philox keyed by seed, stream and the (view, row)
 chunk), so the draw for any chunk is independent of evaluation order and the
 simulation gives the same bytes under parallel execution.  The caller's
-thread projects each slice into the float32 counts, checking it is finite;
-then one task per detector row casts each view's chunk to float64, draws
-Poisson(flux * exp(-line integral)) over it and draws the row's open beam,
-on min(rows, usable CPUs, max(1, draws // 2**18)) threads whatever
-``--threads`` is.  A task holds one chunk at a time, so memory does not
-grow with the thread count.
+thread projects the volume into the float32 counts and checks they are
+finite; then one task per detector row casts each view's chunk to
+float64, draws Poisson(flux * exp(-line integral)) over it and draws the
+row's open beam, on min(rows, usable CPUs, max(1, draws // 2**18))
+threads whatever ``--threads`` is.  A task holds one chunk at a time, so
+memory does not grow with the thread count.
 
 Neither makes a float64 copy of the volume or a slice; both write straight
 into their float32 outputs.  ``build_ground_truth`` labels each shape's
@@ -42,13 +42,14 @@ from hsnct.containers import (
     _is_finite,
     _is_integer,
     _require,
+    _require_finite,
     require_count,
     require_nonneg,
     require_nonneg_int,
     require_positive,
     tof_to_wavelength,
 )
-from hsnct.tomo import _map, _slice_projections, _usable_cpus
+from hsnct.tomo import _map, _project, _usable_cpus
 
 __all__ = [
     "EdgeFeature",
@@ -257,14 +258,10 @@ def simulate_scan(truth: VolumeStack, geom: ScanGeometry, axis: SpectralAxis,
     _require(truth.num_channels == axis.num_bins,
              f"truth has {truth.num_channels} channels but the axis has "
              f"{axis.num_bins} bins")
-    slices = _slice_projections(truth, geom)
-    n_v, n_r, n_c, n_k = geom.num_views, geom.num_rows, geom.num_cols, axis.num_bins
     # the float32 line integrals, which the row tasks turn into counts in place
-    counts = np.empty((n_v, n_r, n_c, n_k), dtype=np.float32)
-    for r, ell in enumerate(slices):
-        if not np.all(np.isfinite(ell)):
-            raise ValidationError("line integrals are not finite")
-        counts[:, r] = ell
+    counts = _project(truth, geom, np.float32)
+    _require_finite(counts, "line integrals are not finite")
+    n_v, n_r, n_c, n_k = counts.shape
     # the noiseless open beam; with noise each row draws its own
     open_beam = np.full((n_r, n_c, n_k), flux, dtype=np.float32)
 

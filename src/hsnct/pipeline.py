@@ -26,6 +26,7 @@ from hsnct.containers import (
     SpectralAxis,
     ValidationError,
     VolumeStack,
+    _BLOCK_ROWS,
     require_count,
     require_nonneg,
 )
@@ -44,8 +45,6 @@ __all__ = [
     "run_benchmark",
     "CSV_COLUMNS",
 ]
-
-_SNR_ROWS = 4096  # voxels per block of snr_db: 8 MiB of float64 at 256 bins
 
 CSV_COLUMNS = ("algorithm", "engine", "n_k", "n_s", "snr_db",
                "extract_s", "recon_s", "expand_s", "total_s", "speedup")
@@ -141,16 +140,17 @@ def run_dhr(p: HyperspectralSinogram, cfg: PipelineConfig):
 
 def snr_db(recon: VolumeStack, reference: VolumeStack) -> float:
     """10*log10(|reference|^2 / |recon - reference|^2) over all voxels and
-    channels, both sums accumulated in float64 over blocks of ``_SNR_ROWS``
-    voxels.  An exact match has no finite SNR and is reported as an error
-    rather than inf."""
-    if recon.voxels.shape != reference.voxels.shape:
-        raise ValidationError(
-            f"shape mismatch: recon {recon.voxels.shape} vs "
-            f"reference {reference.voxels.shape}")
+    channels, both sums accumulated in float64 over blocks of ``_BLOCK_ROWS``
+    voxels.  Both volumes must share their grid and channel count.  An exact
+    match has no finite SNR and is reported as an error rather than inf."""
+    # (slices, cols, channels) fixes the voxel array's shape too
+    shapes = [(v.num_rows, v.num_cols, v.num_channels) for v in (recon, reference)]
+    if shapes[0] != shapes[1]:
+        raise ValidationError(f"shape mismatch: recon {shapes[0]} vs reference {shapes[1]} "
+                              "(slices, cols, channels)")
     sig = noise = 0.0
-    for start in range(0, reference.voxels.shape[0], _SNR_ROWS):
-        rows = slice(start, start + _SNR_ROWS)
+    for start in range(0, reference.voxels.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
         ref = reference.voxels[rows].astype(np.float64)
         err = recon.voxels[rows] - ref
         ref *= ref

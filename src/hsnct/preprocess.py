@@ -5,11 +5,11 @@ wants line integrals.  ``normalize`` forms
 
     p[v,r,c,k] = -log( max(y[v,r,c,k], eps) / max(y_open[r,c,k], eps) )
 
-with a count floor ``eps`` on both numerator and denominator so zero counts
-stay finite.  Negative attenuation (noise pushing y above the open beam) is
-clamped to zero by default since the downstream factorization needs
-non-negative input; pass ``clamp_negative=False`` to keep raw values for
-per-bin-only reconstruction.
+with a fixed count floor eps = 0.5 counts (``_COUNT_FLOOR``) on both
+numerator and denominator, so zero counts stay finite.  Negative
+attenuation (noise pushing y above the open beam) is clamped to zero by
+default since the downstream factorization needs non-negative input; pass
+``clamp_negative=False`` to keep raw values for per-bin-only reconstruction.
 
 ``normalize`` works one view at a time, in float64, and writes straight
 into its float32 output.
@@ -21,30 +21,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hsnct.containers import (
-    HyperspectralSinogram,
-    RawScan,
-    require_positive,
-    tof_to_wavelength,
-)
+from hsnct.containers import HyperspectralSinogram, RawScan, tof_to_wavelength
 
 __all__ = ["NormalizationOptions", "tof_to_wavelength", "normalize"]
+
+_COUNT_FLOOR = 0.5  # counts: half of the smallest nonzero count
 
 
 @dataclass(frozen=True)
 class NormalizationOptions:
-    count_floor: float = 0.5
     clamp_negative: bool = True
-
-    def __post_init__(self):
-        require_positive(self.count_floor, "count_floor")
 
 
 def normalize(scan: RawScan, opts: NormalizationOptions | None = None) -> HyperspectralSinogram:
     """Open-beam normalization of a raw scan, flattened to [N_p, N_k]."""
     if opts is None:
         opts = NormalizationOptions()
-    eps = np.float64(opts.count_floor)
+    eps = np.float64(_COUNT_FLOOR)
     y0 = np.maximum(scan.open_beam.astype(np.float64), eps)
     p = np.empty(scan.counts.shape, dtype=np.float32)
     for v, counts in enumerate(scan.counts):

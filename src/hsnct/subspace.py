@@ -38,8 +38,8 @@ The objective needs no third read of X per pass, because
 with the D of the update just made, in every pass.
 
 A column that collapses to zero stays zero: its partner's HALS update sees
-G_jj = 0 and sets it to zero too, and no pass re-seeds it.  The packaging
-reports it in ``dead_columns``.
+G_jj = 0 and sets it to zero too.  The packaging reports it in
+``dead_columns``.
 
 The passes stop on a certified gap.  With lambda_1 >= lambda_2 >= ... the
 eigenvalues of X's Gram matrix (X^T X or X X^T, whichever is smaller),
@@ -74,6 +74,7 @@ from hsnct.containers import (
     SubspaceSinogram,
     ValidationError,
     VolumeStack,
+    _row_blocks,
     require_count,
     require_nonneg,
     require_nonneg_int,
@@ -93,7 +94,6 @@ _INNER_SHARE = 0.01  # stop once a sweep moves the factor <= this share of the f
 _FIT_ROWS_PER_BIN = 8  # the passes run on min(N_p, 8 N_k) rows drawn by energy
 _V_SHARE = 1e-4  # the V step stops once a sweep moves V <= this share of the first
 _V_SWEEPS = 500  # ... or after this many sweeps
-_BLOCK_ROWS = 4096  # rows of p per float64 block read: 8 MiB at 256 bins
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ class FactorizationReport:
     may read above ``rel_tol`` when lambda_{r+1} is itself at rounding level.
     ``dead_columns`` lists columns whose basis vector collapsed to zero;
     each is packaged as an inert 1/sqrt(N_k) unit vector with zero
-    coefficients, and none is re-seeded.
+    coefficients.
     """
 
     objective_trace: np.ndarray
@@ -235,25 +235,20 @@ def _accelerated_hals(X, X2, V, D, opts, f_stop):
     return trace, converged
 
 
-def _blocks(X):
-    """X's rows, ``_BLOCK_ROWS`` at a time, each block a float64 copy."""
-    return (X[i:i + _BLOCK_ROWS].astype(np.float64) for i in range(0, X.shape[0], _BLOCK_ROWS))
-
-
 def _fit_rows(X, rank, seed):
     """(sorted indices of the rows the passes run on, ||X||_F^2).
 
     n = min(N_p, ``_FIT_ROWS_PER_BIN`` N_k) distinct rows, drawn without
     replacement with probability e_i / ||X||^2, e_i = ||x_i||^2 (module
     docstring), on the stream ``default_rng((seed, 1))``.  Every row when
-    n >= N_p, when X is zero, when rank = N_k (f_svd = 0, and a cone fitted
-    on a sample need not hold the other rows) or when fewer than n rows
-    carry energy."""
+    n >= N_p, when rank = N_k (f_svd = 0, and a cone fitted on a sample
+    need not hold the other rows) or when fewer than n rows carry energy,
+    as when X is zero."""
     n_p, n_k = X.shape
-    energy = np.concatenate([np.einsum("ij,ij->i", B, B) for B in _blocks(X)])
+    energy = np.concatenate([np.einsum("ij,ij->i", B, B) for B in _row_blocks(X)])
     X2 = float(energy.sum())
     n = min(n_p, _FIT_ROWS_PER_BIN * n_k)
-    if n == n_p or X2 == 0.0 or rank == n_k or np.count_nonzero(energy) < n:
+    if n == n_p or rank == n_k or np.count_nonzero(energy) < n:
         return np.arange(n_p), X2
     rows = np.random.default_rng((seed, 1)).choice(n_p, n, replace=False, p=energy / X2)
     return np.sort(rows), X2
@@ -264,7 +259,7 @@ def _solve_coefficients(X, D):
     with D fixed: HALS sweeps from max(X D (D^T D)^+, 0) until one moves V
     by at most ``_V_SHARE`` of the first sweep's move, or ``_V_SWEEPS``."""
     # the r-row products, as in the passes, kept column-major
-    XD = np.asfortranarray(np.vstack([(D.T @ B.T).T for B in _blocks(X)]))
+    XD = np.asfortranarray(np.vstack([(D.T @ B.T).T for B in _row_blocks(X)]))
     G = D.T @ D
     V = np.asfortranarray(np.maximum(XD @ np.linalg.pinv(G), 0.0))
     _hals_update(V, XD, G, _V_SWEEPS, _V_SHARE)

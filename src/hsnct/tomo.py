@@ -91,6 +91,7 @@ from hsnct.containers import (
     SubspaceSinogram,
     ValidationError,
     VolumeStack,
+    _require_finite,
     require_count,
     require_nonneg,
     require_positive,
@@ -149,8 +150,7 @@ class SliceGeometry:
 
 @dataclass(frozen=True)
 class MbirOptions:
-    """MBIR settings.  Huber's delta is no setting: each column takes 1.345 x
-    1.4826 median |P x0| of its start x0, or inf (quadratic) where that is 0."""
+    """MBIR settings; Huber's delta comes from each column's start (module docstring)."""
 
     prior: str = "quadratic-difference"
     regularization_weight: float = 1.0
@@ -189,32 +189,29 @@ def project_volume(volume: VolumeStack, geom: ScanGeometry) -> np.ndarray:
 
     Returns float64 coefficients shaped [N_p, C] in the sinogram layout
     (view, row, col row-major), so the result aligns bin-for-bin with
-    HyperspectralSinogram/SubspaceSinogram values.  Each slice's product
-    runs in float32, as every projector product does, and is cast as it is
-    assigned into the float64 output.
+    HyperspectralSinogram/SubspaceSinogram values: ``_project``'s float32
+    products cast into float64.
     """
-    slices = _slice_projections(volume, geom)
-    n_v, n_r, n_c = geom.num_views, geom.num_rows, geom.num_cols
-    out = np.empty((n_v, n_r, n_c, volume.num_channels))
-    for r, ell in enumerate(slices):
-        out[:, r] = ell
-    return out.reshape(n_v * n_r * n_c, -1)
+    return _project(volume, geom, np.float64).reshape(-1, volume.num_channels)
 
 
-def _slice_projections(volume: VolumeStack, geom: ScanGeometry):
-    """Check ``volume`` against ``geom`` now, then lazily yield the line
-    integrals of each slice r, shaped (N_v, N_c, C): detector row r, the
-    float32 product of A with the float32 slice."""
+def _project(volume: VolumeStack, geom: ScanGeometry, dtype) -> np.ndarray:
+    """The line integrals of ``volume`` under ``geom`` as a ``dtype`` array
+    (N_v, N_r, N_c, C), after checking the volume against the geometry:
+    detector row r is the float32 product of A with the float32 slice r,
+    cast as it is assigned."""
     if not isinstance(volume, VolumeStack):
         raise ValidationError(f"expected a VolumeStack, got {type(volume).__name__}")
     if volume.num_rows != geom.num_rows or volume.num_cols != geom.num_cols:
         raise ValidationError(
             f"volume grid ({volume.num_rows} slices of {volume.num_cols}^2) does "
             f"not match geometry ({geom.num_rows} rows, {geom.num_cols} cols)")
-    n_v, n_c, n2 = geom.num_views, geom.num_cols, geom.num_cols ** 2
+    n_v, n_r, n_c, n2 = geom.num_views, geom.num_rows, geom.num_cols, geom.num_cols ** 2
     A = _operators(slice_geometry_for(geom)).T
-    return ((A @ volume.voxels[r * n2:(r + 1) * n2]).reshape(n_v, n_c, -1)
-            for r in range(geom.num_rows))
+    out = np.empty((n_v, n_r, n_c, volume.num_channels), dtype)
+    for r in range(n_r):
+        out[:, r] = (A @ volume.voxels[r * n2:(r + 1) * n2]).reshape(n_v, n_c, -1)
+    return out
 
 
 def _operators(geom: SliceGeometry) -> sp.csr_matrix:
@@ -266,8 +263,7 @@ def _slice_input(values, geom: SliceGeometry, image: bool = False) -> np.ndarray
     values = np.asarray(values, dtype=np.float64)
     if values.shape != shape:
         raise ValidationError(f"{name} shape {values.shape} != {shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValidationError(f"{name} must be finite")
+    _require_finite(values, f"{name} must be finite")
     return values
 
 
@@ -312,40 +308,32 @@ def _ramp_matrix(nd: int, num_angles: int, pitch: float, hann: bool = False) -> 
     return F
 
 
-def _fbp_batch(Y: np.ndarray, geom: SliceGeometry, hann: bool = False) -> np.ndarray:
-    """FBP over ray-major columns, in float32: Y (m, C) -> float32 images
-    (n^2, C).  Each column's views (views x bins) are ramp-filtered as one
-    product with ``_ramp_matrix`` (Hann-windowed if ``hann``), then
-    backprojected with the float32 A^T.
+def _fbp_batch(block: np.ndarray, geom: SliceGeometry, hann: bool = False) -> np.ndarray:
+    """FBP of a container block (angles, slices, bins, channels), in float32:
+    images (n^2, slices * channels) in (slice, channel) order.  The block
+    is copied once, to float32 C-ordered (column, angle, bin); each column's
+    views are ramp-filtered as one product with ``_ramp_matrix``
+    (Hann-windowed if ``hann``), then backprojected with the float32 A^T.
     Every column's product has one shape, so its bits do not depend on the
     batch width; one product over all (view, column) rows would, as BLAS
     picks its kernel by size (OpenBLAS at detector widths 33, 65, 100)."""
     if geom.num_angles < 2:
         raise ValidationError("fbp needs at least 2 view angles")
     n_a, nd = geom.num_angles, geom.num_detector_bins
-    y = np.asarray(Y).reshape(n_a, nd, -1).transpose(2, 0, 1)
-    q = np.matmul(np.ascontiguousarray(y, dtype=np.float32),
-                  _ramp_matrix(nd, n_a, geom.pixel_pitch, hann))
-    return _operators(geom) @ np.ascontiguousarray(q.transpose(1, 2, 0)).reshape(Y.shape)
-
-
-def _mbir_start(Y: np.ndarray, geom: SliceGeometry) -> np.ndarray:
-    """MBIR's start for ray-major columns Y (m, C): the float32 Hann-windowed
-    FBP clamped at 0, cast to float64; zeros below 2 views.  The window damps
-    the noise the bare ramp passes at high frequencies, so the solver starts
-    nearer its minimizer and stops in fewer iterations."""
-    if geom.num_angles < 2:
-        return np.zeros((geom.image_size ** 2, Y.shape[1]))
-    return np.maximum(_fbp_batch(Y, geom, hann=True), 0.0).astype(np.float64)
-
-
-def _fbp_input(block: np.ndarray) -> np.ndarray:
-    """A container block (angles, slices, bins, channels) as ``_fbp_batch``'s
-    ray-major (m, slices * channels) input: the transpose of one float32
-    C-ordered (column, angle, bin) copy, so ``_fbp_batch`` copies nothing
-    before its products."""
     cols = np.ascontiguousarray(block.transpose(1, 3, 0, 2), dtype=np.float32)
-    return cols.reshape(-1, block.shape[0] * block.shape[2]).T
+    q = np.matmul(cols.reshape(-1, n_a, nd), _ramp_matrix(nd, n_a, geom.pixel_pitch, hann))
+    return _operators(geom) @ np.ascontiguousarray(q.transpose(1, 2, 0)).reshape(n_a * nd, -1)
+
+
+def _mbir_start(block: np.ndarray, geom: SliceGeometry) -> np.ndarray:
+    """MBIR's start for a container block (angles, slices, bins, channels):
+    the float32 Hann-windowed FBP clamped at 0, cast to float64; zeros below
+    2 views.  The window damps the noise the bare ramp passes at high
+    frequencies, so the solver starts nearer its minimizer and stops in
+    fewer iterations."""
+    if geom.num_angles < 2:
+        return np.zeros((geom.image_size ** 2, block.shape[1] * block.shape[3]))
+    return np.maximum(_fbp_batch(block, geom, hann=True), 0.0).astype(np.float64)
 
 
 def fbp_reconstruct(sino: np.ndarray, geom: SliceGeometry) -> np.ndarray:
@@ -603,12 +591,12 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
         r, c = block
         yb = Y[:, r:r + rows, :, c:c + chans]  # (angle, slice, bin, channel)
         if opts is None:
-            X, info = _fbp_batch(_fbp_input(yb), geom), []
+            X, info = _fbp_batch(yb, geom), []
         else:
             # rays x (slice, channel)
             y = np.ascontiguousarray(yb.transpose(0, 2, 1, 3), dtype=np.float64)
             y = y.reshape(AT.shape[1], -1)
-            x0 = _mbir_start(_fbp_input(yb), geom)
+            x0 = _mbir_start(yb, geom)
             # transmission-proportional statistical weights: high attenuation
             # means few counts and an unreliable ray
             X, info = _sqs_solve(AT, y, np.exp(-y), n, opts, x0)

@@ -49,7 +49,7 @@ TIMING_KEYS = {"extract_s", "recon_s", "expand_s", "total_s"}
 COMMAND_FLAGS = {
     "phantom": {"--verbose"},
     "simulate": {"--seed", "--verbose"},
-    "normalize": {"--verbose", "--no-clamp", "--floor"},
+    "normalize": {"--verbose", "--no-clamp"},
     "extract": {"--seed", "--verbose", "--max-iters", "--tol"},
     "reconstruct": {"--threads", "--verbose", "--beta", "--prior"},
     "expand": {"--verbose"},
@@ -246,7 +246,7 @@ class TestStageCommands:
         assert (d / "xs_def.hsnct").read_bytes() == (d / "xs_ref.hsnct").read_bytes()
 
     def test_normalize_defaults_are_normalization_options_defaults(self, workdir):
-        # without --floor and --no-clamp, normalize runs what normalize(scan) runs
+        # without --no-clamp, normalize runs what normalize(scan) runs
         d = workdir
         assert main(["normalize", "--scan", str(d / "scan.hsnct"),
                      "--out", str(d / "p_def.hsnct")]) == 0
@@ -267,14 +267,6 @@ class TestStageCommands:
                    "--beta", "inf", "--out", str(out)])
         assert rc == 1
         assert "regularization_weight" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_normalize_rejects_infinite_floor(self, workdir, capsys):
-        out = workdir / "inf_floor.hsnct"
-        rc = main(["normalize", "--scan", str(workdir / "scan.hsnct"), "--floor", "inf",
-                   "--out", str(out)])
-        assert rc == 1
-        assert "count_floor" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -734,6 +726,21 @@ class TestExitCodes:
         assert main(["simulate", "--truth", str(workdir / "t.hsnct"), "--geom", str(bad),
                      "--flux", "200", "--out", str(out)]) == 1
         assert "flight_path must be > 0 and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_geom_flight_path_other_than_the_truths_is_validation_error(self, workdir,
+                                                                          capsys):
+        # wavelengths come from the truth's spectral flight path, so a scan
+        # that carries a second, different one is refused
+        blob = json.loads((workdir / "geom.json").read_text())
+        blob["flight_path"] = 12.5
+        bad = workdir / "other_flight_path_geom.json"
+        bad.write_text(json.dumps(blob))
+        out = workdir / "other_flight_path_out.hsnct"
+        assert main(["simulate", "--truth", str(workdir / "t.hsnct"), "--geom", str(bad),
+                     "--flux", "200", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "geometry flight_path 12.5 != spectral flight_path 10.0" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("name,key,message", [

@@ -138,6 +138,18 @@ class TestTypeInvariants:
         with pytest.raises(ValidationError, match="voxels contains non-finite"):
             VolumeStack(vox, 1, 2)
 
+    @pytest.mark.parametrize("role", ["raw-scan", "sinogram"])
+    def test_two_flight_paths_rejected(self, role):
+        # wavelengths come from the axis's flight path; a container that
+        # carries both may not hold two different values
+        geom, axis = small_geometry(), small_axis(L=12.5)
+        with pytest.raises(ValidationError,
+                           match="geometry flight_path 10.0 != spectral flight_path 12.5"):
+            if role == "raw-scan":
+                RawScan(np.zeros((2, 2, 2, 2)), np.zeros((2, 2, 2)), geom, axis)
+            else:
+                HyperspectralSinogram(np.zeros((8, 2)), geom, axis)
+
     def test_sinogram_row_bookkeeping_rejected(self):
         geom, axis = small_geometry(), small_axis()
         n_p = sinogram_row_count(geom)

@@ -296,6 +296,9 @@ class TestSimulateScan:
         rel = np.abs(p.values.astype(np.float64) - ell).max() / ell.max()
         assert rel <= 1e-6
         np.testing.assert_array_equal(scan.open_beam, np.float32(spec.flux))
+        # the counts and project_volume come from one projection
+        expected = (spec.flux * np.exp(-ell)).astype(np.float32)
+        assert scan.counts.reshape(ell.shape).tobytes() == expected.tobytes()
 
     def test_line_integrals_within_the_float32_rounding_bound(self):
         # the simulator's products run in float32 on the cached A^T's

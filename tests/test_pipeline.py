@@ -39,7 +39,7 @@ ANG = 1e-10
 OPTION_FIELDS = {
     MbirOptions: ("prior", "regularization_weight", "max_iters", "rel_tol"),
     NmfOptions: ("rank", "seed", "max_iters", "rel_tol"),
-    NormalizationOptions: ("count_floor", "clamp_negative"),
+    NormalizationOptions: ("clamp_negative",),
     PipelineConfig: ("subspace", "recon_engine", "recon", "threads"),
     SliceGeometry: ("angles", "num_detector_bins", "pixel_pitch"),
     # the JSON inputs' schemas: their fields are the keys of --spec, --geom
@@ -157,6 +157,16 @@ class TestSnrDb:
         a = VolumeStack(np.ones((16, 2), dtype=np.float32), 1, 4)
         b = VolumeStack(np.ones((16, 3), dtype=np.float32), 1, 4)
         with pytest.raises(ValidationError):
+            snr_db(a, b)
+
+    def test_grid_mismatch_rejected(self):
+        # 16 slices of 64^2 and 4 slices of 128^2 hold as many voxels and
+        # channels, but they are different grids
+        rng = np.random.default_rng(0)
+        a = VolumeStack(rng.uniform(1, 2, (16 * 64 * 64, 2)).astype(np.float32), 16, 64)
+        b = VolumeStack(a.voxels * np.float32(1.1), 4, 128)
+        assert a.voxels.shape == b.voxels.shape
+        with pytest.raises(ValidationError, match=r"\(16, 64, 2\) vs reference \(4, 128, 2\)"):
             snr_db(a, b)
 
 

@@ -82,7 +82,7 @@ class TestNormalize:
         # y=0 floored to 0.5 against y_open=100: p = log(200) = 5.29831736...
         ob = np.full((1, 1, 1), 100.0)
         counts = np.zeros((1, 1, 1, 1))
-        sino = normalize(make_scan(counts, ob), NormalizationOptions(count_floor=0.5))
+        sino = normalize(make_scan(counts, ob))
         assert np.isclose(sino.values[0, 0], 5.2983174, rtol=1e-6)
 
     def test_clamp_negative_default_on(self):
@@ -107,12 +107,3 @@ class TestNormalize:
             lo = normalize(make_scan(counts, ob), NormalizationOptions(clamp_negative=False))
             hi = normalize(make_scan(bumped, ob), NormalizationOptions(clamp_negative=False))
             assert np.all(hi.values <= lo.values + 1e-6)
-
-    def test_nonpositive_floor_rejected(self):
-        with pytest.raises(ValidationError):
-            NormalizationOptions(count_floor=0.0)
-
-    def test_infinite_floor_rejected(self):
-        # an infinite floor would turn every count into inf/inf
-        with pytest.raises(ValidationError, match="count_floor"):
-            NormalizationOptions(count_floor=np.inf)

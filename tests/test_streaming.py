@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hsnct import phantom, pipeline, tomo
+from hsnct import containers, phantom, tomo
 from hsnct.containers import (
     HyperspectralSinogram,
     RawScan,
@@ -110,7 +110,7 @@ def reference_scan(truth, geom, axis, flux, seed, noise):
 
 
 def reference_normalize(scan, opts):
-    eps = np.float64(opts.count_floor)
+    eps = np.float64(0.5)  # normalize's fixed count floor
     y = np.maximum(scan.counts.astype(np.float64), eps)
     y0 = np.maximum(scan.open_beam.astype(np.float64), eps)
     p = -np.log(y / y0[None, :, :, :])
@@ -286,7 +286,7 @@ class TestMemoryIsBounded:
         channels = 16
         # a block's two float64 temporaries and the next block's first one,
         # and a quarter block for slack
-        bound = 3.25 * pipeline._SNR_ROWS * channels * 8
+        bound = 3.25 * containers._BLOCK_ROWS * channels * 8
         rng = np.random.default_rng(3)
         for n_r in (8, 16):
             a, b = (random_volume(rng, n_r, 128, channels) for _ in range(2))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hsnct import subspace
+from hsnct import containers
 from hsnct.containers import (
     HyperspectralSinogram,
     ScanGeometry,
@@ -277,7 +277,7 @@ class TestFitRows:
         p = sino_from(noisy_rank_three(n_p, 16, 5))
         outs = []
         for block_rows in (7, 4096):
-            monkeypatch.setattr(subspace, "_BLOCK_ROWS", block_rows)
+            monkeypatch.setattr(containers, "_BLOCK_ROWS", block_rows)
             v, d, report = nmf_factorize(p, NmfOptions(rank=3, seed=0))
             outs.append((v.coeffs.tobytes(), d.basis.tobytes(),
                          report.objective_trace.tobytes(), report.residual_energy,

@@ -46,6 +46,12 @@ def disk_image(n, radius, value=1.0, supersample=1):
     return (SA**2 + SB**2 <= radius**2).mean(axis=(2, 3)) * value
 
 
+def as_block(Y, sg):
+    """Ray-major columns Y (angles * bins, C) of one slice as the container
+    block (angles, 1 slice, bins, C) that _fbp_batch and _mbir_start read."""
+    return np.asarray(Y).reshape(sg.num_angles, 1, sg.num_detector_bins, -1)
+
+
 class TestSliceGeometry:
     def test_angle_range_enforced(self):
         with pytest.raises(ValidationError):
@@ -256,7 +262,7 @@ class TestFbp:
         F = tomo._ramp_matrix(nd, 7, 0.5)
         # FBP filters every view of every column with this product
         Y = np.stack([y, 2.0 * y, -y], axis=-1).reshape(7 * nd, 3)
-        X = tomo._fbp_batch(Y, geom)
+        X = tomo._fbp_batch(as_block(Y, geom), geom)
         for c, s in enumerate((1.0, 2.0, -1.0)):
             qc = (np.float32(s) * y) @ F
             assert X[:, c].tobytes() == (tomo._operators(geom) @ qc.ravel()).tobytes()
@@ -267,23 +273,38 @@ class TestFbp:
         # takes another kernel for the wide batch than for one column
         geom = SliceGeometry(np.linspace(0, np.pi, 8, endpoint=False), nd)
         Y = np.random.default_rng(nd).normal(size=(8 * nd, C))
-        batch = tomo._fbp_batch(Y, geom)
+        batch = tomo._fbp_batch(as_block(Y, geom), geom)
         for c in (0, 1, C // 2, C - 1):
-            assert batch[:, c].tobytes() == tomo._fbp_batch(Y[:, [c]], geom)[:, 0].tobytes()
+            solo = tomo._fbp_batch(as_block(Y[:, [c]], geom), geom)
+            assert batch[:, c].tobytes() == solo[:, 0].tobytes()
 
-    def test_fbp_input_is_the_ray_major_block_copied_once(self):
-        # a container block (angles, slices, bins, channels) becomes the
-        # float32 ray-major columns in (slice, channel) order, and the
-        # (column, angle, bin) layout _fbp_batch filters is that same memory
+    def test_fbp_reads_a_strided_block_through_one_float32_copy(self, monkeypatch):
+        # a strided slice of a container block (angles, slices, bins,
+        # channels) gives the bits of the same block made contiguous; the
+        # block is copied once, and the ramp filter reads that float32 copy
+        # in (column, angle, bin) order, columns in (slice, channel) order
         block = np.random.default_rng(3).normal(size=(8, 3, 20, 5))
-        y = tomo._fbp_input(block[:, 1:3, :, 2:5])
-        ref = np.ascontiguousarray(block[:, 1:3, :, 2:5].transpose(0, 2, 1, 3),
-                                   dtype=np.float32).reshape(8 * 20, 6)
-        assert y.dtype == np.float32 and y.tobytes() == ref.tobytes()
-        cols = np.ascontiguousarray(y.reshape(8, 20, -1).transpose(2, 0, 1), dtype=np.float32)
-        assert np.shares_memory(cols, y)
+        sub = block[:, 1:3, :, 2:5]
         geom = SliceGeometry(np.linspace(0, np.pi, 8, endpoint=False), 20)
-        assert tomo._fbp_batch(y, geom).tobytes() == tomo._fbp_batch(ref, geom).tobytes()
+        want = tomo._fbp_batch(np.ascontiguousarray(sub), geom)
+        contiguous, matmul, copies, filtered = np.ascontiguousarray, np.matmul, [], []
+
+        def copy_spy(a, *args, **kwargs):
+            out = contiguous(a, *args, **kwargs)
+            if np.shares_memory(a, block):
+                copies.append(out)
+            return out
+
+        monkeypatch.setattr(np, "ascontiguousarray", copy_spy)
+        monkeypatch.setattr(np, "matmul", lambda a, b: filtered.append(a) or matmul(a, b))
+        got = tomo._fbp_batch(sub, geom)
+        monkeypatch.undo()
+        assert got.dtype == np.float32 and got.shape == (20 * 20, 6)
+        assert got.tobytes() == want.tobytes()
+        (copy,), (cols,) = copies, filtered
+        assert copy.dtype == np.float32 and np.shares_memory(cols, copy)
+        ref = sub.transpose(1, 3, 0, 2).astype(np.float32).reshape(6, 8, 20)
+        assert cols.flags.c_contiguous and cols.tobytes() == ref.tobytes()
 
     def test_ramp_matrix_is_cached_symmetric_toeplitz(self):
         F = tomo._ramp_matrix(16, 8, 0.5)
@@ -378,7 +399,7 @@ class TestMbir:
         # and some pairs of its solution exceed delta
         _, geom, p = sparse_noisy_projection(seed=1)
         n = geom.image_size
-        delta = tomo._huber_delta(tomo._mbir_start(p.reshape(-1, 1), geom), n)
+        delta = tomo._huber_delta(tomo._mbir_start(as_block(p, geom), geom), n)
         assert delta.shape == (1,) and 0.0 < delta[0] < np.inf
         rec = {prior: mbir_reconstruct(p, geom, MbirOptions(prior, regularization_weight=2.0))
                for prior in ("quadratic-difference", "huber")}
@@ -563,7 +584,7 @@ class TestReconstructStack:
         sg = slice_geometry_for(geom)
         opts = MbirOptions(regularization_weight=1.0, max_iters=120, rel_tol=1e-4)
         AT, W = tomo._operators(sg), np.exp(-vals)
-        X0 = np.maximum(tomo._fbp_batch(vals, sg), 0.0).astype(np.float64)
+        X0 = np.maximum(tomo._fbp_batch(as_block(vals, sg), sg), 0.0).astype(np.float64)
         dots, layouts = tomo._column_dots, []
 
         def spy(U, V):
@@ -675,7 +696,8 @@ class TestReconstructStack:
             monkeypatch.setattr(tomo.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                 raising=False)
         monkeypatch.setattr(tomo, "_fbp_batch",
-                            lambda y, sg: widths.append(y.shape[1]) or fbp_batch(y, sg))
+                            lambda y, sg: widths.append(y.shape[1] * y.shape[3])
+                            or fbp_batch(y, sg))
         workers = cpus or 1
         for threads in (workers, 100_000):
             sizes, widths = [], []
@@ -707,7 +729,7 @@ class TestReconstructStack:
         sub = SubspaceSinogram(vals, geom)
         fbp_batch, sqs_solve = tomo._fbp_batch, tomo._sqs_solve
         monkeypatch.setattr(tomo, "_fbp_batch",
-                            lambda y, sg, **kw: fbp_widths.append(y.shape[1])
+                            lambda y, sg, **kw: fbp_widths.append(y.shape[1] * y.shape[3])
                             or fbp_batch(y, sg, **kw))
         monkeypatch.setattr(tomo, "_sqs_solve",
                             lambda AT, y, *a: sqs_widths.append(y.shape[1]) or sqs_solve(AT, y, *a))
@@ -972,7 +994,7 @@ def bare_ramp_start(y, sg):
     """The bare-ramp FBP image of ray-major columns y clamped at 0, in float64:
     MBIR's start before the Hann window, and the start of the reference-loop
     comparisons and of the measured figures below."""
-    return np.maximum(tomo._fbp_batch(y, sg), 0.0).astype(np.float64)
+    return np.maximum(tomo._fbp_batch(as_block(y, sg), sg), 0.0).astype(np.float64)
 
 
 def solver_inputs(seed, noise_seed):
@@ -985,7 +1007,7 @@ def solver_inputs(seed, noise_seed):
     vals = vals.astype(np.float32).astype(np.float64)  # as the container holds it
     sg = slice_geometry_for(geom)
     A = tomo._operators(sg).T.astype(np.float64)
-    return geom, sg, vals, A, tomo._mbir_start(vals, sg)
+    return geom, sg, vals, A, tomo._mbir_start(as_block(vals, sg), sg)
 
 
 class TestSolverMatchesReferenceLoop:
@@ -1106,7 +1128,7 @@ class TestSolverMatchesReferenceLoop:
         y = p.reshape(-1, 1)
         AT32 = tomo._operators(geom)
         bare = bare_ramp_start(y, geom)
-        start = tomo._mbir_start(y, geom)
+        start = tomo._mbir_start(as_block(y, geom), geom)
         _, (slow,) = tomo._sqs_solve(AT32, y, np.exp(-y), geom.image_size, opts, bare)
         _, (fast,) = tomo._sqs_solve(AT32, y, np.exp(-y), geom.image_size, opts, start)
         assert slow["converged"] and fast["converged"]
@@ -1128,7 +1150,7 @@ class TestSolverMatchesReferenceLoop:
         _, slow = tomo._sqs_solve(AT32, y, np.exp(-y), geom.image_size, opts,
                                   bare_ramp_start(y, geom))
         _, fast = tomo._sqs_solve(AT32, y, np.exp(-y), geom.image_size, opts,
-                                  tomo._mbir_start(y, geom))
+                                  tomo._mbir_start(as_block(y, geom), geom))
         assert all(i["converged"] for i in slow + fast)
         assert (sum(i["iterations"] for i in slow), sum(i["iterations"] for i in fast)) == (
             260, 233)

@@ -27,9 +27,9 @@ def test_a_bare_ramp_start_flags_exactly_the_outputs_mbir_writes(tmp_path):
     bare = same_bytes.make_side(tmp_path / "bare", "HEAD")
     tomo = bare / "src" / "hsnct" / "tomo.py"
     text = tomo.read_text()
-    hann_start = "_fbp_batch(Y, geom, hann=True)"
+    hann_start = "_fbp_batch(block, geom, hann=True)"
     assert text.count(hann_start) == 1
-    tomo.write_text(text.replace(hann_start, "_fbp_batch(Y, geom, hann=False)"))
+    tomo.write_text(text.replace(hann_start, "_fbp_batch(block, geom, hann=False)"))
 
     rows = same_bytes.compare(same_bytes.side_hashes(base, "tiny"),
                               same_bytes.side_hashes(bare, "tiny"))
