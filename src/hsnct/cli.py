@@ -82,27 +82,30 @@ def _build_parser() -> _Parser:
                      description="Fast hyperspectral neutron CT reconstruction")
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    def command(name, blurb, *reads):  # --verbose and the shared settings it reads
-        return sub.add_parser(name, help=blurb, parents=[shared[k] for k in (*reads, "verbose")])
+    def command(name, blurb, run, *reads):  # --verbose and the shared settings it reads
+        p = sub.add_parser(name, help=blurb, parents=[shared[k] for k in (*reads, "verbose")])
+        p.set_defaults(run=run)
+        return p
 
-    p = command("phantom", "rasterize a phantom spec into a ground-truth volume")
+    p = command("phantom", "rasterize a phantom spec into a ground-truth volume", _cmd_phantom)
     p.add_argument("--spec", required=True, help="phantom spec JSON")
     p.add_argument("--out-truth", required=True, help="output truth container")
 
-    p = command("simulate", "simulate a noisy scan of a truth volume", "seed")
+    p = command("simulate", "simulate a noisy scan of a truth volume", _cmd_simulate, "seed")
     p.add_argument("--truth", required=True)
     p.add_argument("--geom", required=True, help="scan geometry JSON")
     p.add_argument("--flux", required=True, type=float,
                    help="expected open-beam counts per bin")
     p.add_argument("--out", required=True)
 
-    p = command("normalize", "counts to attenuation line integrals")
+    p = command("normalize", "counts to attenuation line integrals", _cmd_normalize)
     p.add_argument("--scan", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--no-clamp", action="store_true",
                    help="keep negative attenuation values")
 
-    p = command("extract", "factorize projections into coefficients and basis", "seed")
+    p = command("extract", "factorize projections into coefficients and basis", _cmd_extract,
+                "seed")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--out-v", required=True, help="coefficient sinogram output")
@@ -114,7 +117,8 @@ def _build_parser() -> _Parser:
                         "fit's by at most TOL x lambda_{r+1}, the energy of the "
                         "strongest direction that fit leaves out (default %(default)s)")
 
-    p = command("reconstruct", "reconstruct every channel of a sinogram container", "threads")
+    p = command("reconstruct", "reconstruct every channel of a sinogram container",
+                _cmd_reconstruct, "threads")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--engine", required=True, choices=_ENGINES)
     p.add_argument("--out", required=True)
@@ -123,7 +127,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--prior", choices=_PRIORS, default=None,
                    help="mbir prior (huber takes its threshold from the data)")
 
-    p = command("expand", "expand a coefficient volume through a basis")
+    p = command("expand", "expand a coefficient volume through a basis", _cmd_expand)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--basis", required=True)
     p.add_argument("--out", required=True)
@@ -131,7 +135,7 @@ def _build_parser() -> _Parser:
     for name, blurb, reads in (
             ("fhr", "extract, reconstruct and expand in one run", ("seed", "threads")),
             ("dhr", "per-bin baseline reconstruction", ("threads",))):
-        p = command(name, blurb, *reads)
+        p = command(name, blurb, _cmd_route, *reads)
         p.add_argument("--in", dest="infile", required=True)
         if name == "fhr":
             p.add_argument("--rank", required=True, type=int)
@@ -139,11 +143,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", required=True)
         p.add_argument("--report", required=True, help="run report JSON output")
 
-    p = command("bench", "run both pipelines on the benchmark phantom", "seed", "threads")
+    p = command("bench", "run both pipelines on the benchmark phantom", _cmd_bench, "seed",
+                "threads")
     p.add_argument("--out", required=True, help="comparison CSV output")
     p.add_argument("--preset", choices=("desk",), default="desk")
 
-    p = command("slice", "export one slice/bin image as 8-bit PGM")
+    p = command("slice", "export one slice/bin image as 8-bit PGM", _cmd_slice)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--z", required=True, type=int)
     p.add_argument("--bin", required=True, type=int)
@@ -170,8 +175,6 @@ def _write_pgm(path, image: np.ndarray) -> None:
     """8-bit binary PGM; values mapped linearly from [0, max] to [0, 255]
     (non-positive images come out all black)."""
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValidationError(f"PGM export needs a 2D image, got shape {img.shape}")
     top = float(img.max())
     if top > 0:
         data = np.clip(img / top, 0.0, 1.0)
@@ -309,20 +312,6 @@ def _cmd_slice(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "phantom": _cmd_phantom,
-    "simulate": _cmd_simulate,
-    "normalize": _cmd_normalize,
-    "extract": _cmd_extract,
-    "reconstruct": _cmd_reconstruct,
-    "expand": _cmd_expand,
-    "fhr": _cmd_route,
-    "dhr": _cmd_route,
-    "bench": _cmd_bench,
-    "slice": _cmd_slice,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -332,7 +321,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(message)s", stream=sys.stderr, force=True)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError) as exc:  # bad input exits 1, a file or container fault 2
         sys.stderr.write(f"hsnct {args.command}: error: {exc}\n")
         return 1 if isinstance(exc, ValueError) else 2  # io.UnsupportedOperation is both: 1

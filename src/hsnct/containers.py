@@ -271,8 +271,7 @@ def tof_to_wavelength(converter: ToFConverter, dt):
     Linear map (h/m_n) * dt / L; rejects negative dt.
     """
     dt_arr = np.asarray(dt, dtype=np.float64)
-    _require(bool(np.all(np.isfinite(dt_arr))), "dt must be finite")
-    _require(not np.any(dt_arr < 0), "dt must be >= 0")
+    _require(_require_finite(dt_arr, "dt must be finite") >= 0, "dt must be >= 0")
     out = (converter.planck_h / converter.neutron_mass) * (dt_arr / converter.flight_path)
     return float(out) if np.ndim(dt) == 0 else out
 
@@ -291,8 +290,7 @@ class SpectralAxis:
         edges = _float64_array(self.tof_edges, "tof_edges")
         object.__setattr__(self, "tof_edges", edges)
         _require(edges.ndim == 1 and edges.size >= 2, "tof_edges must hold at least 2 values")
-        _require(np.all(np.isfinite(edges)), "tof_edges must be finite")
-        _require(edges[0] >= 0.0, "tof_edges must be >= 0")
+        _require(_require_finite(edges, "tof_edges must be finite") >= 0, "tof_edges must be >= 0")
         _require(np.all(np.diff(edges) > 0), "tof_edges must be strictly increasing")
         centers = tof_to_wavelength(self.converter, 0.5 * (edges[:-1] + edges[1:]))
         centers.flags.writeable = False
@@ -612,7 +610,7 @@ def _read_file(path) -> tuple[dict, np.ndarray]:
     if (not isinstance(shape, list) or not shape
             or not all(_is_integer(s) and s >= 1 for s in shape)):
         raise ContainerError(f"{path}: bad shape {shape!r}")
-    count = int(np.prod(shape))
+    count = math.prod(shape)  # exact: an int64 product can wrap to a short count
     expected = count * 4
     available = len(raw) - body - hlen
     if available < expected:

@@ -43,6 +43,7 @@ from hsnct.containers import (
     _is_integer,
     _require,
     _require_finite,
+    _require_one_flight_path,
     require_count,
     require_nonneg,
     require_nonneg_int,
@@ -258,6 +259,7 @@ def simulate_scan(truth: VolumeStack, geom: ScanGeometry, axis: SpectralAxis,
     _require(truth.num_channels == axis.num_bins,
              f"truth has {truth.num_channels} channels but the axis has "
              f"{axis.num_bins} bins")
+    _require_one_flight_path(geom, axis)  # RawScan's rule, before the projection's work
     # the float32 line integrals, which the row tasks turn into counts in place
     counts = _project(truth, geom, np.float32)
     _require_finite(counts, "line integrals are not finite")

@@ -33,10 +33,9 @@ class NormalizationOptions:
     clamp_negative: bool = True
 
 
-def normalize(scan: RawScan, opts: NormalizationOptions | None = None) -> HyperspectralSinogram:
+def normalize(scan: RawScan,
+              opts: NormalizationOptions = NormalizationOptions()) -> HyperspectralSinogram:
     """Open-beam normalization of a raw scan, flattened to [N_p, N_k]."""
-    if opts is None:
-        opts = NormalizationOptions()
     eps = np.float64(_COUNT_FLOOR)
     y0 = np.maximum(scan.open_beam.astype(np.float64), eps)
     p = np.empty(scan.counts.shape, dtype=np.float32)

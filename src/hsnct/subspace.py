@@ -74,6 +74,7 @@ from hsnct.containers import (
     SubspaceSinogram,
     ValidationError,
     VolumeStack,
+    _require_finite,
     _row_blocks,
     require_count,
     require_nonneg,
@@ -145,8 +146,9 @@ class FactorizationReport:
         trace = np.ascontiguousarray(self.objective_trace, dtype=np.float64)
         trace.flags.writeable = False
         object.__setattr__(self, "objective_trace", trace)
-        if trace.size and (not np.all(np.isfinite(trace)) or float(trace.min()) < 0):
-            raise ValidationError("objective_trace must be finite and >= 0")
+        msg = "objective_trace must be finite and >= 0"
+        if _require_finite(trace, msg) < 0:
+            raise ValidationError(msg)
         require_nonneg(self.residual_energy, "residual_energy")
         require_nonneg(self.gap, "gap")
         require_count(self.fit_rows, "fit_rows")
@@ -159,7 +161,7 @@ class FactorizationReport:
 def _init_factors(X, rank, seed):
     n_p, n_k = X.shape
     rng = np.random.default_rng(seed)
-    mean = float(X.mean()) if X.size else 0.0
+    mean = float(X.mean())
     scale = np.sqrt(mean / rank) if mean > 0 else 0.0
     # 1 - random() lies in (0, 1], keeping every entry strictly positive
     V = (1.0 - rng.random((n_p, rank))) * scale
@@ -278,7 +280,7 @@ def nmf_factorize(p: HyperspectralSinogram, opts: NmfOptions):
     norms keeping their factor order; the result is bit-reproducible for a
     fixed seed.
     """
-    if p.values.size and float(p.values.min()) < 0:
+    if float(p.values.min()) < 0:
         raise ValidationError("factorization input must be non-negative; "
                               "normalize with clamping first")
     n_p, n_k = p.values.shape

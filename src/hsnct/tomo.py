@@ -38,41 +38,28 @@ Reconstructors:
   median |P x0| (the MAD scale of the start's neighbor differences), or
   inf, the quadratic prior, where that median is 0.  The solver takes
   diagonally-majorized (separable quadratic surrogate) steps projected
-  onto x >= 0, starting from the FBP image with its ramp times the Hann
-  window (1 + cos(2 pi f)) / 2, clamped at 0 (a smoother start than the
-  bare ramp's, so fewer iterations to the same minimizer), and accelerates
-  them with per-channel optimized-gradient (OGM) momentum (Kim & Fessler,
-  Math. Program. 2016), whose extrapolation adds a (t/t+)(x+ - z) term to
-  Nesterov's (t-1)/t+ one, and two adaptive restarts (Kim & Fessler,
-  J. Optim. Theory Appl. 2018): one when a step turns against the
-  momentum, one that discards a step that raised the objective; either
-  sets both momentum weights to 0.  A discarded step counts as an
-  iteration and repeats the objective in the trace, so the trace does not
-  increase.  One loop extrapolates the iterate and its weighted residual
-  alike, so each iteration does one A and one A^T product, and two beta*L
-  products (at z and x+) or Huber's P products at x+ and z.  beta = 0 and a
-  one-pixel image (no pairs) run the quadratic path with an empty beta*L.
+  onto x >= 0 from ``_mbir_start``'s image, accelerated by per-channel
+  optimized-gradient (OGM) momentum with two adaptive restarts; ``_sqs_solve``
+  states the iteration, the restarts and the products each iteration does.
 
 Both run through one driver, ``_reconstruct_columns``, which reads slice
 sinograms in the container layout (angles, slices, bins, C) and writes
-images in the volume layout (slices, n^2, C), in the precision of its
-input: float32 container blocks give float32 volumes, and float64 single
-slices give float64 images.  It alone decides how the independent (slice,
-channel) columns are grouped, the MBIR start, the one weight rule W =
-exp(-y), and the threading: workers = min(threads, usable CPUs) run blocks
-of step = max(1, min(cap, ceil(slices*C / workers))) columns, step // C
-whole slices when C <= step, else step channels of one slice.  MBIR's cap is
-_BATCH_COLUMNS, FBP's max(C, _BATCH_COLUMNS), so FBP blocks hold whole
-slices.  Columns never mix.  ``_map`` runs the blocks, and the simulator's
-row draws: in the caller's thread at one worker, else on a thread pool.
+images in the volume layout (slices, n^2, C).  It alone decides the blocks
+of independent (slice, channel) columns and the workers that run them (its
+docstring states the plan), the MBIR start and the one weight rule W =
+exp(-y).  ``_map`` runs the blocks, and the simulator's row draws: in the
+caller's thread at one worker, else on a thread pool.
 
 One precision rule: the sparse projector products run in float32, the
 precision of the container payloads, with the cached A^T and its CSC view
 as A; the solver state runs in float64.  FBP, one linear pass, is wholly
-float32, its ramp filter included.  MBIR's iterate, residual, curvature,
-objective sums and prior products stay float64, so rounding does not build
-up over its iterations; ``project_volume`` casts its float32 products to
-float64.  Each step gives a column the same bits at any batch width.
+float32, its ramp filter included.  MBIR starts from that float32 FBP cast
+to float64, and its iterate, residual, curvature, objective sums and prior
+products stay float64, so rounding does not build up over its iterations;
+``project_volume`` casts its float32 products to float64.  The driver
+writes images in its input's precision: float32 container blocks give
+float32 volumes, and float64 single slices give float64 images.  Each step
+gives a column the same bits at any batch width.
 """
 
 from __future__ import annotations
@@ -92,6 +79,7 @@ from hsnct.containers import (
     ValidationError,
     VolumeStack,
     _require_finite,
+    geometry_header,
     require_count,
     require_nonneg,
     require_positive,
@@ -115,7 +103,7 @@ _PRIORS = ("quadratic-difference", "huber")
 _ENGINES = ("fbp", "mbir")
 # columns per MBIR part: the float32 sparse products cost ~2-4x more per
 # column at 4 columns than at 16-256, and the solver runs ~5-20 % slower per
-# column at 256 than at 64 (one desk slice); FBP's parts hold whole slices
+# column at 256 than at 64 (one desk slice)
 _BATCH_COLUMNS = 64
 
 _ISQ2 = 1.0 / np.sqrt(2.0)
@@ -296,7 +284,7 @@ def _ramp_matrix(nd: int, num_angles: int, pitch: float, hann: bool = False) -> 
     angular quadrature weight, riding on the ramp |f| (cycles per sample,
     0 .. 0.5).  ``hann`` multiplies the ramp by the Hann window
     (1 + cos(2 pi f)) / 2, which is 1 at f = 0, so densities keep their
-    scale, and 0 at Nyquist: MBIR's start.
+    scale, and 0 at Nyquist (``_mbir_start``).
     """
     n_pad = 1 << max(int(np.ceil(np.log2(2 * nd))), 1)
     f = np.fft.rfftfreq(n_pad)
@@ -327,18 +315,18 @@ def _fbp_batch(block: np.ndarray, geom: SliceGeometry, hann: bool = False) -> np
 
 def _mbir_start(block: np.ndarray, geom: SliceGeometry) -> np.ndarray:
     """MBIR's start for a container block (angles, slices, bins, channels):
-    the float32 Hann-windowed FBP clamped at 0, cast to float64; zeros below
-    2 views.  The window damps the noise the bare ramp passes at high
-    frequencies, so the solver starts nearer its minimizer and stops in
-    fewer iterations."""
+    the float32 FBP with its ramp times the Hann window (``_ramp_matrix``),
+    clamped at 0 and cast to float64; zeros below 2 views.  The window damps
+    the noise the bare ramp passes at high frequencies, so the solver starts
+    nearer the same minimizer and stops in fewer iterations."""
     if geom.num_angles < 2:
         return np.zeros((geom.image_size ** 2, block.shape[1] * block.shape[3]))
     return np.maximum(_fbp_batch(block, geom, hann=True), 0.0).astype(np.float64)
 
 
 def fbp_reconstruct(sino: np.ndarray, geom: SliceGeometry) -> np.ndarray:
-    """Filtered backprojection of one slice sinogram: a float64 image whose
-    values carry float32 precision, as FBP computes in float32."""
+    """Filtered backprojection of one slice sinogram: a float64 image of FBP's
+    float32 values (module docstring)."""
     sino = _slice_input(sino, geom)
     img, _ = _reconstruct_columns(sino[:, None, :, None], geom, None)
     return img.reshape(geom.image_size, geom.image_size)
@@ -419,10 +407,10 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
     AT is the length-scaled system matrix's transpose as CSR (n^2 x m) and
     A its CSC view AT.T; Y, W, X0 are float64 (m, C) / (n^2, C), and X0's
     memory is reused after delta is read.  Products with A or A^T, the
-    curvature's too, run in AT's precision into float64; all else is
-    float64.  Each channel keeps its iterate x, an extrapolated point z and
-    a momentum scalar t (z = x0, t = 1 at the start); an iteration is the
-    optimized gradient method's (OGM; Kim & Fessler, Math. Program. 2016)
+    curvature's too, run in AT's precision (module docstring).  Each channel
+    keeps its iterate x, an extrapolated point z and a momentum scalar t
+    (z = x0, t = 1 at the start); an iteration is the optimized gradient
+    method's (OGM; Kim & Fessler, Math. Program. 2016)
 
         x+ = max(z - grad f(z) / D(z), 0)
         t+ = (1 + sqrt(1 + 4 t^2)) / 2
@@ -572,11 +560,16 @@ def _reconstruct_columns(Y: np.ndarray, geom: SliceGeometry, opts: MbirOptions |
     (slices, n^2, C) in Y's precision, MBIR info per (slice, channel) column).
 
     ``opts`` None runs FBP (the bare ramp) on the float32 block, and there
-    is no info.  Otherwise MBIR starts from ``_mbir_start``, the
-    Hann-windowed FBP clamped at 0, and weights each ray by exp(-y), the one
-    weight rule.  Blocks (module docstring) are read and written with
-    basic slices and keep (slice, channel) order; workers = min(threads,
-    ``_usable_cpus()``), so a budget at or above that count plans what it plans.
+    is no info.  Otherwise MBIR starts from ``_mbir_start`` and weights each
+    ray by exp(-y), the one weight rule.
+
+    The block plan: workers = min(threads, ``_usable_cpus()``) run blocks of
+    step = max(1, min(cap, ceil(slices*C / workers))) columns, step // C
+    whole slices when C <= step, else step channels of one slice.  MBIR's
+    cap is ``_BATCH_COLUMNS``, FBP's max(C, ``_BATCH_COLUMNS``), so FBP
+    blocks hold whole slices.  Blocks are read and written with basic slices
+    and keep (slice, channel) order, and columns never mix; a budget at or
+    above the CPU count plans what that count plans.
     """
     n_r, C = Y.shape[1], Y.shape[3]
     n = geom.image_size
@@ -628,8 +621,8 @@ def _map(task, items, workers: int) -> list:
 
 def mbir_reconstruct(sino: np.ndarray, geom: SliceGeometry,
                      opts: MbirOptions | None = None, return_info: bool = False):
-    """Regularized weighted-least-squares reconstruction of one slice,
-    started from the Hann-windowed FBP image clamped at 0."""
+    """Regularized weighted-least-squares reconstruction of one slice from
+    ``_mbir_start``'s image."""
     opts = require_engine("mbir", opts)
     sino = _slice_input(sino, geom)
     X, info = _reconstruct_columns(sino[:, None, :, None], geom, opts)
@@ -643,12 +636,12 @@ def reconstruct_stack(sinos, geom: ScanGeometry, engine: str,
     """Reconstruct every (slice, channel) pair of a measurement stack.
 
     ``sinos`` is a SubspaceSinogram (C = subspace channels) or a
-    HyperspectralSinogram (C = wavelength bins).  Detector row r maps to
-    volume slice r.  ``require_engine`` gives the options.  One
-    ``_reconstruct_columns`` call reads the stack in its container layout,
-    runs the blocks of the module docstring on workers = min(threads, usable
-    CPUs), weights MBIR's rays by exp(-y) and writes voxels in the float32 of
-    the container's values.
+    HyperspectralSinogram (C = wavelength bins), and ``geom`` its geometry:
+    their ``geometry_header``s, the container format's definition of a scan
+    geometry, must be equal.  Detector row r maps to volume slice r.
+    ``require_engine`` gives the options.  One ``_reconstruct_columns`` call
+    reads the stack in its container layout and plans its blocks and workers
+    from ``threads``; voxels come out in the float32 of the container's values.
     """
     opts = require_engine(engine, opts)
     require_count(threads, "threads")
@@ -659,10 +652,7 @@ def reconstruct_stack(sinos, geom: ScanGeometry, engine: str,
     else:
         raise ValidationError(
             f"expected a sinogram container, got {type(sinos).__name__}")
-    if (sgeom.num_views != geom.num_views or sgeom.num_rows != geom.num_rows
-            or sgeom.num_cols != geom.num_cols
-            or sgeom.pixel_pitch != geom.pixel_pitch
-            or not np.array_equal(sgeom.view_angles, geom.view_angles)):
+    if geometry_header(sgeom) != geometry_header(geom):
         raise ValidationError("sinogram geometry does not match the scan geometry")
 
     n_v, n_r, n_c = geom.num_views, geom.num_rows, geom.num_cols

@@ -458,7 +458,7 @@ class TestExitCodes:
     def test_error_kind_sets_the_exit_code(self, monkeypatch, capsys, exc, code):
         def fail(args):
             raise exc
-        monkeypatch.setitem(cli._COMMANDS, "slice", fail)
+        monkeypatch.setattr(cli, "_cmd_slice", fail)
         assert main(["slice", "--in", "x", "--z", "0", "--bin", "0", "--out", "y"]) == code
         assert capsys.readouterr().err == f"hsnct slice: error: {exc}\n"
 
@@ -551,6 +551,18 @@ class TestExitCodes:
         assert main(["expand", "--in", str(workdir / "xs.hsnct"), "--basis", str(bad),
                      "--out", str(out)]) == 2
         assert "axis_order 'row,col,slice,channel'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_shape_beyond_int64_is_container_error(self, workdir, capsys):
+        # 2**62 x 4 values and no payload: a short file, not a wrapped count of 0
+        bad = workdir / "huge_shape.hsnct"
+        patch_header(workdir / "d.hsnct", bad, lambda h: h.update({"shape": [2**62, 4]}))
+        raw = bad.read_bytes()
+        bad.write_bytes(raw[:12 + int.from_bytes(raw[8:12], "little")])
+        out = workdir / "huge_shape_out.hsnct"
+        assert main(["expand", "--in", str(workdir / "xs.hsnct"), "--basis", str(bad),
+                     "--out", str(out)]) == 2
+        assert f"hsnct expand: error: {bad}: truncated payload" in capsys.readouterr().err
         assert not out.exists()
 
     def test_null_voxel_pitch_is_container_error(self, workdir, capsys):

@@ -110,6 +110,11 @@ class TestSpectralAxis:
         with pytest.raises(ValidationError):
             SpectralAxis(np.array([-1e-3, 1e-3]), ToFConverter(flight_path=10.0))
 
+    @pytest.mark.parametrize("edges", [[1e-3, np.inf], [-np.inf, 1e-3], [1e-3, np.nan]])
+    def test_non_finite_edge_rejected(self, edges):
+        with pytest.raises(ValidationError, match="tof_edges must be finite"):
+            SpectralAxis(np.array(edges), ToFConverter(flight_path=10.0))
+
     @pytest.mark.parametrize("field", ["flight_path", "planck_h", "neutron_mass"])
     def test_infinite_converter_constant_rejected(self, field):
         constants = {"flight_path": 10.0, field: np.inf}
@@ -476,6 +481,16 @@ class TestHeaderSchema:
         raw = path.read_bytes()
         hlen = int.from_bytes(raw[8:12], "little")
         assert raw[12 : 12 + hlen].decode("utf-8") == text
+
+    def test_shape_beyond_int64_is_a_truncated_payload(self, tmp_path):
+        # 2**62 x 4 entries: the count is exact, so it does not wrap to an empty payload
+        header = ('{"axis_order":"bin,channel","dtype":"f32le","role":"basis",'
+                  f'"shape":[{2**62},4],' + _SPECTRAL + "}").encode("utf-8")
+        path = tmp_path / "huge.hsnct"
+        path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
+        with pytest.raises(ContainerError,
+                           match=re.escape(f"{path}: truncated payload, need {2**66} bytes")):
+            load_container(path, "basis")
 
     def test_numpy_scalars_round_trip(self, tmp_path):
         # numpy counts and lengths are written as the JSON kinds the reader demands

@@ -340,6 +340,19 @@ class TestSimulateScan:
         with pytest.raises(ValidationError):
             simulate_scan(truth, other, axis, 200.0, 0)
 
+    def test_flight_path_mismatch_rejected_before_projecting(self, monkeypatch):
+        spec, axis, _ = small_setup()
+        truth = build_ground_truth(spec, axis)
+        other = ScanGeometry(8, 2, 32, np.linspace(0, np.pi, 8, endpoint=False),
+                             flight_path=12.5)
+
+        def project(*args):
+            raise AssertionError("projected a scan that RawScan refuses")
+        monkeypatch.setattr(phantom, "_project", project)
+        with pytest.raises(ValidationError,
+                           match="geometry flight_path 12.5 != spectral flight_path 10.0"):
+            simulate_scan(truth, other, axis, 200.0, 0)
+
     def test_bad_flux_rejected(self):
         spec, axis, geom = small_setup()
         truth = build_ground_truth(spec, axis)

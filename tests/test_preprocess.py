@@ -56,6 +56,14 @@ class TestTofToWavelength:
         with pytest.raises(ValidationError):
             tof_to_wavelength(conv, -1e-6)
 
+    @pytest.mark.parametrize("dt", [np.nan, [1e-3, np.nan], [np.inf], [-np.inf, 1e-3]])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValidationError, match="dt must be finite"):
+            tof_to_wavelength(ToFConverter(flight_path=10.0), dt)
+
+    def test_empty_dt_passes(self):
+        assert tof_to_wavelength(ToFConverter(flight_path=10.0), []).shape == (0,)
+
     def test_array_input(self):
         conv = ToFConverter(flight_path=10.0)
         out = tof_to_wavelength(conv, np.array([0.0, 1e-3, 2e-3]))

@@ -747,6 +747,15 @@ class TestReconstructStack:
         with pytest.raises(ValidationError):
             reconstruct_stack(SubspaceSinogram(vals, geom), other, "fbp")
 
+    def test_flight_path_only_mismatch_rejected(self):
+        # a scan geometry is its container header, the flight path included
+        geom, vals = stack_inputs()
+        other = ScanGeometry(geom.num_views, geom.num_rows, geom.num_cols, geom.view_angles,
+                             flight_path=12.5)
+        with pytest.raises(ValidationError,
+                           match="sinogram geometry does not match the scan geometry"):
+            reconstruct_stack(SubspaceSinogram(vals, geom), other, "fbp")
+
     def test_unknown_engine_rejected(self):
         geom, vals = stack_inputs()
         with pytest.raises(ValidationError):
