@@ -23,7 +23,9 @@ Reconstructors:
   as a product with a cached float32 Toeplitz matrix, the kernel of the
   FFT ramp on rows zero-padded to twice the detector width or more,
   backprojection with the float32 A^T, and a pi/(num_angles*pitch^2) scale
-  so a density-1 disk comes back at value ~1.
+  so a density-1 disk comes back at value ~1.  It filters the container
+  block in place, 16 channels per product, and backprojects the block with
+  one product (``_fbp_batch``).
 * ``mbir_reconstruct``: minimizes 0.5*||W^(1/2)(Ax - y)||^2 + beta*R(x)
   over x >= 0 with W = diag(exp(-y)), where R sums kappa*rho(x_a - x_b)
   over 8-neighbor pairs (each unordered pair once, kappa 1, or 1/sqrt(2)
@@ -59,7 +61,8 @@ products stay float64, so rounding does not build up over its iterations;
 ``project_volume`` casts its float32 products to float64.  The driver
 writes images in its input's precision: float32 container blocks give
 float32 volumes, and float64 single slices give float64 images.  Each step
-gives a column the same bits at any batch width.
+gives a column the same bits at any batch width: FBP's filter runs on
+16-channel chunks, zero-padded up to 16, whatever the block's width.
 """
 
 from __future__ import annotations
@@ -105,6 +108,8 @@ _ENGINES = ("fbp", "mbir")
 # column at 4 columns than at 16-256, and the solver runs ~5-20 % slower per
 # column at 256 than at 64 (one desk slice)
 _BATCH_COLUMNS = 64
+# channels per FBP filter product: one product shape at any block width
+_FBP_CHUNK = 16
 
 _ISQ2 = 1.0 / np.sqrt(2.0)
 # forward offsets (drow, dcol, weight) covering each unordered neighbor pair once
@@ -275,7 +280,8 @@ def back_project(sino: np.ndarray, geom: SliceGeometry) -> np.ndarray:
 def _ramp_matrix(nd: int, num_angles: int, pitch: float, hann: bool = False) -> np.ndarray:
     """The float32 ramp filter of an nd-bin view as a read-only symmetric
     Toeplitz matrix F[i, j] = h[|i - j|], cached per (nd, angle count,
-    pitch, window): y @ F filters a view y as the zero-padded FFT ramp does.
+    pitch, window): F @ y filters a view y (bins, columns) as the zero-padded
+    FFT ramp does.
 
     Padding to n_pad >= 2 nd makes the FFT's circular convolution a linear
     one, and the real, even spectrum makes its kernel h symmetric.  Filtered
@@ -298,19 +304,33 @@ def _ramp_matrix(nd: int, num_angles: int, pitch: float, hann: bool = False) -> 
 
 def _fbp_batch(block: np.ndarray, geom: SliceGeometry, hann: bool = False) -> np.ndarray:
     """FBP of a container block (angles, slices, bins, channels), in float32:
-    images (n^2, slices * channels) in (slice, channel) order.  The block
-    is copied once, to float32 C-ordered (column, angle, bin); each column's
-    views are ramp-filtered as one product with ``_ramp_matrix``
-    (Hann-windowed if ``hann``), then backprojected with the float32 A^T.
-    Every column's product has one shape, so its bits do not depend on the
-    batch width; one product over all (view, column) rows would, as BLAS
-    picks its kernel by size (OpenBLAS at detector widths 33, 65, 100)."""
+    images (n^2, slices * channels) in (slice, channel) order.
+
+    Each (angle, slice) view is filtered in place, ``_FBP_CHUNK`` channels
+    per product F @ v with ``_ramp_matrix``'s symmetric F (Hann-windowed if
+    ``hann``), into a float32 (angles, bins, slices, channels) buffer, A^T's
+    ray-major operand for one backprojection.  A block that is not float32,
+    or not a multiple of 16 channels wide, is first copied once, zero-padded,
+    and the padding is cut before A^T.  Every filter product has one shape,
+    so a column's bits do not depend on the batch width; products at the
+    block's own width would, as BLAS picks its kernel by size."""
     if geom.num_angles < 2:
         raise ValidationError("fbp needs at least 2 view angles")
     n_a, nd = geom.num_angles, geom.num_detector_bins
-    cols = np.ascontiguousarray(block.transpose(1, 3, 0, 2), dtype=np.float32)
-    q = np.matmul(cols.reshape(-1, n_a, nd), _ramp_matrix(nd, n_a, geom.pixel_pitch, hann))
-    return _operators(geom) @ np.ascontiguousarray(q.transpose(1, 2, 0)).reshape(n_a * nd, -1)
+    S, C = block.shape[1], block.shape[3]
+    k = -(-C // _FBP_CHUNK)
+    if block.dtype != np.float32 or C != k * _FBP_CHUNK:
+        padded = np.zeros((n_a, S, nd, k * _FBP_CHUNK), np.float32)
+        padded[..., :C] = block
+        block = padded
+    q = np.empty((n_a, nd, S, k, _FBP_CHUNK), np.float32)
+    np.matmul(_ramp_matrix(nd, n_a, geom.pixel_pitch, hann),
+              block.reshape(n_a, S, nd, k, _FBP_CHUNK).transpose(0, 1, 3, 2, 4),
+              out=q.transpose(0, 2, 3, 1, 4))
+    q = q.reshape(n_a * nd, S, -1)
+    if q.shape[2] != C:
+        q = np.ascontiguousarray(q[..., :C])
+    return _operators(geom) @ q.reshape(n_a * nd, -1)
 
 
 def _mbir_start(block: np.ndarray, geom: SliceGeometry) -> np.ndarray:

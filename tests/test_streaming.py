@@ -260,6 +260,18 @@ class TestMemoryIsBounded:
         assert vol.voxels.nbytes >= 8 * MIB
         assert added <= 2 * vol.voxels.nbytes
 
+    def test_fbp_adds_only_the_filtered_block_and_the_images(self):
+        # a float32 block of 256 channels is filtered in place into one
+        # float32 buffer, A^T's operand, then backprojected: no (column,
+        # angle, bin) copy and no transposed copy of the filtered block
+        sg = tomo.SliceGeometry(np.linspace(0, np.pi, 128, endpoint=False), 64)
+        block = np.random.default_rng(8).random((128, 1, 64, 256), dtype=np.float32)
+        assert block.nbytes >= 8 * MIB
+        tomo._fbp_batch(block[..., :16], sg)
+        images, added = added_bytes(tomo._fbp_batch, block, sg)
+        assert images.shape == (64 * 64, 256) and images.dtype == np.float32
+        assert added <= block.nbytes + images.nbytes + 64 * 1024
+
     def test_container_wraps_without_a_mask(self):
         vox = np.random.default_rng(6).random((16 * 64 * 64, 32), dtype=np.float32)
         assert vox.nbytes >= 8 * MIB

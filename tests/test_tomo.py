@@ -251,7 +251,7 @@ class TestFbp:
         for hann, window in ((False, 1.0), (True, 0.5 * (1.0 + np.cos(2.0 * np.pi * f)))):
             ref = np.fft.irfft(np.fft.rfft(padded, axis=1) * (f * window), n=n_pad,
                                axis=1)[:, :nd] * scale
-            q = y @ tomo._ramp_matrix(nd, 7, 0.5, hann)
+            q = (tomo._ramp_matrix(nd, 7, 0.5, hann) @ y.T).T
             assert q.dtype == np.float32
             # float32 rounding: F's entries, then the nd-term sums
             kernel = np.fft.irfft(f * window * scale, n_pad)[:nd]
@@ -260,51 +260,66 @@ class TestFbp:
                     np.arange(nd), np.arange(nd)))])
             assert np.all(np.abs(q - ref) <= bound)
         F = tomo._ramp_matrix(nd, 7, 0.5)
-        # FBP filters every view of every column with this product
-        Y = np.stack([y, 2.0 * y, -y], axis=-1).reshape(7 * nd, 3)
-        X = tomo._fbp_batch(as_block(Y, geom), geom)
-        for c, s in enumerate((1.0, 2.0, -1.0)):
-            qc = (np.float32(s) * y) @ F
-            assert X[:, c].tobytes() == (tomo._operators(geom) @ qc.ravel()).tobytes()
+        # FBP filters each view of a 16-channel chunk, the 3 columns
+        # zero-padded to 16, with this product
+        v = np.zeros((7, nd, 16), np.float32)
+        v[..., :3] = np.stack([y, 2.0 * y, -y], axis=-1)
+        q = F @ v
+        X = tomo._fbp_batch(as_block(v[..., :3].reshape(7 * nd, 3), geom), geom)
+        for c in range(3):
+            want = tomo._operators(geom) @ np.ascontiguousarray(q[..., c]).ravel()
+            assert X[:, c].tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("nd, C", [(33, 120), (65, 40), (100, 20)])
+    @pytest.mark.parametrize("nd, C", [(33, 120), (65, 40), (100, 20)] + [
+        (nd, C) for nd in (33, 64) for C in (1, 15, 16, 17, 33, 48)])
     def test_column_bits_do_not_depend_on_batch_width(self, nd, C):
-        # widths at which one BLAS product over all (view, column) rows
-        # takes another kernel for the wide batch than for one column
+        # at detector widths 33, 65 and 100 one BLAS product over all (view,
+        # column) rows would take another kernel for the wide batch than for
+        # one column; channel counts around the 16-channel chunk pad the
+        # batch or the lone column; both ramps, float32 and float64 blocks
         geom = SliceGeometry(np.linspace(0, np.pi, 8, endpoint=False), nd)
         Y = np.random.default_rng(nd).normal(size=(8 * nd, C))
-        batch = tomo._fbp_batch(as_block(Y, geom), geom)
-        for c in (0, 1, C // 2, C - 1):
-            solo = tomo._fbp_batch(as_block(Y[:, [c]], geom), geom)
-            assert batch[:, c].tobytes() == solo[:, 0].tobytes()
+        for hann in (False, True):
+            for dtype in (np.float32, np.float64):
+                Yd = Y.astype(dtype)
+                batch = tomo._fbp_batch(as_block(Yd, geom), geom, hann=hann)
+                for c in sorted({0, 1 % C, C // 2, C - 1}):
+                    solo = tomo._fbp_batch(as_block(Yd[:, [c]], geom), geom, hann=hann)
+                    assert batch[:, c].tobytes() == solo[:, 0].tobytes(), (hann, dtype, c)
 
     def test_fbp_reads_a_strided_block_through_one_float32_copy(self, monkeypatch):
         # a strided slice of a container block (angles, slices, bins,
-        # channels) gives the bits of the same block made contiguous; the
-        # block is copied once, and the ramp filter reads that float32 copy
-        # in (column, angle, bin) order, columns in (slice, channel) order
-        block = np.random.default_rng(3).normal(size=(8, 3, 20, 5))
-        sub = block[:, 1:3, :, 2:5]
+        # channels) gives the bits of the same block made contiguous; a
+        # float32 block of 16k channels reaches the filter as a view of
+        # itself, in (angle, slice, chunk, bin, 16) order, and any other
+        # block through one copy, a zero-padded float32 buffer
         geom = SliceGeometry(np.linspace(0, np.pi, 8, endpoint=False), 20)
-        want = tomo._fbp_batch(np.ascontiguousarray(sub), geom)
-        contiguous, matmul, copies, filtered = np.ascontiguousarray, np.matmul, [], []
-
-        def copy_spy(a, *args, **kwargs):
-            out = contiguous(a, *args, **kwargs)
-            if np.shares_memory(a, block):
-                copies.append(out)
-            return out
-
-        monkeypatch.setattr(np, "ascontiguousarray", copy_spy)
-        monkeypatch.setattr(np, "matmul", lambda a, b: filtered.append(a) or matmul(a, b))
-        got = tomo._fbp_batch(sub, geom)
-        monkeypatch.undo()
-        assert got.dtype == np.float32 and got.shape == (20 * 20, 6)
-        assert got.tobytes() == want.tobytes()
-        (copy,), (cols,) = copies, filtered
-        assert copy.dtype == np.float32 and np.shares_memory(cols, copy)
-        ref = sub.transpose(1, 3, 0, 2).astype(np.float32).reshape(6, 8, 20)
-        assert cols.flags.c_contiguous and cols.tobytes() == ref.tobytes()
+        matmul, filtered = np.matmul, []
+        monkeypatch.setattr(np, "matmul",
+                            lambda a, b, **kw: filtered.append(b) or matmul(a, b, **kw))
+        rng = np.random.default_rng(3)
+        for dtype, C, chans in ((np.float32, 48, slice(16, 48)), (np.float32, 9, slice(2, 7)),
+                                (np.float64, 48, slice(16, 48))):
+            block = rng.normal(size=(8, 3, 20, C)).astype(dtype)
+            sub = block[:, 1:3, :, chans]
+            width = sub.shape[3]
+            filtered.clear()
+            want = tomo._fbp_batch(np.ascontiguousarray(sub), geom)
+            got = tomo._fbp_batch(sub, geom)
+            assert got.dtype == np.float32 and got.shape == (20 * 20, 2 * width)
+            assert got.tobytes() == want.tobytes()
+            view = filtered[1]
+            k = -(-width // 16)
+            assert view.dtype == np.float32 and view.shape == (8, 2, k, 20, 16)
+            assert np.array_equal(view.transpose(0, 1, 3, 2, 4).reshape(8, 2, 20, -1)[..., :width],
+                                  sub.astype(np.float32))
+            if dtype == np.float32 and width % 16 == 0:
+                assert np.shares_memory(view, block)
+            else:
+                padded = view.base
+                assert not np.shares_memory(view, block)
+                assert padded.shape == (8, 2, 20, 16 * k) and padded.flags.c_contiguous
+                assert not padded[..., width:].any()
 
     def test_ramp_matrix_is_cached_symmetric_toeplitz(self):
         F = tomo._ramp_matrix(16, 8, 0.5)
@@ -653,6 +668,16 @@ class TestReconstructStack:
         v1 = reconstruct_stack(sub, geom, "fbp", threads=1)
         v2 = reconstruct_stack(sub, geom, "fbp", threads=3)
         np.testing.assert_array_equal(v1.voxels, v2.voxels)
+
+    def test_fbp_bits_at_20_channels_do_not_depend_on_threads(self, monkeypatch):
+        # one worker filters a 3-slice block, two workers 1-slice blocks:
+        # 60 and 20 columns, padded to 16-channel chunks either way
+        monkeypatch.setattr(tomo, "_usable_cpus", lambda: 2)
+        geom, vals = stack_inputs(n_r=3, C=20, seed=5)
+        sub = SubspaceSinogram(vals, geom)
+        v1 = reconstruct_stack(sub, geom, "fbp", threads=1)
+        v2 = reconstruct_stack(sub, geom, "fbp", threads=2)
+        assert v1.voxels.tobytes() == v2.voxels.tobytes()
 
     def test_threads_do_not_change_mbir_result(self, monkeypatch):
         monkeypatch.setattr(tomo, "_usable_cpus", lambda: 4)
