@@ -32,17 +32,16 @@ Reconstructors:
   on diagonals) with rho quadratic or Huber.  Both priors are products
   with one sparse pair-difference operator P (row p of P x is x_a - x_b).
   The quadratic prior is 0.5*x^T L x with L = P^T diag(kappa) P, so its
-  gradient is one product L x and its surrogate curvature the constant
-  2*diag(L).  Huber's value is kappa . rho(P x), its gradient
-  P^T (kappa clip(P x, +-delta)) and its surrogate curvature
-  |P|^T (2 kappa / max(|P x| / delta, 1)), with delta taken per column from
+  gradient is one product L x.  Huber's value is kappa . rho(P x) and its
+  gradient P^T (kappa clip(P x, +-delta)), with delta taken per column from
   its start x0: 1.345 (Huber's 95 %-efficiency constant) times 1.4826
   median |P x0| (the MAD scale of the start's neighbor differences), or
-  inf, the quadratic prior, where that median is 0.  The solver takes
-  diagonally-majorized (separable quadratic surrogate) steps projected
-  onto x >= 0 from ``_mbir_start``'s image, accelerated by per-channel
-  optimized-gradient (OGM) momentum with two adaptive restarts; ``_sqs_solve``
-  states the iteration, the restarts and the products each iteration does.
+  inf, the quadratic prior, where that median is 0.  As Huber's rho'' <= 1,
+  the quadratic's, both priors take the constant curvature 2*diag(L) in
+  the solver's diagonally-majorized (separable quadratic surrogate) steps,
+  projected onto x >= 0 from ``_mbir_start``'s image and accelerated by
+  per-channel optimized-gradient (OGM) momentum with two adaptive restarts;
+  ``_sqs_solve`` states the iteration, the restarts and each iteration's products.
 
 Both run through one driver, ``_reconstruct_columns``, which reads slice
 sinograms in the container layout (angles, slices, bins, C) and writes
@@ -356,14 +355,13 @@ def fbp_reconstruct(sino: np.ndarray, geom: SliceGeometry) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _pairs(n: int):
-    """The 8-neighbor pairs of an n x n grid: (P, kappa, L, curv, |P|^T).
+    """The 8-neighbor pairs of an n x n grid: (P, kappa, L, curv).
 
     Row p of the sparse P x is x_a - x_b for the p-th pair, a = b + (drow,
     dcol), each unordered pair once in ``_DIRS`` order; kappa holds the pair
     weights, L = P^T diag(kappa) P is the weighted graph Laplacian and
-    curv = 2*diag(L) the quadratic prior's constant surrogate curvature;
-    Huber's curvature is a product with |P|^T (CSR).  Cached per image
-    size; L has about 9 nonzeros per row.
+    curv = 2*diag(L) the constant surrogate curvature of both priors.
+    Cached per image size; L has about 9 nonzeros per row.
     """
     idx = np.arange(n * n).reshape(n, n)
     a, b, kappa = [], [], []
@@ -378,7 +376,7 @@ def _pairs(n: int):
     L = (P.T @ (sp.diags(kappa) @ P)).tocsr()
     curv = 2.0 * L.diagonal()
     kappa.flags.writeable = curv.flags.writeable = False
-    return P, kappa, L, curv, abs(P).T.tocsr()
+    return P, kappa, L, curv
 
 
 def _column_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -400,17 +398,13 @@ def _huber_value(X: np.ndarray, n: int, delta: np.ndarray | float) -> np.ndarray
     return _column_dots(a, kappa[:, None])
 
 
-def _huber_step(Z: np.ndarray, n: int, delta: np.ndarray | float):
-    """The Huber prior's gradient P^T (kappa clip(P z, +-delta)) and its
-    majorizer's curvature |P|^T (2 kappa / max(|P z| / delta, 1)) at Z."""
-    P, kappa, _, _, absPT = _pairs(n)
+def _huber_gradient(Z: np.ndarray, n: int, delta: np.ndarray | float) -> np.ndarray:
+    """The Huber prior's gradient P^T (kappa clip(P z, +-delta)) at Z."""
+    P, kappa = _pairs(n)[:2]
     D = P @ Z
-    a = np.abs(D)
     np.clip(D, -delta, delta, out=D)
     D *= kappa[:, None]
-    np.maximum(np.divide(a, delta, out=a), 1.0, out=a)
-    np.divide(2.0 * kappa[:, None], a, out=a)
-    return P.T @ D, absPT @ a
+    return P.T @ D
 
 
 def _huber_delta(X0: np.ndarray, n: int) -> np.ndarray:
@@ -432,11 +426,11 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
     (z = x0, t = 1 at the start); an iteration is the optimized gradient
     method's (OGM; Kim & Fessler, Math. Program. 2016)
 
-        x+ = max(z - grad f(z) / D(z), 0)
+        x+ = max(z - grad f(z) / D, 0)
         t+ = (1 + sqrt(1 + 4 t^2)) / 2
         z+ = x+ + ((t - 1) / t+) (x+ - x) + (t / t+) (x+ - z)
 
-    with D(z) the separable majorizer's curvature at z.  Two adaptive
+    with D = A^T W A 1 + beta*curv, under either prior.  Two adaptive
     restarts (Kim & Fessler, J. Optim. Theory Appl. 2018): (a) when
     <z - x+, x+ - x> > 0 the step turned against the momentum, t = 1
     before t+ is formed and both weights are 0, so z+ = x+; (b) when a step
@@ -454,32 +448,32 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
     - Y) and f, so an iteration does one A product, one A^T product and,
     for the quadratic prior, two products with beta*L: at z for the step
     and at x+ for the objective.  Huber instead takes its value at x+ and
-    its gradient and curvature at z as products with P.  beta = 0 and a
-    one-pixel image take the quadratic path, where beta*L stores no entry,
-    so they do no sparse prior work.  Columns never mix, t and delta are
-    per channel and every per-channel sum goes through ``_column_dots``, so
-    a channel's float sequence is the same alone or batched.  A channel
-    that stops is saved and no longer recorded, so its iteration count is
-    the length of its trace; stopped columns ride along until they make up
-    a quarter of the batch, then are dropped into C-ordered copies, the
-    layout of a fresh batch.  Returns (X, info list per channel).
+    its gradient at z as products with P.  beta = 0 and a one-pixel image
+    take the quadratic path, where beta*L stores no entry, so they do no
+    sparse prior work.  Columns never mix, t and delta are per channel and
+    every per-channel sum goes through ``_column_dots``, so a channel's
+    float sequence is the same alone or batched.  A channel that stops is
+    saved and no longer recorded, so its iteration count is the length of
+    its trace; stopped columns ride along until they make up a quarter of
+    the batch, then are dropped into C-ordered copies, the layout of a
+    fresh batch.  Returns (X, info list per channel).
     """
     C = Y.shape[1]
     beta = float(opts.regularization_weight)
     huber = beta > 0 and n > 1 and opts.prior == "huber"
     delta = _huber_delta(X0, n) if huber else np.full(C, np.inf)
-    _, _, L, curv, _ = _pairs(n)
+    _, _, L, curv = _pairs(n)
     A, dtype = AT.T, AT.dtype
     # the data term's curvature A^T W A 1, from the operator the steps use
     Dc = AT @ (W * (A @ np.ones(A.shape[1], dtype))[:, None]).astype(dtype, copy=False)
     Dc = Dc.astype(np.float64, copy=False)
-    if not huber:
-        # constant denominator; pixels that no weighted ray and no prior pair
-        # touch stay put (0/inf = 0); at beta = 0, beta*L keeps no stored zero
-        bL = beta * L
-        bL.eliminate_zeros()
-        Dc += beta * curv[:, None]
-        Dc[Dc <= 0] = np.inf
+    # the constant denominator of either prior; pixels that no weighted ray
+    # and no prior pair touch stay put (0/inf = 0); at beta = 0, beta*L keeps
+    # no stored zero
+    bL = beta * L
+    bL.eliminate_zeros()
+    Dc += beta * curv[:, None]
+    Dc[Dc <= 0] = np.inf
 
     def evaluate(X, Yb, Wb, delta):
         """W*(A X - Y) and the objective at X."""
@@ -509,14 +503,12 @@ def _sqs_solve(AT: sp.csr_matrix, Y: np.ndarray, W: np.ndarray, n: int,
     for _ in range(opts.max_iters):
         G = AT @ WRZ.astype(dtype, copy=False)
         if huber:
-            HG, D = _huber_step(Z, n, delta)
+            HG = _huber_gradient(Z, n, delta)
             HG *= beta
             G = np.add(G, HG, out=HG)
-            D *= beta
-            D += Dc
         else:
-            G, D = np.add(G, bL @ Z), Dc
-        Xn = np.divide(G, D, out=G)
+            G = np.add(G, bL @ Z)
+        Xn = np.divide(G, Dc, out=G)
         np.subtract(Z, Xn, out=Xn)
         np.maximum(Xn, 0.0, out=Xn)
         WRn, fn = evaluate(Xn, Yb, Wb, delta)

@@ -832,30 +832,25 @@ def pair_ends(n, da, db):
 
 
 def reference_prior(X, n, prior, delta):
-    """Value per channel, gradient and surrogate curvature of the pairwise
-    prior, pair offset by pair offset: each pair adds k*rho(diff) to the
-    value, +-k*rho'(diff) to its endpoints' gradients and 2*k*rho'(diff)/diff
-    to both curvatures."""
+    """Value per channel and gradient of the pairwise prior, pair offset by
+    pair offset: each pair adds k*rho(diff) to the value and +-k*rho'(diff)
+    to its endpoints' gradients."""
     X3 = X.reshape(n, n, -1)
     value = np.zeros(X3.shape[2])
     G = np.zeros_like(X3)
-    K = np.zeros_like(X3)
     for da, db, k in NEIGHBOR_OFFSETS:
         a, b = pair_ends(n, da, db)
         D = X3[a] - X3[b]
-        mag = np.abs(D)
         if prior == "quadratic-difference":
-            rho, slope, c = 0.5 * D * D, D, np.ones_like(D)
+            rho, slope = 0.5 * D * D, D
         else:
+            mag = np.abs(D)
             rho = np.where(mag <= delta, 0.5 * D * D, delta * mag - 0.5 * delta * delta)
             slope = np.clip(D, -delta, delta)
-            c = np.where(mag <= delta, 1.0, delta / np.maximum(mag, delta))
         value += k * rho.sum(axis=(0, 1))
         G[a] += k * slope
         G[b] -= k * slope
-        K[a] += 2.0 * k * c
-        K[b] += 2.0 * k * c
-    return value, G.reshape(n * n, -1), K.reshape(n * n, -1)
+    return value, G.reshape(n * n, -1)
 
 
 def reference_laplacian(n):
@@ -891,9 +886,11 @@ def reference_sqs(A, Y, W, n, opts, X0, momentum="ogm"):
     that restart (b) threw away.  ``momentum`` is "ogm", the solver's step
     z+ = x+ + ((t-1)/t+)(x+ - x) + (t/t+)(x+ - z); "fista", Nesterov's step,
     which drops the last term; or False, where every step restarts, which
-    is the plain SQS loop."""
+    is the plain SQS loop.  Both priors' steps divide by the data curvature
+    plus beta times the Laplacian's doubled diagonal."""
     beta = opts.regularization_weight
-    d_data = A.T @ (W * (A @ np.ones(A.shape[1]))[:, None])
+    d = (A.T @ (W * (A @ np.ones(A.shape[1]))[:, None])
+         + beta * reference_laplacian(n)[1][:, None])
     deltas = tomo._huber_delta(X0, n)
     X = X0.copy()
     traces, discards = [], []
@@ -913,12 +910,10 @@ def reference_sqs(A, Y, W, n, opts, X0, momentum="ogm"):
         trace, discarded = [], []
         for it in range(opts.max_iters):
             g = A.T @ (w * (A @ z - y))
-            d = d_data[:, c:c + 1]
             if beta > 0:
-                _, pg, pc = reference_prior(z, n, opts.prior, delta)
-                g = g + beta * pg
-                d = d + beta * pc
-            x_new = np.maximum(z - np.divide(g, d, out=np.zeros_like(g), where=d > 0), 0.0)
+                g = g + beta * reference_prior(z, n, opts.prior, delta)[1]
+            dc = d[:, c:c + 1]
+            x_new = np.maximum(z - np.divide(g, dc, out=np.zeros_like(g), where=dc > 0), 0.0)
             f_new = objective(x_new)
             if (coef > 0 or gam > 0) and f_new > f:
                 # restart (b): discard the step, take a plain one from x next
@@ -955,13 +950,11 @@ class TestPriorMatchesDirectionalDifferences:
     @pytest.mark.parametrize("C", [1, 5])
     def test_quadratic_value_gradient_curvature(self, n, C):
         X = np.random.default_rng(100 * n + C).uniform(0.0, 1.0, (n * n, C))
-        _, _, L, curv, _ = tomo._pairs(n)
+        _, _, L, curv = tomo._pairs(n)
         grad = L @ X
-        ref_value, ref_grad, ref_curv = reference_prior(X, n, "quadratic-difference", 0.1)
+        ref_value, ref_grad = reference_prior(X, n, "quadratic-difference", 0.1)
         assert_rel_close(0.5 * tomo._column_dots(X, grad), ref_value, 1e-12)
         assert_rel_close(grad, ref_grad, 1e-12)
-        np.testing.assert_array_equal(np.broadcast_to(curv[:, None], ref_curv.shape),
-                                      ref_curv)
         # the quadratic solver's bytes: L x and the curvature are exactly
         # those of the Laplacian accumulated offset by offset
         ref_L, ref_const = reference_laplacian(n)
@@ -974,11 +967,10 @@ class TestPriorMatchesDirectionalDifferences:
         # differences of U(0, 1) values fall on both sides of delta
         X = np.random.default_rng(100 * n + C + 50).uniform(0.0, 1.0, (n * n, C))
         value = tomo._huber_value(X, n, 0.25)
-        grad, curv = tomo._huber_step(X, n, 0.25)
-        ref_value, ref_grad, ref_curv = reference_prior(X, n, "huber", 0.25)
+        grad = tomo._huber_gradient(X, n, 0.25)
+        ref_value, ref_grad = reference_prior(X, n, "huber", 0.25)
         assert_rel_close(value, ref_value, 1e-12)
         assert_rel_close(grad, ref_grad, 1e-12)
-        assert_rel_close(curv, ref_curv, 1e-12)
 
     def test_huber_takes_a_delta_per_column(self):
         # each column meets its own delta; delta = inf is the quadratic prior
@@ -986,29 +978,36 @@ class TestPriorMatchesDirectionalDifferences:
         X = np.random.default_rng(77).uniform(0.0, 1.0, (n * n, 3))
         delta = np.array([0.25, 0.5, np.inf])
         value = tomo._huber_value(X, n, delta)
-        grad, curv = tomo._huber_step(X, n, delta)
+        grad = tomo._huber_gradient(X, n, delta)
         for c in range(2):
-            ref_value, ref_grad, ref_curv = reference_prior(X[:, [c]], n, "huber", delta[c])
+            ref_value, ref_grad = reference_prior(X[:, [c]], n, "huber", delta[c])
             assert_rel_close(value[c], ref_value, 1e-12)
             assert_rel_close(grad[:, [c]], ref_grad, 1e-12)
-            assert_rel_close(curv[:, [c]], ref_curv, 1e-12)
-        ref_value, ref_grad, ref_curv = reference_prior(X[:, [2]], n, "quadratic-difference",
-                                                        None)
+        ref_value, ref_grad = reference_prior(X[:, [2]], n, "quadratic-difference", None)
         assert_rel_close(value[2], ref_value, 1e-12)
         assert_rel_close(grad[:, [2]], ref_grad, 1e-12)
-        assert_rel_close(curv[:, [2]], ref_curv, 1e-12)
 
     @pytest.mark.parametrize("n", [2, 7, 16])
-    def test_huber_curvature_uses_the_cached_abs_pairs(self, n):
-        P, _, _, _, absPT = tomo._pairs(n)
-        assert absPT is tomo._pairs(n)[4]
-        a = np.random.default_rng(n).uniform(0.1, 2.0, (P.shape[0], 5))
-        assert (absPT @ a).tobytes() == (abs(P).T @ a).tobytes()
-        X = np.random.default_rng(n + 1).uniform(0.0, 1.0, (n * n, 5))
-        D = np.abs(P @ X)
-        kappa = tomo._pairs(n)[1][:, None]
-        ref = abs(P).T @ (2.0 * kappa / np.maximum(D / 0.25, 1.0))
-        assert tomo._huber_step(X, n, 0.25)[1].tobytes() == ref.tobytes()
+    @pytest.mark.parametrize("delta", [0.05, 0.25, np.inf])
+    def test_quadratic_curvature_majorizes_huber(self, n, delta):
+        # R(x) <= R(z) + grad R(z).(x - z) + 0.5 sum curv (x - z)^2 per
+        # column: Huber's rho'' <= 1 bounds R by its quadratic expansion with
+        # L, and 2 diag(L) - L is diagonally dominant; delta = inf is the
+        # quadratic prior
+        rng = np.random.default_rng(n)
+        Z, X = rng.uniform(0.0, 1.0, (2, n * n, 6))
+        # two near-flat columns that step along the rows' alternation: every
+        # difference stays below delta, and (x - z)^T L (x - z) is about
+        # 1/sqrt(2) of sum curv (x - z)^2, so 0.6 curv no longer majorizes
+        Zs = 0.5 + 0.01 * rng.uniform(0.0, 1.0, (n * n, 2))
+        Xs = Zs + 0.01 * np.repeat((-1.0) ** np.arange(n), n)[:, None]
+        Z, X = np.hstack([Z, Zs]), np.hstack([X, Xs])
+        prior = "huber" if np.isfinite(delta) else "quadratic-difference"
+        curv = tomo._pairs(n)[3][:, None]
+        value_x, _ = reference_prior(X, n, prior, delta)
+        value_z, grad_z = reference_prior(Z, n, prior, delta)
+        bound = value_z + np.sum(grad_z * (X - Z) + 0.5 * curv * (X - Z) ** 2, axis=0)
+        assert np.all(value_x <= bound + 1e-12 * np.abs(bound))
 
 
 SOLVER_CASES = {
@@ -1085,6 +1084,22 @@ class TestSolverMatchesReferenceLoop:
 
         vol = reconstruct_stack(SubspaceSinogram(vals, geom), geom, "mbir", opts)
         assert vol.voxels.tobytes() == X32.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("prior", ["quadratic-difference", "huber"])
+    def test_both_priors_step_with_the_quadratic_curvature(self, prior):
+        # one iteration from x0 is max(x0 - (grad f + beta grad R) / (Dc +
+        # beta curv), 0), with the same denominator under either prior
+        _, sg, vals, A, X0 = solver_inputs(seed=3, noise_seed=9)
+        n, beta, W = sg.image_size, 2.0, np.exp(-vals)
+        opts = MbirOptions(prior=prior, regularization_weight=beta, max_iters=1)
+        X, info = tomo._sqs_solve(A.T.tocsr(), vals, W, n, opts, X0.copy())
+        assert [i["iterations"] for i in info] == [1, 1, 1]
+        delta = tomo._huber_delta(X0, n) if prior == "huber" else [None] * 3
+        grad_R = np.hstack([reference_prior(X0[:, [c]], n, prior, delta[c])[1]
+                            for c in range(3)])
+        grad_f = A.T @ (W * (A @ X0 - vals))
+        D = A.T @ (W * (A @ np.ones(n * n))[:, None]) + beta * tomo._pairs(n)[3][:, None]
+        assert_rel_close(X, np.maximum(X0 - (grad_f + beta * grad_R) / D, 0.0), 1e-12)
 
     def test_discarded_step_repeats_the_objective(self):
         # from the bare-ramp start the momentum overshoots within 40
@@ -1259,7 +1274,7 @@ class TestPriorFreeSolves:
             raise AssertionError("beta = 0 runs no Huber product")
 
         monkeypatch.setattr(tomo, "_huber_value", unused)
-        monkeypatch.setattr(tomo, "_huber_step", unused)
+        monkeypatch.setattr(tomo, "_huber_gradient", unused)
         huber = tomo._reconstruct_columns(one_slice(vals, sg), sg,
                                           MbirOptions(prior="huber", regularization_weight=0.0,
                                                       max_iters=120, rel_tol=1e-3))

@@ -2,11 +2,12 @@
 
 Run from the repository root:
 
-    python3 tools/quality.py --out BENCH_<n>.json [--seeds 1-3] [--size desk|tiny]
+    python3 tools/quality.py --out BENCH_<n>.json [--seeds 1-3] [--size SIZE]
 
 It imports hsnct from this checkout's ``src/`` and builds perfbench's scene
-at ``--size`` (desk: ``default_benchmark_phantom()``).  For each scan seed
-it simulates and normalizes the scan, then reconstructs at ``threads`` 1:
+at ``--size``, a key of perfbench's ``SIZES`` (desk, the default:
+``default_benchmark_phantom()``).  For each scan seed it simulates and
+normalizes the scan, then reconstructs at ``threads`` 1:
 
 * dhr: detector row 8, every 8th bin from bin 3 (32 bins at desk), at
   beta in ``DHR_BETAS``;
@@ -172,7 +173,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-3"),
                         help="scan seeds, A-B (default 1-3)")
-    parser.add_argument("--size", choices=("desk", "tiny"), default="desk")
+    parser.add_argument("--size", choices=SIZES, default="desk")
     args = parser.parse_args(argv)
     runs = [r for seed in args.seeds for r in seed_runs(SIZES[args.size], seed)]
     summary = summarize(runs)
