@@ -222,9 +222,9 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    sino = load_sinogram(args.infile)
     opts = NmfOptions(rank=args.rank, seed=args.seed, max_iters=args.max_iters,
                       rel_tol=args.tol)
+    sino = load_sinogram(args.infile)
     coeffs, basis, report = nmf_factorize(sino, opts)
     write_container(args.out_v, coeffs)
     write_container(args.out_d, basis)

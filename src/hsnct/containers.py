@@ -10,11 +10,11 @@ containers below, and every file on disk is the same single format:
 
 The header always carries ``dtype`` (``"f32le"``), ``shape``, ``axis_order``
 and ``role``; the role fixes which of the ``geometry`` and ``spectral``
-sub-dicts it carries (a volume may also carry the spectral axis of its
-channels).  One table gives each geometry, spectral and volume key its JSON
-kind (integer count, real number or list of reals): readers check that kind
-and writers convert to it.  Identical logical content produces identical
-bytes on every platform.
+sub-dicts it carries (a volume may also carry a spectral section: the axis
+of its channels, one bin per channel).  One table gives each geometry,
+spectral and volume key its JSON kind (integer count, real number or list
+of reals): readers check that kind and writers convert to it.  Identical
+logical content produces identical bytes on every platform.
 
 The role fixes the axis order (``AXIS_ORDERS``); a header whose
 ``axis_order`` disagrees with its role, that holds a value of the wrong JSON
@@ -507,6 +507,13 @@ def _pack(data) -> tuple[dict, tuple[np.ndarray, ...]]:
     return header, payload
 
 
+def _require_channel_bins(axis: SpectralAxis | None, channels: int):
+    # a volume's spectral section is the axis of its channels, one bin each
+    if axis is not None:
+        _require(axis.num_bins == channels, f"spectral section has {axis.num_bins} bins "
+                 f"but the volume has {channels} channels")
+
+
 def _unpack(header: dict, arr: np.ndarray):
     """The typed container a header's role and payload describe (inverse of
     _pack), and the SpectralAxis of its spectral section (None without one)."""
@@ -520,6 +527,7 @@ def _unpack(header: dict, arr: np.ndarray):
     if role == "volume":
         if arr.ndim != 4 or arr.shape[2] != arr.shape[1]:
             raise ValidationError(f"volume shape {arr.shape} is not [N_r,N_c,N_c,C]")
+        _require_channel_bins(axis, arr.shape[3])
         n_r, n_c = arr.shape[0], arr.shape[1]
         voxels = arr.reshape(n_r * n_c * n_c, arr.shape[3])
         # without a voxel_pitch, VolumeStack's default applies
@@ -554,6 +562,8 @@ def write_container(path, data, extra_header: dict | None = None) -> None:
     for key, value in (extra_header or {}).items():
         if header.setdefault(key, value) != value:
             raise ValidationError(f"extra header key {key!r} conflicts with derived value")
+    if header["role"] == "volume" and "spectral" in header:
+        _require_channel_bins(spectral_from_header(header["spectral"]), data.num_channels)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     try:
         _write_whole(path, [MAGIC, struct.pack("<I", len(blob)), blob,

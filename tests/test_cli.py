@@ -290,6 +290,19 @@ class TestStageCommands:
         assert "threads" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag, value, setting", [
+        ("--rank", "0", "rank"), ("--max-iters", "0", "max_iters"), ("--tol", "0", "rel_tol"),
+    ])
+    def test_bad_extract_setting_is_reported_before_the_input_is_read(
+            self, tmp_path, capsys, flag, value, setting):
+        args = {"--rank": "3", flag: value}
+        assert main(["extract", "--in", str(tmp_path / "missing.hsnct"),
+                     *(a for kv in args.items() for a in kv),
+                     "--out-v", str(tmp_path / "v.hsnct"),
+                     "--out-d", str(tmp_path / "d.hsnct")]) == 1
+        assert f"{setting} must be" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_fractional_threads_is_a_usage_error(self, workdir, capsys):
         out = workdir / "frac_threads.hsnct"
         assert main(["reconstruct", "--in", str(workdir / "v.hsnct"), "--engine", "fbp",

@@ -26,6 +26,7 @@ from hsnct.containers import (
     require_nonneg,
     require_positive,
     sinogram_row_count,
+    spectral_header,
     write_container,
 )
 
@@ -364,6 +365,30 @@ class TestContainerFormat:
         raw = path.read_bytes()
         header = json.loads(raw[12:12 + int.from_bytes(raw[8:12], "little")])
         assert header["axis_order"] == "row,col,slice,channel"
+
+    def test_volume_spectral_section_must_have_one_bin_per_channel_to_write(self, tmp_path):
+        vol = VolumeStack(np.ones((4, 3)), num_rows=1, num_cols=2)
+        path = tmp_path / "vol.hsnct"
+        with pytest.raises(ValidationError, match="256 bins but the volume has 3 channels"):
+            write_container(path, vol, extra_header={"spectral": spectral_header(small_axis(256))})
+        assert list(tmp_path.iterdir()) == []
+        write_container(path, vol, extra_header={"spectral": spectral_header(small_axis(3))})
+        assert load_volume(path)[1].num_bins == 3
+
+    def test_volume_spectral_section_must_have_one_bin_per_channel_to_read(self, tmp_path):
+        # the writer refuses such a file, so the test edits a valid one's header
+        path = tmp_path / "vol.hsnct"
+        write_container(path, VolumeStack(np.ones((4, 3)), num_rows=1, num_cols=2),
+                        extra_header={"spectral": spectral_header(small_axis(3))})
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12:12 + hlen])
+        header["spectral"] = spectral_header(small_axis(256))
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen:])
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: spectral section has "
+                                                            "256 bins but the volume has 3")):
+            load_volume(path)
 
     def test_role_mismatch_rejected(self, tmp_path):
         vol = VolumeStack(np.ones((4, 1), dtype=np.float32), num_rows=1, num_cols=2)
